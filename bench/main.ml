@@ -4,9 +4,8 @@
    series the paper reports, at the default scaled-down simulation
    length) — this is the reproduction artifact.
 
-   Part 2 runs Bechamel micro-benchmarks of the simulator's hot
-   primitives (merge selection per scheme, routing, cache access,
-   compilation, simulation cycles), one Test per experiment family. *)
+   Part 2 runs Bechamel micro-benchmarks: one Test per experiment
+   family, plus cache access, compilation and simulation cycles. *)
 
 module E = Vliw_experiments
 
@@ -27,8 +26,8 @@ let regenerate_all ~jobs () =
 
 (* --- machine-readable benchmark (bench --json) ----------------------
 
-   Writes BENCH_sim.json: stepping throughput and decision-cache hit
-   rates per scheme family, the wall clock of regenerating every
+   Writes BENCH_sim.json: stepping throughput and minor-heap words per
+   cycle per scheme family, the wall clock of regenerating every
    standard experiment, and a fixed CPU calibration loop. The
    calibration lets a CI gate compare `exp_all_calibrated` (wall clock
    in calibration units) across machines of different speeds. *)
@@ -51,8 +50,6 @@ type scheme_bench = {
   sb_threads : int;
   sb_cycles_per_sec : float;
   sb_words_per_cycle : float;
-  sb_hit_rate : float;
-  sb_flushes : int;
 }
 
 let bench_scheme name =
@@ -93,21 +90,11 @@ let bench_scheme name =
   done;
   let dt = Unix.gettimeofday () -. t0 in
   let words = (Gc.allocated_bytes () -. a0) /. 8.0 in
-  let hit_rate, flushes =
-    match Vliw_sim.Core.memo_stats core with
-    | None -> (0.0, 0)
-    | Some s ->
-      let total = s.hits + s.misses in
-      ((if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total),
-       s.flushes)
-  in
   {
     sb_name = name;
     sb_threads = n;
     sb_cycles_per_sec = float_of_int n_steps /. dt;
     sb_words_per_cycle = words /. float_of_int n_steps;
-    sb_hit_rate = hit_rate;
-    sb_flushes = flushes;
   }
 
 let time_exp_all ~scale ~jobs () =
@@ -132,10 +119,8 @@ let write_json ~path ~scale_name ~calib ~exp_all_s schemes =
     (fun i sb ->
       fmt buf
         "    { \"name\": \"%s\", \"threads\": %d, \"cycles_per_sec\": %.0f, \
-         \"words_per_cycle\": %.1f, \"memo_hit_rate\": %.4f, \
-         \"memo_flushes\": %d }%s\n"
+         \"words_per_cycle\": %.1f }%s\n"
         sb.sb_name sb.sb_threads sb.sb_cycles_per_sec sb.sb_words_per_cycle
-        sb.sb_hit_rate sb.sb_flushes
         (if i = List.length schemes - 1 then "" else ","))
     schemes;
   fmt buf "  ]\n}\n";
@@ -161,7 +146,6 @@ let record_ledger ~scale_name ~jobs ~calib ~exp_all_s ~wall_s schemes =
             ("cycles_per_sec." ^ sb.sb_name, sb.sb_cycles_per_sec);
             ("Mcycles_per_sec." ^ sb.sb_name, sb.sb_cycles_per_sec /. 1e6);
             ("words_per_cycle." ^ sb.sb_name, sb.sb_words_per_cycle);
-            ("memo_hit_rate." ^ sb.sb_name, sb.sb_hit_rate);
           ])
         schemes
   in
@@ -179,13 +163,8 @@ let record_ledger ~scale_name ~jobs ~calib ~exp_all_s ~wall_s schemes =
     Printf.eprintf "warning: could not record bench ledger entry: %s\n%!"
       (Printexc.to_string e)
 
-let run_json ~scale_name ~jobs ~path ~ledger () =
-  let scale =
-    match scale_name with
-    | "quick" -> E.Common.Quick
-    | "full" -> E.Common.Full
-    | _ -> E.Common.Default
-  in
+let run_json ~scale ~jobs ~path ~ledger () =
+  let scale_name = E.Common.scale_name scale in
   let t0 = Unix.gettimeofday () in
   Printf.printf "calibrating...\n%!";
   let calib = calibrate () in
@@ -232,53 +211,33 @@ let bench_primitives =
   let programs =
     List.map (Vliw_compiler.Program.generate ~seed:1L machine) mix.members
   in
-  let instrs =
-    Array.of_list
-      (List.map
-         (fun (p : Vliw_compiler.Program.t) -> Some p.blocks.(0).instrs.(0))
-         programs)
-  in
-  let schemes =
-    List.map
-      (fun n -> (n, (Vliw_merge.Catalog.find_exn n).scheme))
-      [ "3CCC"; "C4"; "2SC3"; "3SSS" ]
-  in
-  let select_benches =
-    List.map
-      (fun (name, scheme) ->
-        Test.make ~name:("select-" ^ name)
-          (Staged.stage (fun () ->
-               ignore (Vliw_merge.Engine.select_instrs machine scheme instrs))))
-      schemes
-  in
   let cache = Vliw_mem.Cache.create machine.dcache in
   let counter = ref 0 in
-  select_benches
-  @ [
-      Test.make ~name:"cache-access"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore (Vliw_mem.Cache.access cache (!counter * 64))));
-      Test.make ~name:"compile-program"
-        (Staged.stage (fun () ->
-             ignore
-               (Vliw_compiler.Program.generate ~seed:7L machine
-                  (Vliw_workloads.Benchmarks.find_exn "g721encode"))));
-      Test.make ~name:"simulate-10k-cycles"
-        (Staged.stage (fun () ->
-             let config =
-               Vliw_sim.Config.make (Vliw_merge.Catalog.find_exn "2SC3").scheme
-             in
-             ignore
-               (Vliw_sim.Multitask.run_programs config ~seed:3L
-                  ~schedule:
-                    {
-                      Vliw_sim.Multitask.timeslice = 10_000;
-                      target_instrs = max_int;
-                      max_cycles = 10_000;
-                    }
-                  programs)));
-    ]
+  [
+    Test.make ~name:"cache-access"
+      (Staged.stage (fun () ->
+           incr counter;
+           ignore (Vliw_mem.Cache.access cache (!counter * 64))));
+    Test.make ~name:"compile-program"
+      (Staged.stage (fun () ->
+           ignore
+             (Vliw_compiler.Program.generate ~seed:7L machine
+                (Vliw_workloads.Benchmarks.find_exn "g721encode"))));
+    Test.make ~name:"simulate-10k-cycles"
+      (Staged.stage (fun () ->
+           let config =
+             Vliw_sim.Config.make (Vliw_merge.Catalog.find_exn "2SC3").scheme
+           in
+           ignore
+             (Vliw_sim.Multitask.run_programs config ~seed:3L
+                ~schedule:
+                  {
+                    Vliw_sim.Multitask.timeslice = 10_000;
+                    target_instrs = max_int;
+                    max_cycles = 10_000;
+                  }
+                programs)));
+  ]
 
 let ols =
   Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -308,26 +267,49 @@ let print_bechamel merged =
   in
   eol img |> output_image
 
+(* A malformed argument is a usage error: a diagnostic on stderr and
+   exit 2 (the vliwsim CLI's usage-error code), before any work starts,
+   so a typo can never run (and record) a different configuration. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
 let () =
   let argv = Array.to_list Sys.argv in
   let bench_only = List.mem "--timing-only" argv in
-  let find_val flag default =
+  let find_val flag =
     let rec find = function
-      | f :: v :: _ when f = flag -> v
+      | f :: v :: _ when f = flag -> Some v
+      | [ f ] when f = flag -> usage_error "%s needs a value" flag
       | _ :: rest -> find rest
-      | [] -> default
+      | [] -> None
     in
     find argv
   in
   let jobs =
     (* `--jobs N` parallelizes the sweep-backed regenerations. *)
-    try int_of_string (find_val "--jobs" "1") with _ -> 1
+    match find_val "--jobs" with
+    | None -> 1
+    | Some v ->
+      (match int_of_string_opt v with
+      | Some n -> n
+      | None -> usage_error "--jobs expects an integer, got %S" v)
+  in
+  let scale =
+    match find_val "--scale" with
+    | None -> E.Common.Quick
+    | Some v ->
+      (match E.Common.scale_of_name v with
+      | Some scale -> scale
+      | None -> usage_error "--scale expects quick, default or full, got %S" v)
   in
   if List.mem "--json" argv then begin
-    let scale_name = find_val "--scale" "quick" in
-    let path = find_val "--out" "BENCH_sim.json" in
+    let path = Option.value (find_val "--out") ~default:"BENCH_sim.json" in
     let ledger = not (List.mem "--no-ledger" argv) in
-    run_json ~scale_name ~jobs ~path ~ledger ();
+    run_json ~scale ~jobs ~path ~ledger ();
     exit 0
   end;
   if not bench_only then regenerate_all ~jobs ();

@@ -2250,11 +2250,11 @@ let run_check scale seed jobs quiet =
     | () -> Ok ()
     | exception Vliw_sim.Invariants.Violation msg -> Error msg
   in
-  (* Fast path vs oracle on every catalog scheme. *)
+  (* Batched kernel vs oracle on every catalog scheme. *)
   List.iter
     (fun (e : Vliw_merge.Catalog.entry) ->
       report
-        ("select = select_reference: " ^ e.name)
+        ("select_batched = select_reference: " ^ e.name)
         (catching (fun () -> Vliw_sim.Invariants.check_select ~seed e.scheme)))
     Vliw_merge.Catalog.all;
   (* Every registered experiment with enforcement on: each simulation's

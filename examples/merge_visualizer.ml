@@ -75,8 +75,11 @@ let () =
   List.iter
     (fun (name, t0, t1) ->
       let sel =
-        M.Engine.select_instrs machine (M.Catalog.find_exn "1S").scheme
-          [| Some t0; Some t1 |]
+        M.Engine.select_batched machine (M.Catalog.find_exn "1S").scheme
+          [|
+            Some (M.Packet.of_instr machine ~thread:0 t0);
+            Some (M.Packet.of_instr machine ~thread:1 t1);
+          |]
       in
       Format.printf "  %s: issued threads %s@." name
         (String.concat "," (List.map string_of_int sel.issued)))

@@ -45,22 +45,11 @@ let smt_check_fixed (_m : Vliw_isa.Machine.t) (a : Packet.t) (b : Packet.t) =
 
 let smt_compatible_fixed m a b = smt_check_fixed m a b = None
 
-let check m ?(routing = Flexible) kind a b =
-  match ((kind : Scheme_kind.t), routing) with
-  | Scheme_kind.Csmt, _ ->
-    if csmt_compatible a b then None else Some Cluster_conflict
-  | Smt, Flexible ->
-    if smt_compatible m a b then None else Some Slot_capacity
-  | Smt, Fixed_slots -> smt_check_fixed m a b
-
-let compatible m ?(routing = Flexible) kind a b =
-  check m ~routing kind a b = None
-
 (* The pre-signature implementations, kept verbatim as the oracle the
-   fast path is property-tested against (Engine.select_reference). These
-   walk the tagged operation lists and, in fixed-slot mode, re-derive
-   each thread's pinned slots through Routing.route — exactly the work
-   the signature layer precomputes. *)
+   batched kernel is property-tested against (Engine.select_reference).
+   These walk the tagged operation lists and, in fixed-slot mode,
+   re-derive each thread's pinned slots through Routing.route — exactly
+   the work the signature layer precomputes. *)
 module Reference = struct
   let smt_compatible (m : Vliw_isa.Machine.t) (a : Packet.t) (b : Packet.t) =
     let clusters = Array.length a.clusters in
@@ -88,7 +77,6 @@ module Reference = struct
           counts = [| 0 |];
           pins = [| 0 |];
           nops = List.length ops;
-          sid = -1;
         }
     with
     | None -> None

@@ -39,30 +39,10 @@ val smt_compatible_fixed : Vliw_isa.Machine.t -> Packet.t -> Packet.t -> bool
 (** Operation-level check without a routing block. Strictly stronger
     than {!smt_compatible}. *)
 
-val check :
-  Vliw_isa.Machine.t ->
-  ?routing:routing_mode ->
-  Scheme_kind.t ->
-  Packet.t ->
-  Packet.t ->
-  failure option
-(** [None] when the packets may merge; otherwise why not. Dispatches on
-    the merge kind; [routing] (default [Flexible]) selects the SMT check
-    variant. *)
-
-val compatible :
-  Vliw_isa.Machine.t ->
-  ?routing:routing_mode ->
-  Scheme_kind.t ->
-  Packet.t ->
-  Packet.t ->
-  bool
-(** [check = None]. *)
-
 (** The pre-signature list-walking implementations, kept as the oracle
-    for fast≡reference property tests. [thread_slot_mask] re-routes one
-    thread's operations per call — the cost the signature layer removes
-    from the per-cycle path. *)
+    for the batched ≡ reference property tests. [thread_slot_mask]
+    re-routes one thread's operations per call — the cost the signature
+    layer removes from the per-cycle path. *)
 module Reference : sig
   val smt_compatible : Vliw_isa.Machine.t -> Packet.t -> Packet.t -> bool
 

@@ -31,18 +31,6 @@ type selection = {
           first block that refuses it. *)
 }
 
-val select :
-  Vliw_isa.Machine.t ->
-  ?routing:Conflict.routing_mode ->
-  Scheme.t ->
-  ?rotation:int ->
-  Packet.t option array ->
-  selection
-(** [select m scheme ~rotation avail] with [avail] indexed by hardware
-    thread id; [avail] must have at least {!Scheme.n_threads}[ scheme]
-    entries. [routing] (default [Flexible]) selects the SMT conflict
-    check variant. *)
-
 val select_reference :
   Vliw_isa.Machine.t ->
   ?routing:Conflict.routing_mode ->
@@ -50,18 +38,13 @@ val select_reference :
   ?rotation:int ->
   Packet.t option array ->
   selection
-(** Same contract as {!select}, evaluated with the pre-signature
-    list-walking conflict checks ({!Conflict.Reference}). The oracle the
-    fast path is property-tested against; not for the hot path. *)
-
-val select_instrs :
-  Vliw_isa.Machine.t ->
-  ?routing:Conflict.routing_mode ->
-  Scheme.t ->
-  ?rotation:int ->
-  Vliw_isa.Instr.t option array ->
-  selection
-(** Convenience wrapper turning instructions into packets first. *)
+(** [select_reference m scheme ~rotation avail] with [avail] indexed by
+    hardware thread id; [avail] must have at least
+    {!Scheme.n_threads}[ scheme] entries. [routing] (default [Flexible])
+    selects the SMT conflict check variant. Evaluated by walking the
+    scheme tree over packets with the pre-signature list-walking
+    conflict checks ({!Conflict.Reference}): the oracle the batched
+    kernel is property-tested against; not for the hot path. *)
 
 (** Batched bit-parallel scheme evaluation.
 
@@ -71,8 +54,9 @@ val select_instrs :
     ops over them — no per-thread closures, no per-node option
     allocation. {!Batch.eval} allocates nothing, so the simulator's
     steady-state loop runs it every cycle and stays off the minor heap.
-    Decisions agree bit-for-bit with {!select} (property-tested against
-    {!select_reference}). Single-domain, like {!Memo}. *)
+    Decisions agree bit-for-bit with {!select_reference}
+    (property-tested). Single-domain: each simulator core owns its
+    own. *)
 module Batch : sig
   type t
 
@@ -84,12 +68,9 @@ module Batch : sig
   val clear : t -> unit
   (** Mark every port empty. *)
 
-  val clear_port : t -> int -> unit
-  (** Mark one port empty (stalled or vacant context). *)
-
   val set_port : t -> int -> Vliw_isa.Instr.signature -> unit
   (** Load port [i] with hardware thread [i]'s candidate, straight from
-      its interned signature — the simulator's positional fast path; no
+      its precomputed signature — the simulator's positional path; no
       packet is built. *)
 
   val set_port_packet : t -> int -> Packet.t -> unit
@@ -125,56 +106,9 @@ val select_batched :
   ?rotation:int ->
   Packet.t option array ->
   selection
-(** Same contract as {!select}, evaluated through a throwaway {!Batch}
-    (ports loaded with {!Batch.set_port_packet}, packet rebuilt by
-    folding {!Packet.union} over the recorded union order). The oracle
-    surface of the batched kernel; the simulator keeps a persistent
-    {!Batch} per scheme instead (see {!Merge_network}). *)
-
-(** Bounded memo table over selection outcomes.
-
-    A scheme's selection is a pure function of (rotation, per-port
-    signature); running mixes repeat a small set of instruction shapes,
-    so the same key recurs across cycles. On a hit the recorded outcome
-    is replayed — the packet rebuilt bit-identically by folding
-    {!Packet.union} over the live ports in the recorded union order —
-    without evaluating the scheme tree. The table is flushed whole when
-    it reaches its capacity bound. *)
-module Memo : sig
-  type t
-
-  type stats = {
-    hits : int;
-    misses : int;
-    flushes : int;
-        (** Whole-table flushes on reaching capacity. Hit/miss tallies
-            are cumulative across flushes: a flush drops the cached
-            entries, never the counters. *)
-    size : int;  (** Entries currently cached. *)
-  }
-
-  val create :
-    ?cap:int ->
-    Vliw_isa.Machine.t ->
-    routing:Conflict.routing_mode ->
-    Scheme.t ->
-    t
-  (** One table per (machine, routing, scheme) — create one per core so
-      sweep worker domains never share it. [cap] (default [65536]) bounds
-      the entry count. *)
-
-  val select : t -> ?rotation:int -> Packet.t option array -> selection
-  (** Memoizing {!Engine.select}. Port [i] must be [None] or a packet of
-      hardware thread [i] exactly (the simulator's candidate packets),
-      since replayed thread ids are positional. *)
-
-  val select_issue : t -> ?rotation:int -> Packet.t option array -> selection
-  (** Like {!select} but the returned [packet] is [None] whenever more
-      than one candidate is live: the scheme tree is evaluated with
-      signature-only unions and hits skip packet reconstruction. For
-      callers that only need [issued]/[rejected] — the simulator's
-      per-cycle loop. [issued] and [rejected] are identical to
-      {!select}'s. *)
-
-  val stats : t -> stats
-end
+(** Same contract as {!select_reference}, evaluated through a throwaway
+    {!Batch} (ports loaded with {!Batch.set_port_packet}, packet rebuilt
+    by folding {!Packet.union} over the recorded union order). The
+    test-facing entry point to the production kernel; the simulator
+    keeps a persistent {!Batch} per scheme instead (see
+    {!Merge_network}). *)

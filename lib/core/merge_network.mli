@@ -2,28 +2,26 @@
 
     A handle bundles the pieces the per-cycle issue stage reads — the
     scheme tree, the routing mode, the priority-rotation rule and the
-    interned-signature {!Engine.Memo} decision cache — and supports
+    scheme's batched evaluator ({!Engine.Batch}) — and supports
     mid-simulation reconfiguration: {!reconfigure} swaps the scheme
-    while pooling one Memo table per scheme (keyed by scheme structure),
-    so revisiting a scheme reuses its cached decisions and statistics
-    instead of rebuilding the table.
+    while pooling one evaluator per scheme (keyed by scheme structure),
+    so revisiting a scheme reuses its evaluator instead of compiling a
+    new one.
 
     Rotation state is derived from the cycle counter ({!rotation}), so a
-    swap re-seeds priority rotation deterministically. Like the Memo
-    tables it owns, a network is single-domain: create one per simulator
-    core. *)
+    swap re-seeds priority rotation deterministically. Like the
+    evaluators it owns, a network is single-domain: create one per
+    simulator core. *)
 
 type t
 
 val create :
-  ?cap:int ->
   ?name:string ->
   Vliw_isa.Machine.t ->
   routing:Conflict.routing_mode ->
   Scheme.t ->
   t
-(** [cap] bounds each pooled Memo table (see {!Engine.Memo.create}).
-    [name] is the display name used in statistics and telemetry;
+(** [name] is the display name used in statistics and telemetry;
     defaults to the catalog name when the scheme matches a catalog
     entry, else {!Scheme.to_string}.
     @raise Invalid_argument on an invalid scheme. *)
@@ -44,8 +42,8 @@ val same_scheme : t -> Scheme.t -> bool
 
 val reconfigure : t -> ?name:string -> Scheme.t -> unit
 (** Install a different scheme. A structurally equal scheme is a no-op;
-    otherwise the scheme's pooled Memo table is (re)installed — created
-    on first use, reused with its statistics intact on a revisit.
+    otherwise the scheme's pooled evaluator is (re)installed — created
+    on first use, reused on a revisit.
     @raise Invalid_argument if the scheme is invalid or its thread
     count differs from {!n_threads}. *)
 
@@ -57,25 +55,6 @@ val rotation : t -> rotate:bool -> cycle:int -> int
     rotation is enabled, [0] otherwise. Pure in the cycle counter, so
     reconfiguration re-seeds it deterministically. *)
 
-val select : t -> rotation:int -> Packet.t option array -> Engine.selection
-(** Memoized scheme evaluation ({!Engine.Memo.select}): the full
-    selection including the merged packet. *)
-
-val select_issue :
-  t -> rotation:int -> Packet.t option array -> Engine.selection
-(** Memoized scheme evaluation without packet reconstruction
-    ({!Engine.Memo.select_issue}) — the simulator's observing per-cycle
-    loop. *)
-
 val batch : t -> Engine.Batch.t
-(** The currently installed scheme's batched evaluator
-    ({!Engine.Batch}), pooled per scheme like the Memo tables — the
-    simulator's allocation-free steady-state loop. *)
-
-val memo_stats : t -> Engine.Memo.stats
-(** Statistics of the currently installed scheme's table. *)
-
-val pool_stats : t -> (string * Engine.Memo.stats) list
-(** Per-scheme statistics of every pooled table, in first-installation
-    order: [(display name, stats)]. A never-reconfigured network has
-    exactly one entry. *)
+(** The currently installed scheme's batched evaluator — the merge
+    kernel every simulated cycle runs. *)

@@ -7,7 +7,6 @@ type t = {
   counts : int array;
   pins : int array;
   nops : int;
-  sid : int;
 }
 
 let of_instr (m : Vliw_isa.Machine.t) ~thread (instr : Vliw_isa.Instr.t) =
@@ -20,7 +19,6 @@ let of_instr (m : Vliw_isa.Machine.t) ~thread (instr : Vliw_isa.Instr.t) =
     counts = sg.sg_counts;
     pins = sg.sg_pins;
     nops = sg.sg_ops;
-    sid = sg.sg_id;
   }
 
 (* Pinned masks combine by union, except that inability to place ([-1])
@@ -37,23 +35,6 @@ let union a b =
     counts = Array.map2 ( + ) a.counts b.counts;
     pins = Array.map2 union_pins a.pins b.pins;
     nops = a.nops + b.nops;
-    sid = -1;
-  }
-
-(* Signature-only union: combines everything the conflict checks and
-   issue accounting read, but skips the per-cluster operation-list
-   appends — the dominant allocation of a full union. The result's
-   [clusters] is empty and must never be read; decision paths that only
-   need issued/rejected threads use this. *)
-let union_sig a b =
-  {
-    clusters = [||];
-    threads = a.threads lor b.threads;
-    mask = a.mask lor b.mask;
-    counts = Array.map2 ( + ) a.counts b.counts;
-    pins = Array.map2 union_pins a.pins b.pins;
-    nops = a.nops + b.nops;
-    sid = -1;
   }
 
 let op_count t = t.nops

@@ -26,10 +26,6 @@ type t = {
           masks; [-1] when any contributor's operations cannot be
           placed. *)
   nops : int;  (** Total operation count. *)
-  sid : int;
-      (** Intern id of the wrapped instruction's signature
-          ({!Vliw_isa.Instr.signature}[.sg_id]); [-1] for unions. Decision
-          caches key single-instruction candidates on this one word. *)
 }
 
 val of_instr : Vliw_isa.Machine.t -> thread:int -> Vliw_isa.Instr.t -> t
@@ -39,12 +35,6 @@ val union : t -> t -> t
 (** Structural union; callers must have established compatibility first.
     Signature fields combine pointwise (counts add, pinned masks union
     with [-1] absorbing). *)
-
-val union_sig : t -> t -> t
-(** Like {!union} for every field the conflict checks and issue
-    accounting read, but the result's [clusters] is empty — the
-    operation-list appends are skipped. For decision paths that never
-    inspect the merged operations. *)
 
 val op_count : t -> int
 (** O(1). *)

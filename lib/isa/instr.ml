@@ -1,5 +1,4 @@
 type signature = {
-  sg_id : int;
   sg_mask : int;
   sg_counts : int array;
   sg_pins : int array;
@@ -145,28 +144,6 @@ let pinned_mask (m : Machine.t) ops =
   let ok_alu = List.for_all (fun _ -> claim (fun _ -> true)) alus in
   if ok_fixed && ok_alu then !used else -1
 
-(* Signature interning: distinct signature contents get small dense ids,
-   so downstream decision caches can key on one word per port instead of
-   the full per-cluster arrays. The table is global and mutex-protected;
-   it is only consulted on the compute path, which the compiler runs
-   eagerly (and in the parent domain) at program-generation time. *)
-let intern_mutex = Mutex.create ()
-
-let intern_tbl : (int * int array * int array, int) Hashtbl.t =
-  Hashtbl.create 256
-
-let intern sg_mask sg_counts sg_pins =
-  Mutex.protect intern_mutex (fun () ->
-      let key = (sg_mask, sg_counts, sg_pins) in
-      match Hashtbl.find_opt intern_tbl key with
-      | Some id -> id
-      | None ->
-        let id = Hashtbl.length intern_tbl in
-        Hashtbl.add intern_tbl key id;
-        id)
-
-let intern_count () = Mutex.protect intern_mutex (fun () -> Hashtbl.length intern_tbl)
-
 let compute_signature (m : Machine.t) t =
   let n = Array.length t.ops in
   let counts = Array.make n 0 in
@@ -183,7 +160,6 @@ let compute_signature (m : Machine.t) t =
     end
   done;
   {
-    sg_id = intern !mask counts pins;
     sg_mask = !mask;
     sg_counts = counts;
     sg_pins = pins;

@@ -6,9 +6,6 @@
     semantics forbid issuing only part of an instruction. *)
 
 type signature = {
-  sg_id : int;
-      (** Dense intern id: signatures with equal content share an id
-          process-wide, so decision caches can key on one word. *)
   sg_mask : int;  (** Bitmask of occupied clusters. *)
   sg_counts : int array;
       (** Per-cluster packed class counts (see {!pack_counts}); [0] for
@@ -91,9 +88,6 @@ val pinned_mask : Machine.t -> Op.t list -> int
 (** Bitmask of the issue slots the operations claim under the greedy
     fixed-slot layout (the same discipline as the routing block), or
     [-1] when they cannot be placed. *)
-
-val intern_count : unit -> int
-(** Number of distinct signatures interned process-wide. *)
 
 val signature : Machine.t -> t -> signature
 (** The instruction's signature for the given machine, memoized on the

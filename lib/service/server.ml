@@ -240,7 +240,7 @@ let run cfg =
       job.j_spans <- sp :: job.j_spans
   in
   (* Rows compiled once and shared across jobs; flushed wholesale when
-     over budget (the Memo idiom — bounded without an eviction order). *)
+     over budget — bounded without keeping an eviction order. *)
   let prepared : (string * int64 * string, E.Sweep.prepared_row) Hashtbl.t =
     Hashtbl.create 64
   in

@@ -15,24 +15,23 @@ type t = {
   mutable instrs : int;
   mutable vertical : int;
   issue_hist : int array;
-  avail : Merge.Packet.t option array;  (* scratch, reused every cycle *)
+  mutable live : int;  (* ports offering a candidate this cycle *)
+  mutable conflict : int;  (* this cycle's merge rejects by cause, *)
+  mutable capacity : int;  (* as thread bitmasks *)
   mutable bmt_current : int;  (* thread owning the pipeline under BMT *)
   mutable switch_stall_until : int;  (* BMT context-switch bubble *)
   mutable telemetry : Tel.Sink.t;
   attribution : Tel.Report.handles option;
   counters : Tel.Counters.t option;
   network : Merge.Merge_network.t option;
-      (* the swappable merge network (scheme + routing + pooled decision
-         caches); Some iff the policy is Merged *)
+      (* the swappable merge network (scheme + routing + pooled batched
+         evaluators); Some iff the policy is Merged *)
   mutable scheme_switches : int;  (* effective mid-run reconfigurations *)
   mutable switch_stall_cycles : int;
       (* cycles spent inside an issue-stall window (BMT context-switch
          bubbles and scheme-switch penalties) *)
   mutable rejects_conflict : int;  (* merge rejects by cause, always on: *)
   mutable rejects_capacity : int;  (* cheap controller observations *)
-  mutable memo_flushed : (string, int * int * int) Hashtbl.t;
-      (* per-scheme (hits, misses, flushes) already booked into
-         [counters], so repeated [metrics] calls stay idempotent *)
   mutable switch_flushed : int * int;
       (* (scheme_switches, switch_stall_cycles) already booked *)
 }
@@ -65,7 +64,9 @@ let create ?(telemetry = Tel.Sink.null) ?counters config mem =
     instrs = 0;
     vertical = 0;
     issue_hist = Array.make (n + 1) 0;
-    avail = Array.make n None;
+    live = 0;
+    conflict = 0;
+    capacity = 0;
     bmt_current = 0;
     switch_stall_until = 0;
     telemetry;
@@ -76,7 +77,6 @@ let create ?(telemetry = Tel.Sink.null) ?counters config mem =
     switch_stall_cycles = 0;
     rejects_conflict = 0;
     rejects_capacity = 0;
-    memo_flushed = Hashtbl.create 4;
     switch_flushed = (0, 0);
   }
 
@@ -87,28 +87,52 @@ let install t contexts =
     invalid_arg "Core.install: context count mismatch";
   t.contexts <- contexts
 
-(* Fetch the thread's next instruction if needed; an ICache miss stalls
-   the thread and yields no candidate this cycle. *)
-let candidate t ~hw (th : Thread_state.t) =
-  if Thread_state.stalled th ~now:t.cycle then None
-  else if th.pending != Thread_state.no_instr then Some th.pending
-  else begin
-    let instr = Thread_state.current_instr th in
-    th.pending <- instr;
-    let stall = Mem.Mem_system.ifetch t.mem instr.addr in
-    if stall > 0 then begin
-      th.resume_at <- t.cycle + stall;
-      th.stall_src <- Thread_state.Fetch_stall;
-      if Tel.Sink.enabled t.telemetry then begin
-        Tel.Sink.emit t.telemetry ~cycle:t.cycle
-          (Tel.Event.Cache_miss { thread = hw; level = Tel.Event.L1i });
-        Tel.Sink.emit t.telemetry ~cycle:t.cycle
-          (Tel.Event.Fetch_stall { thread = hw; penalty = stall })
-      end;
-      None
+(* Fetch the thread's next instruction. An I-cache miss stalls the
+   thread, which then offers nothing this cycle; returns whether the
+   fetch hit. *)
+let fetch_pending t ~hw (th : Thread_state.t) =
+  let instr = Thread_state.current_instr th in
+  th.pending <- instr;
+  let stall = Mem.Mem_system.ifetch t.mem instr.Isa.Instr.addr in
+  if stall > 0 then begin
+    th.resume_at <- t.cycle + stall;
+    th.stall_src <- Thread_state.Fetch_stall;
+    if Tel.Sink.enabled t.telemetry then begin
+      Tel.Sink.emit t.telemetry ~cycle:t.cycle
+        (Tel.Event.Cache_miss { thread = hw; level = Tel.Event.L1i });
+      Tel.Sink.emit t.telemetry ~cycle:t.cycle
+        (Tel.Event.Fetch_stall { thread = hw; penalty = stall })
     end
-    else Some instr
-  end
+  end;
+  stall = 0
+
+(* Fetch pass: every resident, non-stalled thread offers its pending
+   instruction (fetching it the first time) and joins the live mask;
+   under the merged policy the instruction's signature is loaded into
+   the installed scheme's batched evaluator. *)
+let fetch t =
+  t.live <- 0;
+  (match t.network with
+  | Some net -> Merge.Engine.Batch.clear (Merge.Merge_network.batch net)
+  | None -> ());
+  for i = 0 to t.n - 1 do
+    match t.contexts.(i) with
+    | None -> ()
+    | Some th ->
+      if
+        (not (Thread_state.stalled th ~now:t.cycle))
+        && (th.pending != Thread_state.no_instr || fetch_pending t ~hw:i th)
+      then begin
+        t.live <- t.live lor (1 lsl i);
+        match t.network with
+        | Some net ->
+          Merge.Engine.Batch.set_port
+            (Merge.Merge_network.batch net)
+            i
+            (Isa.Instr.signature t.config.Config.machine th.pending)
+        | None -> ()
+      end
+  done
 
 (* Sum of D-miss stall penalties over the instruction's memory
    operations. The per-operation work depends only on the operation
@@ -151,70 +175,80 @@ let retire t ~hw (th : Thread_state.t) (instr : Isa.Instr.t) =
     end
   in
   th.pending <- Thread_state.no_instr;
-  th.pending_packet <- None;
   th.resume_at <- t.cycle + 1 + dstall + bstall;
   th.stall_src <-
     (if dstall >= bstall && dstall > 0 then Thread_state.Mem_stall
      else if bstall > 0 then Thread_state.Branch_stall
      else Thread_state.Ready)
 
-(* Round-robin search for the first thread with a candidate, starting
-   at [start]. *)
-let first_ready t start =
-  let rec go i =
-    if i >= t.n then None
-    else begin
-      let hw = (start + i) mod t.n in
-      match t.avail.(hw) with Some p -> Some (hw, p) | None -> go (i + 1)
-    end
-  in
-  go 0
+let rec popcount acc m =
+  if m = 0 then acc else popcount (acc + 1) (m land (m - 1))
 
-let select_policy t ~want_packet ~rotation : Merge.Engine.selection =
-  match t.config.policy with
-  | Policy.Merged ->
-    (* A reconfiguration bubble stalls issue exactly like a BMT
-       context-switch bubble; [switch_stall_until] stays 0 unless
-       [switch_scheme] charged a penalty. *)
-    if t.cycle < t.switch_stall_until then
-      { packet = None; issued = []; rejected = [] }
-    else (
-      match t.network with
-      | Some net ->
-        if want_packet then Merge.Merge_network.select net ~rotation t.avail
-        else Merge.Merge_network.select_issue net ~rotation t.avail
-      | None ->
-        Merge.Engine.select t.config.machine ~routing:t.config.routing
-          t.config.scheme ~rotation t.avail)
-  | Policy.Imt ->
-    (* One thread per cycle, round-robin with stalled-thread skipping. *)
-    (match first_ready t (t.cycle mod t.n) with
-    | None -> { packet = None; issued = []; rejected = [] }
-    | Some (hw, p) -> { packet = Some p; issued = [ hw ]; rejected = [] })
-  | Policy.Bmt { switch_penalty } ->
-    if t.cycle < t.switch_stall_until then
-      { packet = None; issued = []; rejected = [] }
-    else begin
-      match t.avail.(t.bmt_current) with
-      | Some p -> { packet = Some p; issued = [ t.bmt_current ]; rejected = [] }
-      | None ->
+(* Round-robin search of the live mask for the first port at or after
+   [start]; -1 when no thread offers a candidate. *)
+let rec first_live t start i =
+  if i >= t.n then -1
+  else begin
+    let hw = (start + i) mod t.n in
+    if t.live land (1 lsl hw) <> 0 then hw else first_live t start (i + 1)
+  end
+
+(* The issue policy turns the live mask into the issued thread bitmask,
+   leaving the cycle's conflict and capacity rejects in [t.conflict] and
+   [t.capacity]. *)
+let decide t =
+  t.conflict <- 0;
+  t.capacity <- 0;
+  let issued =
+    match t.config.policy with
+    | Policy.Merged ->
+      (* A reconfiguration bubble stalls issue exactly like a BMT
+         context-switch bubble; [switch_stall_until] stays 0 unless
+         [switch_scheme] charged a penalty. *)
+      if t.cycle < t.switch_stall_until then 0
+      else begin
+        let net = Option.get t.network in
+        let batch = Merge.Merge_network.batch net in
+        Merge.Engine.Batch.eval batch
+          ~rotation:
+            (Merge.Merge_network.rotation net ~rotate:t.config.rotate_priority
+               ~cycle:t.cycle);
+        t.conflict <- Merge.Engine.Batch.rejected_conflict batch;
+        t.capacity <- Merge.Engine.Batch.rejected_capacity batch;
+        Merge.Engine.Batch.issued batch
+      end
+    | Policy.Imt ->
+      (* One thread per cycle, round-robin with stalled-thread skipping. *)
+      let hw = first_live t (t.cycle mod t.n) 0 in
+      if hw < 0 then 0 else 1 lsl hw
+    | Policy.Bmt { switch_penalty } ->
+      if t.cycle < t.switch_stall_until then 0
+      else if t.live land (1 lsl t.bmt_current) <> 0 then 1 lsl t.bmt_current
+      else begin
         (* The running thread blocked: switch to the next ready one. *)
-        (match first_ready t ((t.bmt_current + 1) mod t.n) with
-        | Some (hw, p) when hw <> t.bmt_current ->
+        let hw = first_live t ((t.bmt_current + 1) mod t.n) 0 in
+        if hw < 0 then 0
+        else begin
           if Tel.Sink.enabled t.telemetry then
             Tel.Sink.emit t.telemetry ~cycle:t.cycle
               (Tel.Event.Bmt_switch
                  { from_thread = t.bmt_current; to_thread = hw });
           t.bmt_current <- hw;
-          if switch_penalty = 0 then
-            { packet = Some p; issued = [ hw ]; rejected = [] }
+          if switch_penalty = 0 then 1 lsl hw
           else begin
             t.switch_stall_until <- t.cycle + switch_penalty;
-            { packet = None; issued = []; rejected = [] }
+            0
           end
-        | Some (hw, p) -> { packet = Some p; issued = [ hw ]; rejected = [] }
-        | None -> { packet = None; issued = []; rejected = [] })
-    end
+        end
+      end
+  in
+  (* Reject causes are tallied unconditionally (not just under
+     telemetry): they are the adaptive controller's cheapest signal. *)
+  t.rejects_conflict <- t.rejects_conflict + popcount 0 t.conflict;
+  t.rejects_capacity <- t.rejects_capacity + popcount 0 t.capacity;
+  if t.cycle < t.switch_stall_until then
+    t.switch_stall_cycles <- t.switch_stall_cycles + 1;
+  issued
 
 type cycle_record = {
   cycle : int;
@@ -223,45 +257,32 @@ type cycle_record = {
   packet : Merge.Packet.t option;
 }
 
-let reason_of_cause = function
-  | Merge.Conflict.Cluster_conflict -> Tel.Event.Conflict
-  | Merge.Conflict.Slot_capacity -> Tel.Event.Capacity
-
-let engine_rejected (sel : Merge.Engine.selection) hw =
-  List.exists (fun (r : Merge.Engine.reject) -> r.thread = hw) sel.rejected
-
-(* Candidates the policy passed over without a resource reason: ready
-   threads IMT/BMT simply did not select this cycle. *)
-let priority_rejects t (sel : Merge.Engine.selection) =
-  let acc = ref [] in
-  for hw = t.n - 1 downto 0 do
-    if
-      t.avail.(hw) <> None
-      && (not (List.mem hw sel.issued))
-      && not (engine_rejected sel hw)
-    then acc := hw :: !acc
-  done;
-  !acc
-
-let candidate_ops t hw =
-  match t.avail.(hw) with Some p -> Merge.Packet.op_count p | None -> 0
+(* Operation count of the candidates in [mask]. Only asked about
+   threads that did not issue, so their instruction is still pending. *)
+let rec pending_ops t mask hw acc =
+  if hw >= t.n then acc
+  else if mask land (1 lsl hw) = 0 then pending_ops t mask (hw + 1) acc
+  else begin
+    match t.contexts.(hw) with
+    | None -> assert false
+    | Some th ->
+      pending_ops t mask (hw + 1) (acc + Isa.Instr.op_count th.pending)
+  end
 
 (* Exact slot attribution for one cycle; see Vliw_telemetry.Report. *)
-let attribute t (h : Tel.Report.handles) (sel : Merge.Engine.selection)
-    ~issued_ops ~priority =
+let attribute t (h : Tel.Report.handles) ~issued ~issued_ops ~priority =
   let w = t.width in
   Tel.Counters.incr h.cycles;
   Tel.Counters.add h.slots_offered w;
   Tel.Counters.add h.slots_filled issued_ops;
-  if sel.issued = [] then begin
+  if issued = 0 then begin
     (* No thread selected (note: a selected nop-only instruction still
        counts as horizontal waste below). The whole width goes to
        exactly one cause: candidates present but nothing issued only
        happens in a BMT switch bubble; otherwise classify by the
        majority stall source among resident threads (ties break
        fetch > mem > branch). *)
-    let any_candidate = Array.exists Option.is_some t.avail in
-    if any_candidate then begin
+    if t.live <> 0 then begin
       (* Candidates present but nothing issued only happens inside a
          switch bubble (BMT context switch or merge-network
          reconfiguration): every other policy issues whenever any
@@ -304,123 +325,47 @@ let attribute t (h : Tel.Report.handles) (sel : Merge.Engine.selection)
         rem := !rem - x
       end
     in
-    let conflict_ops = ref 0 and capacity_ops = ref 0 in
-    List.iter
-      (fun (r : Merge.Engine.reject) ->
-        match r.cause with
-        | Merge.Conflict.Cluster_conflict ->
-          conflict_ops := !conflict_ops + candidate_ops t r.thread
-        | Merge.Conflict.Slot_capacity ->
-          capacity_ops := !capacity_ops + candidate_ops t r.thread)
-      sel.rejected;
-    let priority_ops =
-      List.fold_left (fun acc hw -> acc + candidate_ops t hw) 0 priority
-    in
-    take h.h_conflict !conflict_ops;
-    take h.h_capacity !capacity_ops;
-    take h.h_priority priority_ops;
+    take h.h_conflict (pending_ops t t.conflict 0 0);
+    take h.h_capacity (pending_ops t t.capacity 0 0);
+    take h.h_priority (pending_ops t priority 0 0);
     if !rem > 0 then Tel.Counters.add h.h_ilp !rem
   end
 
-let step_common t ~want_packet =
-  for i = 0 to t.n - 1 do
-    t.avail.(i) <-
-      (match t.contexts.(i) with
-      | None -> None
-      | Some th ->
-        (match candidate t ~hw:i th with
-        | None -> None
-        | Some instr ->
-          (* Wrap once per fetched instruction, not once per cycle; the
-             cache dies with [pending] at retirement. A context switch
-             can land the thread on a different hardware slot, so reuse
-             only a packet tagged with this slot. *)
-          (match th.pending_packet with
-          | Some (p : Merge.Packet.t) as r when p.threads = 1 lsl i -> r
-          | _ ->
-            let p =
-              Merge.Packet.of_instr t.config.Config.machine ~thread:i instr
-            in
-            let r = Some p in
-            th.pending_packet <- r;
-            r)))
-  done;
-  let rotation =
-    match t.network with
-    | Some net ->
-      Merge.Merge_network.rotation net ~rotate:t.config.rotate_priority
-        ~cycle:t.cycle
-    | None -> if t.config.rotate_priority then t.cycle mod t.n else 0
-  in
-  let sel = select_policy t ~want_packet ~rotation in
-  if t.cycle < t.switch_stall_until then
-    t.switch_stall_cycles <- t.switch_stall_cycles + 1;
-  (* Reject causes are tallied unconditionally (not just under
-     telemetry): they are the adaptive controller's cheapest signal. *)
-  List.iter
-    (fun (r : Merge.Engine.reject) ->
-      match r.cause with
-      | Merge.Conflict.Cluster_conflict ->
-        t.rejects_conflict <- t.rejects_conflict + 1
-      | Merge.Conflict.Slot_capacity ->
-        t.rejects_capacity <- t.rejects_capacity + 1)
-    sel.rejected;
-  let issued_ops = ref 0 in
-  List.iter
-    (fun hw ->
-      match t.contexts.(hw) with
-      | None -> assert false
-      | Some th ->
-        let instr = th.pending in
-        issued_ops := !issued_ops + Isa.Instr.op_count instr;
-        retire t ~hw th instr)
-    sel.issued;
-  t.ops <- t.ops + !issued_ops;
-  t.instrs <- t.instrs + List.length sel.issued;
-  t.issue_hist.(List.length sel.issued) <-
-    t.issue_hist.(List.length sel.issued) + 1;
-  if !issued_ops = 0 then t.vertical <- t.vertical + 1;
-  (* Observation only: events and counters must not touch simulator
-     state (the telemetry-on/off bit-equality property relies on it). *)
-  let observing =
-    Tel.Sink.enabled t.telemetry || Option.is_some t.attribution
-  in
-  if observing then begin
-    let priority = priority_rejects t sel in
-    if Tel.Sink.enabled t.telemetry then begin
-      List.iter
-        (fun (r : Merge.Engine.reject) ->
-          Tel.Sink.emit t.telemetry ~cycle:t.cycle
-            (Tel.Event.Merge_reject
-               { thread = r.thread; reason = reason_of_cause r.cause }))
-        sel.rejected;
-      List.iter
-        (fun hw ->
-          Tel.Sink.emit t.telemetry ~cycle:t.cycle
-            (Tel.Event.Merge_reject { thread = hw; reason = Tel.Event.Priority }))
-        priority;
-      if sel.issued <> [] then
-        Tel.Sink.emit t.telemetry ~cycle:t.cycle
-          (Tel.Event.Issue
-             {
-               threads = sel.issued;
-               threads_merged = List.length sel.issued;
-               slots_filled = !issued_ops;
-             })
-    end;
-    match t.attribution with
-    | Some h -> attribute t h sel ~issued_ops:!issued_ops ~priority
-    | None -> ()
+(* The observation pass: events and exact-sum attribution read the
+   cycle's masks and never touch simulator state, which is what makes
+   telemetry on and off bit-identical. Candidates the policy passed over
+   without a resource reason — ready threads IMT/BMT did not select,
+   every candidate of a switch bubble — are priority rejects. *)
+let observe t ~issued ~issued_ops =
+  let priority = t.live land lnot (issued lor t.conflict lor t.capacity) in
+  if Tel.Sink.enabled t.telemetry then begin
+    let reject thread reason =
+      Tel.Sink.emit t.telemetry ~cycle:t.cycle
+        (Tel.Event.Merge_reject { thread; reason })
+    in
+    for hw = 0 to t.n - 1 do
+      if t.conflict land (1 lsl hw) <> 0 then reject hw Tel.Event.Conflict
+      else if t.capacity land (1 lsl hw) <> 0 then reject hw Tel.Event.Capacity
+    done;
+    for hw = 0 to t.n - 1 do
+      if priority land (1 lsl hw) <> 0 then reject hw Tel.Event.Priority
+    done;
+    if issued <> 0 then
+      Tel.Sink.emit t.telemetry ~cycle:t.cycle
+        (Tel.Event.Issue
+           {
+             threads = Merge.Packet.bits_to_list issued;
+             threads_merged = popcount 0 issued;
+             slots_filled = issued_ops;
+           })
   end;
-  sel
+  match t.attribution with
+  | Some h -> attribute t h ~issued ~issued_ops ~priority
+  | None -> ()
 
-let rec popcount acc m =
-  if m = 0 then acc else popcount (acc + 1) (m land (m - 1))
-
-(* Retire every thread of the issued mask in ascending hardware order —
-   the order of the observing path's fold over [sel.issued], so the
-   shared D-cache and predictor see the same access interleaving — then
-   book the cycle's issue statistics. Top-level recursion with int
+(* Retire every thread of the issued mask in ascending hardware order,
+   so the shared D-cache and predictor see a fixed access interleaving,
+   then book the cycle's issue statistics. Top-level recursion with int
    accumulators instead of refs: refs are minor-heap blocks. *)
 let rec retire_issued t issued hw issued_ops n_issued =
   if hw >= t.n then begin
@@ -442,88 +387,57 @@ let rec retire_issued t issued hw issued_ops n_issued =
         (n_issued + 1)
   end
 
-(* Allocation-free steady state: merged policy with telemetry off and no
-   counter attribution. Candidates go straight into the scheme's batched
-   evaluator as interned signatures — no packets, no selection record,
-   no per-cycle closures — and every decision agrees bit-for-bit with
-   the observing path. Retirement walks the issued mask in ascending
-   hardware-thread order, exactly the order of the observing path's fold
-   over [sel.issued], so the shared D-cache and predictor see the same
-   access interleaving and the telemetry-on/off bit-equality property
-   holds end-to-end. *)
-let step_fast t net =
-  let batch = Merge.Merge_network.batch net in
-  let machine = t.config.Config.machine in
-  for i = 0 to t.n - 1 do
-    match t.contexts.(i) with
-    | None -> Merge.Engine.Batch.clear_port batch i
-    | Some th ->
-      if Thread_state.stalled th ~now:t.cycle then
-        Merge.Engine.Batch.clear_port batch i
-      else begin
-        if th.pending == Thread_state.no_instr then begin
-          let instr = Thread_state.current_instr th in
-          th.pending <- instr;
-          let stall = Mem.Mem_system.ifetch t.mem instr.Isa.Instr.addr in
-          if stall > 0 then begin
-            th.resume_at <- t.cycle + stall;
-            th.stall_src <- Thread_state.Fetch_stall
-          end
-        end;
-        (* [stalled] again: the fetch just above may have missed. *)
-        if Thread_state.stalled th ~now:t.cycle then
-          Merge.Engine.Batch.clear_port batch i
-        else
-          Merge.Engine.Batch.set_port batch i
-            (Isa.Instr.signature machine th.pending)
-      end
-  done;
-  if t.cycle < t.switch_stall_until then begin
-    (* Scheme-switch bubble: candidates were fetched (the I-cache sees
-       them, as in the observing path) but nothing issues. *)
-    t.switch_stall_cycles <- t.switch_stall_cycles + 1;
-    t.issue_hist.(0) <- t.issue_hist.(0) + 1;
-    t.vertical <- t.vertical + 1
-  end
-  else begin
-    let rotation =
-      Merge.Merge_network.rotation net ~rotate:t.config.rotate_priority
-        ~cycle:t.cycle
-    in
-    Merge.Engine.Batch.eval batch ~rotation;
-    t.rejects_conflict <-
-      t.rejects_conflict
-      + popcount 0 (Merge.Engine.Batch.rejected_conflict batch);
-    t.rejects_capacity <-
-      t.rejects_capacity
-      + popcount 0 (Merge.Engine.Batch.rejected_capacity batch);
-    retire_issued t (Merge.Engine.Batch.issued batch) 0 0 0
-  end;
+(* Everything after the policy decision. Observation comes last, after
+   retirement and only when a sink or the attribution is attached, so
+   the steady state stays allocation-free and observing a run does not
+   change the kernel under observation. *)
+let commit t issued =
+  let ops_before = t.ops in
+  retire_issued t issued 0 0 0;
+  if Tel.Sink.enabled t.telemetry || Option.is_some t.attribution then
+    observe t ~issued ~issued_ops:(t.ops - ops_before);
   t.cycle <- t.cycle + 1
 
 let step t =
-  match t.network with
-  | Some net
-    when (not (Tel.Sink.enabled t.telemetry)) && Option.is_none t.attribution ->
-    step_fast t net
-  | _ ->
-    ignore (step_common t ~want_packet:false : Merge.Engine.selection);
-    t.cycle <- t.cycle + 1
+  fetch t;
+  commit t (decide t)
 
 let step_record t =
-  let sel = step_common t ~want_packet:true in
+  fetch t;
+  let issued = decide t in
+  let machine = t.config.Config.machine in
+  let candidates =
+    List.filter_map
+      (fun hw ->
+        match t.contexts.(hw) with
+        | Some th when t.live land (1 lsl hw) <> 0 ->
+          Some (hw, Merge.Packet.of_instr machine ~thread:hw th.pending)
+        | _ -> None)
+      (List.init t.n Fun.id)
+  in
+  (* The merged packet: the candidates folded in union order. *)
+  let order =
+    match t.network with
+    | Some net when issued <> 0 ->
+      let b = Merge.Merge_network.batch net in
+      List.init (Merge.Engine.Batch.order_len b)
+        (Array.get (Merge.Engine.Batch.order b))
+    | _ -> Merge.Packet.bits_to_list issued
+  in
+  let packet =
+    match List.map (fun hw -> List.assoc hw candidates) order with
+    | [] -> None
+    | first :: rest -> Some (List.fold_left Merge.Packet.union first rest)
+  in
   let record =
     {
       cycle = t.cycle;
-      candidates =
-        Array.to_list t.avail
-        |> List.mapi (fun i p -> (i, p))
-        |> List.filter_map (fun (i, p) -> Option.map (fun p -> (i, p)) p);
-      issued = sel.issued;
-      packet = sel.packet;
+      candidates;
+      issued = Merge.Packet.bits_to_list issued;
+      packet;
     }
   in
-  t.cycle <- t.cycle + 1;
+  commit t issued;
   record
 
 let cycle (t : t) = t.cycle
@@ -536,16 +450,9 @@ let issue_hist t = Array.copy t.issue_hist
 
 let vertical_waste_cycles t = t.vertical
 
-let memo_stats t = Option.map Merge.Merge_network.memo_stats t.network
-
 let network t = t.network
 
 let scheme_name t = Option.map Merge.Merge_network.scheme_name t.network
-
-let pool_stats t =
-  match t.network with
-  | Some net -> Merge.Merge_network.pool_stats net
-  | None -> []
 
 let scheme_switches t = t.scheme_switches
 
@@ -554,9 +461,9 @@ let switch_stall_cycles t = t.switch_stall_cycles
 let reject_counts t = (t.rejects_conflict, t.rejects_capacity)
 
 (* Swap the merge network to a different scheme. Meant to be called at
-   a timeslice boundary: nothing is in flight across cycles (candidate
-   packets are re-offered after the bubble; [pending_packet] caches are
-   slot-tagged and scheme-independent), so the switch point is exact.
+   a timeslice boundary: nothing is in flight across cycles (pending
+   instructions are re-offered after the bubble and are
+   scheme-independent), so the switch point is exact.
    [penalty] cycles of issue stall are charged through the same bubble
    mechanism as BMT context switches. *)
 let switch_scheme t ?name ~penalty scheme =
@@ -580,36 +487,8 @@ let switch_scheme t ?name ~penalty scheme =
              })
     end
 
-(* Book the decision-cache counters for everything not yet flushed, so
-   [metrics] may be called repeatedly without double counting. The
-   aggregate [merge.memo.*] triple keeps its historical meaning; the
-   per-scheme [merge.memo.scheme.<name>.*] triples expose the pooled
-   tables individually. *)
-let flush_memo_counters t =
-  match (t.network, t.counters) with
-  | Some net, Some c ->
-    List.iter
-      (fun (name, (s : Merge.Engine.Memo.stats)) ->
-        let fh, fm, fe =
-          match Hashtbl.find_opt t.memo_flushed name with
-          | Some f -> f
-          | None -> (0, 0, 0)
-        in
-        let book counter_name v =
-          if v <> 0 then
-            Tel.Counters.add (Tel.Counters.counter c counter_name) v
-        in
-        book Tel.Report.n_memo_hits (s.hits - fh);
-        book Tel.Report.n_memo_misses (s.misses - fm);
-        book Tel.Report.n_memo_flushes (s.flushes - fe);
-        book (Tel.Report.n_memo_scheme name "hits") (s.hits - fh);
-        book (Tel.Report.n_memo_scheme name "misses") (s.misses - fm);
-        book (Tel.Report.n_memo_scheme name "flushes") (s.flushes - fe);
-        Hashtbl.replace t.memo_flushed name (s.hits, s.misses, s.flushes))
-      (Merge.Merge_network.pool_stats net)
-  | _ -> ()
-
-(* Likewise for the reconfiguration counters; flushed for every policy
+(* Book the reconfiguration counters not yet flushed, so [metrics] may be
+   called repeatedly without double counting; flushed for every policy
    (BMT context-switch bubbles also accumulate stall cycles). *)
 let flush_switch_counters t =
   match t.counters with
@@ -627,7 +506,6 @@ let flush_switch_counters t =
   | None -> ()
 
 let metrics t ~all_threads : Metrics.t =
-  flush_memo_counters t;
   flush_switch_counters t;
   let ia, im = Mem.Mem_system.icache_stats t.mem in
   let da, dm = Mem.Mem_system.dcache_stats t.mem in

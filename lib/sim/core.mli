@@ -33,7 +33,13 @@ val install : t -> Thread_state.t option array -> unit
     must equal {!Config.contexts}. *)
 
 val step : t -> unit
-(** Advance one cycle. *)
+(** Advance one cycle. One loop for every policy and observation
+    setting: a fetch pass fills the live-port mask (and, under
+    {!Policy.Merged}, the installed scheme's {!Vliw_merge.Engine.Batch});
+    the policy turns it into issued and reject bitmasks; the issued
+    threads retire; only then, when a sink or attribution is attached,
+    an observation pass emits events and books attribution from those
+    masks. Allocation-free once warm when nothing observes. *)
 
 type cycle_record = {
   cycle : int;
@@ -57,11 +63,6 @@ val issue_hist : t -> int array
 
 val vertical_waste_cycles : t -> int
 
-val memo_stats : t -> Vliw_merge.Engine.Memo.stats option
-(** Decision-cache statistics of the currently installed scheme; [None]
-    unless the policy is {!Policy.Merged} (IMT/BMT never consult the
-    merge engine). *)
-
 val network : t -> Vliw_merge.Merge_network.t option
 (** The swappable merge network; [Some] iff the policy is
     {!Policy.Merged}. *)
@@ -69,11 +70,6 @@ val network : t -> Vliw_merge.Merge_network.t option
 val scheme_name : t -> string option
 (** Display name of the currently installed scheme ([None] for
     IMT/BMT). *)
-
-val pool_stats : t -> (string * Vliw_merge.Engine.Memo.stats) list
-(** Per-scheme decision-cache statistics of every pooled Memo table the
-    network has used (see {!Vliw_merge.Merge_network.pool_stats});
-    empty for IMT/BMT. *)
 
 val switch_scheme : t -> ?name:string -> penalty:int -> Vliw_merge.Scheme.t -> unit
 (** Reconfigure the merge network to a different scheme, charging
@@ -102,6 +98,6 @@ val reject_counts : t -> int * int
 val metrics :
   t -> all_threads:Thread_state.t array -> Metrics.t
 (** Snapshot including memory-system statistics and per-thread
-    counters. Also flushes decision-cache statistics into the [counters]
-    registry given at {!create} (idempotently), under
-    [merge.memo.*]. *)
+    counters. Also flushes the reconfiguration statistics into the
+    [counters] registry given at {!create} (idempotently), under
+    [sim.scheme_switches] and [sim.switch_stall_cycles]. *)

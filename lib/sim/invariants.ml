@@ -14,8 +14,8 @@
    on every simulation ([set_enforced true] / VLIWSIM_INVARIANTS=1) and
    `vliwsim check` runs them across the whole experiment registry.
 
-   [check_select] is the third leg: a sampled probe that the
-   signature-based fast path [Engine.select] agrees bit-for-bit with the
+   [check_select] is the third leg: a sampled probe that the batched
+   kernel [Engine.select_batched] agrees bit-for-bit with the
    list-walking oracle [Engine.select_reference] on random instruction
    shapes — the full property lives in the QCheck suite; the probe
    catches a skew in production configurations. *)
@@ -163,7 +163,7 @@ let check_attribution (snap : Vliw_telemetry.Counters.snapshot) =
               bubbles stall))
   end
 
-(* --- select = select_reference probe ---------------------------------- *)
+(* --- select_batched = select_reference probe -------------------------- *)
 
 let random_instr rng machine =
   let classes = [| Op.Alu; Op.Alu; Op.Mul; Op.Load; Op.Store; Op.Branch |] in
@@ -201,7 +201,6 @@ let check_select ?(machine = Machine.default)
   for _ = 1 to samples do
     let avail = random_avail rng machine n in
     let rotation = Rng.int rng (max 1 n) in
-    let fast = Engine.select machine ~routing scheme ~rotation avail in
     let batched = Engine.select_batched machine ~routing scheme ~rotation avail in
     let reference =
       Engine.select_reference machine ~routing scheme ~rotation avail
@@ -209,15 +208,6 @@ let check_select ?(machine = Machine.default)
     let agree (a : Engine.selection) (b : Engine.selection) =
       a.issued = b.issued && a.rejected = b.rejected && a.packet = b.packet
     in
-    if not (agree fast reference) then
-      raise
-        (Violation
-           (Printf.sprintf
-              "select <> select_reference on %s (rotation %d):\n\
-               fast %s\nref  %s"
-              (Vliw_merge.Scheme.to_string scheme)
-              rotation (selection_repr fast)
-              (selection_repr reference)));
     if not (agree batched reference) then
       raise
         (Violation

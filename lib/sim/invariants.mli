@@ -1,5 +1,5 @@
 (** Post-run self-checks: conservation laws every simulation result must
-    satisfy, plus a sampled fast-path-vs-oracle probe.
+    satisfy, plus a sampled batched-kernel-vs-oracle probe.
 
     The laws re-derived by {!check_metrics} from a {!Metrics.t} record:
 
@@ -52,8 +52,8 @@ val check_select :
   ?samples:int ->
   Vliw_merge.Scheme.t ->
   unit
-(** Sampled probe that {!Vliw_merge.Engine.select} and
-    {!Vliw_merge.Engine.select_batched} both agree bit-for-bit with
+(** Sampled probe that {!Vliw_merge.Engine.select_batched} agrees
+    bit-for-bit with
     {!Vliw_merge.Engine.select_reference} on random availability vectors
     for [scheme] (default: 64 samples on the default machine, flexible
     routing). The exhaustive property lives in the QCheck suite; this

@@ -13,10 +13,6 @@ type t = {
   mutable pending : Vliw_isa.Instr.t;
       (* physically [no_instr] when nothing is fetched; a sentinel
          instead of an option so fetch/retire never allocate *)
-  mutable pending_packet : Vliw_merge.Packet.t option;
-      (* [pending] wrapped as a merge candidate, built once per fetched
-         instruction instead of once per cycle; cleared with [pending].
-         Only the observing (packet-building) step path fills it. *)
   mutable tape : Tape.t option;
   mutable addr_k : int;  (* draws consumed from the tape, by kind *)
   mutable taken_k : int;
@@ -47,7 +43,6 @@ let create ~id ~seed (program : Program.t) =
     pc = 0;
     resume_at = 0;
     pending = no_instr;
-    pending_packet = None;
     tape = None;
     addr_k = 0;
     taken_k = 0;

@@ -22,11 +22,6 @@ type t = {
           {!no_instr} when nothing is fetched. A sentinel instead of an
           option so the steady-state fetch/retire path never
           allocates. *)
-  mutable pending_packet : Vliw_merge.Packet.t option;
-      (** [pending] wrapped as a merge candidate, built once per fetched
-          instruction instead of once per cycle; cleared with
-          [pending]. Only the observing (packet-building) step path
-          fills it. *)
   mutable tape : Tape.t option;
       (** Draw tape shared with lockstep siblings; [None] runs the
           generators directly (see {!Tape}). *)

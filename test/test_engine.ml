@@ -11,20 +11,22 @@ let ops klasses = List.mapi (fun i k -> Isa.Op.make k i) klasses
 let instr_of klass_lists =
   Isa.Instr.of_cluster_ops ~addr:0 (Array.of_list (List.map ops klass_lists))
 
-let avail_of instrs = Array.of_list (List.map Option.some instrs)
+let avail_of instrs =
+  Array.of_list
+    (List.mapi (fun t i -> Some (M.Packet.of_instr m ~thread:t i)) instrs)
 
 let scheme name = (M.Catalog.find_exn name).scheme
 
 let issued scheme_ ?(rotation = 0) avail =
-  (M.Engine.select m scheme_ ~rotation avail).issued
+  (M.Engine.select_batched m scheme_ ~rotation avail).issued
 
-let select_instrs name instrs =
-  M.Engine.select_instrs m (scheme name) (avail_of instrs)
+let select_named name instrs =
+  M.Engine.select_batched m (scheme name) (avail_of instrs)
 
 (* --- basic semantics --- *)
 
 let test_all_stalled () =
-  let sel = M.Engine.select m (scheme "3SSS") (Array.make 4 None) in
+  let sel = M.Engine.select_batched m (scheme "3SSS") (Array.make 4 None) in
   Alcotest.(check (list int)) "nothing issues" [] sel.issued;
   Alcotest.(check bool) "no packet" true (sel.packet = None)
 
@@ -41,7 +43,7 @@ let test_cascade_skip () =
   let t1 = instr_of [ [ Isa.Op.Alu ]; []; []; [] ] in
   let t2 = instr_of [ []; [ Isa.Op.Alu ]; []; [] ] in
   let t3 = instr_of [ [ Isa.Op.Alu ]; []; []; [] ] in
-  let sel = select_instrs "3CCC" [ t0; t1; t2; t3 ] in
+  let sel = select_named "3CCC" [ t0; t1; t2; t3 ] in
   Alcotest.(check (list int)) "skip conflicting, keep later" [ 0; 2 ] sel.issued
 
 let test_smt_merges_what_csmt_cannot () =
@@ -50,15 +52,15 @@ let test_smt_merges_what_csmt_cannot () =
   let t0 = instr_of [ [ Isa.Op.Alu ]; []; []; [] ] in
   let t1 = instr_of [ [ Isa.Op.Alu ]; []; []; [] ] in
   let csmt2 = M.Scheme.csmt (M.Scheme.thread 0) (M.Scheme.thread 1) in
-  let sel_csmt = M.Engine.select_instrs m csmt2 (avail_of [ t0; t1 ]) in
+  let sel_csmt = M.Engine.select_batched m csmt2 (avail_of [ t0; t1 ]) in
   Alcotest.(check (list int)) "csmt: one" [ 0 ] sel_csmt.issued;
-  let sel_smt = select_instrs "1S" [ t0; t1 ] in
+  let sel_smt = select_named "1S" [ t0; t1 ] in
   Alcotest.(check (list int)) "smt: both" [ 0; 1 ] sel_smt.issued
 
 let test_empty_instr_merges_freely () =
   let nop = Isa.Instr.make ~clusters:4 ~addr:0 in
   let busy = instr_of [ [ Isa.Op.Alu; Isa.Op.Alu; Isa.Op.Alu; Isa.Op.Alu ]; []; []; [] ] in
-  let sel = select_instrs "3CCC" [ busy; nop; busy; nop ] in
+  let sel = select_named "3CCC" [ busy; nop; busy; nop ] in
   (* NOP instructions conflict with nothing; the second busy thread
      collides with the first. *)
   Alcotest.(check (list int)) "nops merge" [ 0; 1; 3 ] sel.issued
@@ -82,16 +84,16 @@ let test_tree_indivisibility () =
   let t3 = instr_of [ [ Isa.Op.Alu ]; []; []; [] ] in
   (* 2CC: C(C(T0,T1), C(T2,T3)). C(T2,T3) = {T2,T3} using clusters 2 and
      0; the top merge fails against {T0,T1} on clusters 0,1. *)
-  let tree = select_instrs "2CC" [ t0; t1; t2; t3 ] in
+  let tree = select_named "2CC" [ t0; t1; t2; t3 ] in
   Alcotest.(check (list int)) "tree drops both" [ 0; 1 ] tree.issued;
   (* The cascade 3CCC issues T2 as well. *)
-  let cascade = select_instrs "3CCC" [ t0; t1; t2; t3 ] in
+  let cascade = select_named "3CCC" [ t0; t1; t2; t3 ] in
   Alcotest.(check (list int)) "cascade keeps T2" [ 0; 1; 2 ] cascade.issued
 
 let test_packet_matches_issued () =
   let t0 = instr_of [ [ Isa.Op.Alu ]; []; []; [] ] in
   let t1 = instr_of [ []; [ Isa.Op.Mul ]; []; [] ] in
-  let sel = select_instrs "3SSS" [ t0; t1; t0; t1 ] in
+  let sel = select_named "3SSS" [ t0; t1; t0; t1 ] in
   match sel.packet with
   | None -> Alcotest.fail "expected packet"
   | Some p ->
@@ -107,7 +109,7 @@ let fig1_select name instrs =
     Array.of_list
       (List.mapi (fun t i -> Some (M.Packet.of_instr m ~thread:t i)) instrs)
   in
-  (M.Engine.select m8 (M.Catalog.find_exn name).scheme avail).issued
+  (M.Engine.select_batched m8 (M.Catalog.find_exn name).scheme avail).issued
 
 let fig1_instr cl = Isa.Instr.of_cluster_ops ~addr:0 (Array.of_list (List.map ops cl))
 
@@ -173,7 +175,7 @@ let prop_merged_packet_routable =
       let avail =
         Array.mapi (fun t i -> Option.map (M.Packet.of_instr m ~thread:t) i) instrs
       in
-      match (M.Engine.select m s avail).packet with
+      match (M.Engine.select_batched m s avail).packet with
       | None -> true
       | Some p ->
         (match M.Routing.route m p with
@@ -186,7 +188,7 @@ let prop_csmt_one_thread_per_cluster =
       let avail =
         Array.mapi (fun t i -> Option.map (M.Packet.of_instr m ~thread:t) i) instrs
       in
-      match (M.Engine.select m (scheme "3CCC") avail).packet with
+      match (M.Engine.select_batched m (scheme "3CCC") avail).packet with
       | None -> true
       | Some p ->
         let ok = ref true in
@@ -264,7 +266,7 @@ let prop_parallel_csmt_matches_spec =
         |> List.filter_map (fun (i, p) -> Option.map (fun p -> (i, p)) p)
       in
       let expected = List.map fst (spec_csmt_selection inputs) |> List.sort compare in
-      let sel = M.Engine.select m (M.Scheme.csmt_par 4) avail in
+      let sel = M.Engine.select_batched m (M.Scheme.csmt_par 4) avail in
       List.sort compare sel.issued = expected)
 
 (* The greedy set is maximal: no skipped input is compatible with the
@@ -276,7 +278,7 @@ let prop_selection_maximal =
       let avail =
         Array.mapi (fun t i -> Option.map (M.Packet.of_instr m ~thread:t) i) instrs
       in
-      let sel = M.Engine.select m (scheme "3CCC") avail in
+      let sel = M.Engine.select_batched m (scheme "3CCC") avail in
       match sel.packet with
       | None -> Array.for_all Option.is_none avail
       | Some merged ->
@@ -298,7 +300,7 @@ let prop_six_thread_engine =
         Array.mapi (fun t i -> Option.map (M.Packet.of_instr m ~thread:t) i) instrs
       in
       let s = M.Scheme_name.parse_exn "2SC5" in
-      let sel = M.Engine.select m s avail in
+      let sel = M.Engine.select_batched m s avail in
       List.for_all (fun t -> avail.(t) <> None) sel.issued
       &&
       match sel.packet with

@@ -101,9 +101,10 @@ let test_engine_fixed_mode () =
   let t0 = Some (packet 0 [ [ Isa.Op.Alu ]; []; []; [] ]) in
   let t1 = Some (packet 1 [ [ Isa.Op.Alu ]; []; []; [] ]) in
   let scheme = (M.Catalog.find_exn "1S").scheme in
-  let flexible = M.Engine.select m scheme [| t0; t1 |] in
+  let flexible = M.Engine.select_batched m scheme [| t0; t1 |] in
   let fixed =
-    M.Engine.select m ~routing:M.Conflict.Fixed_slots scheme [| t0; t1 |]
+    M.Engine.select_batched m ~routing:M.Conflict.Fixed_slots scheme
+      [| t0; t1 |]
   in
   Alcotest.(check (list int)) "flexible issues both" [ 0; 1 ] flexible.issued;
   Alcotest.(check (list int)) "fixed issues one" [ 0 ] fixed.issued

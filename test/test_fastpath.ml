@@ -1,12 +1,12 @@
-(* The merge-engine fast path against its oracle.
+(* The batched merge kernel against its oracle.
 
-   [Engine.select] runs the signature-based integer conflict checks;
-   [Engine.select_reference] evaluates the same scheme tree with the
-   original list-walking checks (and live routing). The properties here
-   pin the two to bit-identical selections over the full 4-thread
-   design space, both routing modes and all rotations, and pin the
-   decision cache ([Engine.Memo]) to the uncached engine — including
-   across flushes. *)
+   [Engine.select_batched] drives the production kernel ([Engine.Batch],
+   signature lanes and bitwise conflict checks) through a throwaway
+   evaluator; [Engine.select_reference] walks the same scheme tree over
+   packets with the original list-walking checks (and live routing). The
+   properties here pin the two to bit-identical selections over the full
+   4-thread design space, both routing modes and all rotations, and pin
+   a persistent Batch — what the simulator drives — to the oracle. *)
 
 module Isa = Vliw_isa
 module M = Vliw_merge
@@ -37,40 +37,9 @@ let show_selection (s : M.Engine.selection) =
     | None -> "none"
     | Some p -> Printf.sprintf "threads=%x mask=%x" p.threads p.mask)
 
-(* --- fast = reference, randomized over schemes/avail/rotation ------- *)
+(* --- batched = reference, randomized over schemes/avail/rotation ---- *)
 
 let four_thread_space = M.Scheme_space.enumerate 4
-
-let prop_fast_equals_reference =
-  Q.Test.make ~name:"select = select_reference (random schemes)" ~count:800
-    (Q.triple
-       (Q.make ~print:string_of_int (Q.Gen.int_bound (List.length four_thread_space - 1)))
-       (Tgen.avail_arb 4)
-       (Q.make ~print:string_of_int (Q.Gen.int_bound 3)))
-    (fun (si, instrs, rotation) ->
-      let scheme = List.nth four_thread_space si in
-      let avail = packets_of instrs in
-      List.for_all
-        (fun routing ->
-          same_selection
-            (M.Engine.select m ~routing scheme ~rotation avail)
-            (M.Engine.select_reference m ~routing scheme ~rotation avail))
-        routing_modes)
-
-(* Same property over random tree shapes beyond the enumerated space
-   (parallel CSMT nodes, 6 threads). *)
-let prop_fast_equals_reference_random_trees =
-  Q.Test.make ~name:"select = select_reference (random trees, 6 threads)"
-    ~count:400
-    (Q.pair (Tgen.scheme_arb 6) (Tgen.avail_arb 6))
-    (fun (scheme, instrs) ->
-      let avail = packets_of instrs in
-      List.for_all
-        (fun routing ->
-          same_selection
-            (M.Engine.select m ~routing scheme avail)
-            (M.Engine.select_reference m ~routing scheme avail))
-        routing_modes)
 
 (* The batched bit-parallel kernel against the same oracle, over the
    enumerated design space x routings x rotations. *)
@@ -107,9 +76,11 @@ let prop_batched_equals_reference_random_trees =
 
 (* A persistent Batch is what the simulator actually drives: reusing one
    evaluator across eval calls (varying ports and rotations) must keep
-   agreeing with the throwaway-oracle surface. *)
+   agreeing with the oracle the throwaway surface is pinned to. *)
 let prop_batch_reuse_matches =
-  Q.Test.make ~name:"persistent Batch = select_batched across evals" ~count:200
+  Q.Test.make
+    ~name:"persistent Batch = select_batched = select_reference across evals"
+    ~count:200
     (Q.pair
        (Q.make ~print:string_of_int (Q.Gen.int_bound (List.length four_thread_space - 1)))
        (Q.list_of_size (Q.Gen.return 5) (Q.pair (Tgen.avail_arb 4) (Q.make ~print:string_of_int (Q.Gen.int_bound 3)))))
@@ -121,30 +92,46 @@ let prop_batch_reuse_matches =
           List.for_all
             (fun (instrs, rotation) ->
               let avail = packets_of instrs in
+              M.Engine.Batch.clear b;
               Array.iteri
-                (fun i -> function
-                  | None -> M.Engine.Batch.clear_port b i
-                  | Some p -> M.Engine.Batch.set_port_packet b i p)
+                (fun i -> Option.iter (M.Engine.Batch.set_port_packet b i))
                 avail;
               M.Engine.Batch.eval b ~rotation;
               let oracle =
-                M.Engine.select m ~routing scheme ~rotation avail
+                M.Engine.select_reference m ~routing scheme ~rotation avail
               in
-              let issued_mask =
-                List.fold_left (fun acc t -> acc lor (1 lsl t)) 0 oracle.issued
+              let mask threads =
+                List.fold_left (fun acc t -> acc lor (1 lsl t)) 0 threads
               in
-              M.Engine.Batch.issued b = issued_mask
+              let rejects cause =
+                mask
+                  (List.filter_map
+                     (fun (r : M.Engine.reject) ->
+                       if r.cause = cause then Some r.thread else None)
+                     oracle.rejected)
+              in
+              (* The packet the simulator's trace rebuilds: the candidates
+                 folded in the Batch's union order. *)
+              let packet =
+                match
+                  List.init (M.Engine.Batch.order_len b) (fun k ->
+                      Option.get avail.((M.Engine.Batch.order b).(k)))
+                with
+                | [] -> None
+                | p :: rest -> Some (List.fold_left M.Packet.union p rest)
+              in
+              M.Engine.Batch.issued b = mask oracle.issued
               && M.Engine.Batch.rejected_conflict b
-                   lor M.Engine.Batch.rejected_capacity b
-                 = List.fold_left
-                     (fun acc (r : M.Engine.reject) -> acc lor (1 lsl r.thread))
-                     0 oracle.rejected)
+                 = rejects M.Conflict.Cluster_conflict
+              && M.Engine.Batch.rejected_capacity b
+                 = rejects M.Conflict.Slot_capacity
+              && packet = oracle.packet)
             inputs)
         routing_modes)
 
 (* Exhaustive over the design space with a fixed adversarial avail: every
    enumerated 4-thread scheme, both routings, all rotations. *)
-let test_fast_equals_reference_exhaustive () =
+let test_batched_equals_reference_exhaustive () =
   let ops klasses = List.mapi (fun i k -> Isa.Op.make k i) klasses in
   let instr_of klass_lists =
     Isa.Instr.of_cluster_ops ~addr:0 (Array.of_list (List.map ops klass_lists))
@@ -183,7 +170,6 @@ let test_fast_equals_reference_exhaustive () =
           List.iter
             (fun routing ->
               for rotation = 0 to 3 do
-                let fast = M.Engine.select m ~routing scheme ~rotation avail in
                 let batched =
                   M.Engine.select_batched m ~routing scheme ~rotation avail
                 in
@@ -191,10 +177,6 @@ let test_fast_equals_reference_exhaustive () =
                   M.Engine.select_reference m ~routing scheme ~rotation avail
                 in
                 incr checked;
-                if not (same_selection fast slow) then
-                  Alcotest.failf "%s, %s, rot %d:\nfast %s\nref  %s"
-                    (M.Scheme.to_string scheme) (routing_name routing) rotation
-                    (show_selection fast) (show_selection slow);
                 if not (same_selection batched slow) then
                   Alcotest.failf "%s, %s, rot %d:\nbatched %s\nref     %s"
                     (M.Scheme.to_string scheme) (routing_name routing) rotation
@@ -205,151 +187,21 @@ let test_fast_equals_reference_exhaustive () =
     four_thread_space;
   Alcotest.(check bool) "covered the space" true (!checked > 1000)
 
-(* --- decision cache = uncached engine ------------------------------- *)
-
-let prop_memo_matches_select =
-  Q.Test.make ~name:"Memo.select/select_issue = select" ~count:600
-    (Q.triple
-       (Q.make ~print:string_of_int (Q.Gen.int_bound (List.length four_thread_space - 1)))
-       (Q.list_of_size (Q.Gen.return 6) (Tgen.avail_arb 4))
-       (Q.make ~print:string_of_int (Q.Gen.int_bound 3)))
-    (fun (si, avail_list, rotation) ->
-      let scheme = List.nth four_thread_space si in
-      List.for_all
-        (fun routing ->
-          let memo = M.Engine.Memo.create m ~routing scheme in
-          List.for_all
-            (fun instrs ->
-              let avail = packets_of instrs in
-              let plain = M.Engine.select m ~routing scheme ~rotation avail in
-              (* Two passes per avail: the second one exercises the hit
-                 path for cacheable densities. *)
-              List.for_all
-                (fun (_ : int) ->
-                  let full = M.Engine.Memo.select memo ~rotation avail in
-                  let issue = M.Engine.Memo.select_issue memo ~rotation avail in
-                  same_selection full plain
-                  && issue.issued = plain.issued
-                  && issue.rejected = plain.rejected
-                  &&
-                  (* select_issue materializes a packet only for the
-                     0/1-live closed forms. *)
-                  match issue.packet with
-                  | None -> true
-                  | Some _ -> List.length plain.issued <= 1)
-                [ 1; 2 ])
-            avail_list)
-        routing_modes)
-
-let test_memo_eviction () =
-  let scheme = (M.Catalog.find_exn "3SSS").scheme in
-  let routing = M.Conflict.Flexible in
-  let memo = M.Engine.Memo.create ~cap:8 m ~routing scheme in
-  (* Distinct 2-live keys: vary one thread's instruction shape so the
-     signature id changes each round; with cap 8 the table must flush. *)
-  let mk n_alu =
-    let ops = List.init n_alu (fun i -> Isa.Op.make Isa.Op.Alu i) in
-    Isa.Instr.of_cluster_ops ~addr:0 [| ops; []; []; [] |]
-  in
-  let fixed = mk 1 in
-  (* Flood the table with more distinct (shape, rotation) keys than the
-     cap holds, checking every cached answer against the plain engine. *)
-  for round = 0 to 39 do
-    let variable =
-      let n = (round mod 10) + 1 in
-      let ops =
-        List.init (min 4 n) (fun i -> Isa.Op.make Isa.Op.Alu i)
-        @ (if n > 4 then [ Isa.Op.make Isa.Op.Load 9 ] else [])
-      in
-      let cl = Array.make 4 [] in
-      cl.(round mod 4) <- ops;
-      Isa.Instr.of_cluster_ops ~addr:(round * 64) cl
-    in
-    let avail = packets_of [| Some fixed; Some variable; None; None |] in
-    for rotation = 0 to 3 do
-      let cached = M.Engine.Memo.select memo ~rotation avail in
-      let plain = M.Engine.select m ~routing scheme ~rotation avail in
-      if not (same_selection cached plain) then
-        Alcotest.failf "round %d rot %d: cached %s plain %s" round rotation
-          (show_selection cached) (show_selection plain)
-    done
-  done;
-  let stats = M.Engine.Memo.stats memo in
-  Alcotest.(check bool) "table flushed at least once" true (stats.flushes > 0);
-  Alcotest.(check bool) "bounded by cap" true (stats.size <= 8);
-  (* Post-flush the table still serves: the same lookup twice in a row
-     must hit. *)
-  let avail = packets_of [| Some fixed; Some (mk 2); None; None |] in
-  let first = M.Engine.Memo.select memo avail in
-  let before = (M.Engine.Memo.stats memo).hits in
-  let second = M.Engine.Memo.select memo avail in
-  let after = (M.Engine.Memo.stats memo).hits in
-  Alcotest.(check bool) "identical selections" true
-    (same_selection first second);
-  Alcotest.(check int) "second lookup hits" (before + 1) after
-
-(* Regression: hit/miss tallies must be cumulative across whole-table
-   flushes — a flush drops the cached entries, never the counters
-   (`vliwsim profile` under-reported long adaptive runs otherwise). *)
-let test_memo_counters_cumulative_across_flush () =
-  let scheme = (M.Catalog.find_exn "3SSS").scheme in
-  let memo = M.Engine.Memo.create ~cap:4 m ~routing:M.Conflict.Flexible scheme in
-  let fixed =
-    Isa.Instr.of_cluster_ops ~addr:0 [| [ Isa.Op.make Isa.Op.Alu 0 ]; []; []; [] |]
-  in
-  (* 16 distinct 2-live signatures: every lookup misses, so the table
-     crosses its cap-4 flush boundary several times. *)
-  let lookups = ref 0 in
-  for round = 0 to 15 do
-    let ops = List.init ((round / 4) + 1) (fun i -> Isa.Op.make Isa.Op.Alu i) in
-    let cl = Array.make 4 [] in
-    cl.(round mod 4) <- ops;
-    let variable = Isa.Instr.of_cluster_ops ~addr:(round * 64) cl in
-    let avail = packets_of [| Some fixed; Some variable; None; None |] in
-    ignore (M.Engine.Memo.select memo avail : M.Engine.selection);
-    incr lookups
-  done;
-  let s = M.Engine.Memo.stats memo in
-  Alcotest.(check bool) "crossed the flush boundary" true (s.flushes > 0);
-  Alcotest.(check int) "hits+misses survive flushes cumulatively" !lookups
-    (s.hits + s.misses);
-  Alcotest.(check int) "all distinct keys missed" !lookups s.misses
-
-let test_memo_closed_forms () =
-  let scheme = (M.Catalog.find_exn "3CCC").scheme in
-  let memo = M.Engine.Memo.create m ~routing:M.Conflict.Flexible scheme in
-  let empty = M.Engine.Memo.select memo (Array.make 4 None) in
-  Alcotest.(check (list int)) "0 live issues nothing" [] empty.issued;
-  Alcotest.(check bool) "0 live, no packet" true (empty.packet = None);
-  let i = Isa.Instr.of_cluster_ops ~addr:0 [| [ Isa.Op.make Isa.Op.Alu 0 ]; []; []; [] |] in
-  let avail = packets_of [| None; None; Some i; None |] in
-  let one = M.Engine.Memo.select memo avail in
-  Alcotest.(check (list int)) "1 live issues alone" [ 2 ] one.issued;
-  Alcotest.(check bool) "1 live reuses the candidate packet" true
-    (one.packet == avail.(2));
-  let stats = M.Engine.Memo.stats memo in
-  Alcotest.(check int) "closed forms never touch the table" 0
-    (stats.hits + stats.misses)
-
 (* --- signatures ----------------------------------------------------- *)
 
 let test_signature_empty () =
   let nop = Isa.Instr.make ~clusters:4 ~addr:0 in
   let sg = Isa.Instr.signature m nop in
   Alcotest.(check int) "empty mask" 0 sg.sg_mask;
-  Alcotest.(check int) "no ops" 0 sg.sg_ops;
-  Alcotest.(check bool) "id interned" true (sg.sg_id >= 0)
+  Alcotest.(check int) "no ops" 0 sg.sg_ops
 
 let test_signature_shared_id () =
-  let mk () =
+  let instr =
     Isa.Instr.of_cluster_ops ~addr:4096
       [| [ Isa.Op.make Isa.Op.Load 0; Isa.Op.make Isa.Op.Alu 1 ]; []; [ Isa.Op.make Isa.Op.Mul 2 ]; [] |]
   in
-  let a = Isa.Instr.signature m (mk ()) in
-  let b = Isa.Instr.signature m (mk ()) in
-  Alcotest.(check int) "structurally equal instrs intern to one id" a.sg_id
-    b.sg_id;
-  Alcotest.(check int) "mask covers clusters 0 and 2" 0b101 a.sg_mask
+  let sg = Isa.Instr.signature m instr in
+  Alcotest.(check int) "mask covers clusters 0 and 2" 0b101 sg.sg_mask
 
 let prop_signature_counts_consistent =
   Q.Test.make ~name:"signature counts agree with the op lists" ~count:300
@@ -391,77 +243,74 @@ let test_no_routing_per_cycle () =
 
 (* --- zero-allocation steady state ----------------------------------- *)
 
-(* The batched fast path (merged policy, telemetry off, no counters)
-   must not touch the minor heap once warm: the measured minor-word
-   delta over N steps must equal the delta of the measurement harness
-   alone (0 steps). Warmup covers cold-start work — signature interning
-   is already done at Program.generate time, but cache tags, predictor
-   counters and the Batch lanes deserve settling. *)
+(* The step loop must not touch the minor heap once warm while nothing
+   observes it, under every issue policy (they share the loop): the
+   measured minor-word delta over N steps must equal the delta of the
+   measurement harness alone (0 steps). Warmup covers cold-start work —
+   signatures are already computed at Program.generate time, but cache
+   tags, predictor counters and the Batch lanes deserve settling. *)
 let test_zero_alloc_steady_state () =
-  let entry = M.Catalog.find_exn "2SC3" in
-  let config = Vliw_sim.Config.make entry.scheme in
+  let scheme = (M.Catalog.find_exn "2SC3").scheme in
   let mix = Vliw_workloads.Mixes.find_exn "LLHH" in
-  let rng = Vliw_util.Rng.create 7L in
-  let programs =
-    List.map
-      (fun p ->
-        Vliw_compiler.Program.generate
-          ~seed:(Vliw_util.Rng.next_int64 rng)
-          config.Vliw_sim.Config.machine p)
-      mix.members
-  in
-  let threads =
-    Array.of_list
-      (List.mapi
-         (fun id program ->
-           Vliw_sim.Thread_state.create ~id
-             ~seed:(Vliw_util.Rng.next_int64 rng)
-             program)
-         programs)
-  in
-  let mem = Vliw_mem.Mem_system.create config.Vliw_sim.Config.machine in
-  let core = Vliw_sim.Core.create config mem in
-  let n = Vliw_sim.Config.contexts config in
-  Vliw_sim.Core.install core
-    (Array.init n (fun i ->
-         if i < Array.length threads then Some threads.(i) else None));
-  for _ = 1 to 10_000 do
-    Vliw_sim.Core.step core
-  done;
-  let delta steps =
-    let w0 = Gc.minor_words () in
-    for _ = 1 to steps do
-      Vliw_sim.Core.step core
-    done;
-    Gc.minor_words () -. w0
-  in
-  let harness_only = delta 0 in
-  let with_steps = delta 10_000 in
-  if with_steps <> harness_only then
-    Alcotest.failf
-      "steady state allocated %.0f minor words over 10k cycles (harness \
-       baseline %.0f)"
-      (with_steps -. harness_only) harness_only
+  List.iter
+    (fun policy ->
+      let config = Vliw_sim.Config.make ~policy scheme in
+      let rng = Vliw_util.Rng.create 7L in
+      let programs =
+        List.map
+          (fun p ->
+            Vliw_compiler.Program.generate
+              ~seed:(Vliw_util.Rng.next_int64 rng)
+              config.Vliw_sim.Config.machine p)
+          mix.members
+      in
+      let threads =
+        Array.of_list
+          (List.mapi
+             (fun id program ->
+               Vliw_sim.Thread_state.create ~id
+                 ~seed:(Vliw_util.Rng.next_int64 rng)
+                 program)
+             programs)
+      in
+      let mem = Vliw_mem.Mem_system.create config.Vliw_sim.Config.machine in
+      let core = Vliw_sim.Core.create config mem in
+      let n = Vliw_sim.Config.contexts config in
+      Vliw_sim.Core.install core
+        (Array.init n (fun i ->
+             if i < Array.length threads then Some threads.(i) else None));
+      for _ = 1 to 10_000 do
+        Vliw_sim.Core.step core
+      done;
+      let delta steps =
+        let w0 = Gc.minor_words () in
+        for _ = 1 to steps do
+          Vliw_sim.Core.step core
+        done;
+        Gc.minor_words () -. w0
+      in
+      let harness_only = delta 0 in
+      let with_steps = delta 10_000 in
+      if with_steps <> harness_only then
+        Alcotest.failf
+          "%s: steady state allocated %.0f minor words over 10k cycles \
+           (harness baseline %.0f)"
+          (Vliw_sim.Policy.to_string policy)
+          (with_steps -. harness_only) harness_only)
+    [ Vliw_sim.Policy.Merged; Vliw_sim.Policy.Imt; Vliw_sim.Policy.default_bmt ]
 
 let suite =
   ( "fastpath",
     [
       Alcotest.test_case "fast = reference, exhaustive space" `Quick
-        test_fast_equals_reference_exhaustive;
-      Alcotest.test_case "memo eviction stays correct" `Quick test_memo_eviction;
-      Alcotest.test_case "memo counters cumulative across flushes" `Quick
-        test_memo_counters_cumulative_across_flush;
-      Alcotest.test_case "memo closed forms" `Quick test_memo_closed_forms;
+        test_batched_equals_reference_exhaustive;
       Alcotest.test_case "signature of empty instr" `Quick test_signature_empty;
       Alcotest.test_case "signature interning" `Quick test_signature_shared_id;
       Alcotest.test_case "no routing per cycle" `Quick test_no_routing_per_cycle;
       Alcotest.test_case "zero-alloc steady state" `Quick
         test_zero_alloc_steady_state;
-      Tgen.to_alcotest prop_fast_equals_reference;
-      Tgen.to_alcotest prop_fast_equals_reference_random_trees;
       Tgen.to_alcotest prop_batched_equals_reference;
       Tgen.to_alcotest prop_batched_equals_reference_random_trees;
       Tgen.to_alcotest prop_batch_reuse_matches;
-      Tgen.to_alcotest prop_memo_matches_select;
       Tgen.to_alcotest prop_signature_counts_consistent;
     ] )

@@ -120,6 +120,64 @@ let test_policy_strings () =
   Alcotest.(check bool) "parse junk" true
     (match Sim.Policy.of_string "junk" with Error _ -> true | Ok _ -> false)
 
+(* Golden IMT/BMT results: IMT and BMT share the merged policy's step
+   loop (fetch pass, policy decision on the live mask, retire, then
+   observation), so these values pin that the loop reproduces them
+   exactly, with and without the observation pass. The waste
+   decomposition pins the exact-sum attribution of the same runs. *)
+let test_policy_golden () =
+  let run ?counters policy =
+    let config =
+      Sim.Config.make ~policy (Vliw_merge.Catalog.find_exn "2SC3").scheme
+    in
+    Sim.Multitask.run config ~seed:5L ~schedule:Sim.Multitask.quick_schedule
+      ?counters (Vliw_workloads.Mixes.find_exn "MMHH").members
+  in
+  List.iter
+    (fun (label, policy, (cycles, ops, instrs, hist), waste) ->
+      let check what (metrics : Sim.Metrics.t) =
+        let label = label ^ what in
+        Alcotest.(check int) (label ^ ": cycles") cycles metrics.cycles;
+        Alcotest.(check int) (label ^ ": ops") ops metrics.ops;
+        Alcotest.(check int) (label ^ ": instrs") instrs metrics.instrs;
+        Alcotest.(check (array int)) (label ^ ": issue_hist") hist
+          metrics.issue_hist
+      in
+      check "" (run policy);
+      let counters = Vliw_telemetry.Counters.create () in
+      check " +counters" (run ~counters policy);
+      let snap = Vliw_telemetry.Counters.snapshot counters in
+      List.iter
+        (fun (name, v) ->
+          Alcotest.(check int) (label ^ ": " ^ name) v
+            (Vliw_telemetry.Counters.count snap name))
+        waste)
+    [
+      ( "IMT",
+        Sim.Policy.Imt,
+        (60000, 243255, 56905, [| 3095; 56905; 0; 0; 0 |]),
+        [
+          ("waste.horizontal.ilp", 240296);
+          ("waste.horizontal.merge_priority", 426929);
+          ("waste.vertical.fetch_stall", 37472);
+          ("waste.vertical.mem_stall", 12048);
+          ("events.merge_reject.priority", 115271);
+        ] );
+      ( "BMT(4)",
+        Sim.Policy.Bmt { switch_penalty = 4 },
+        (60000, 203184, 45655, [| 14345; 45655; 0; 0; 0 |]),
+        [
+          ("waste.horizontal.ilp", 150493);
+          ("waste.horizontal.merge_priority", 376803);
+          ("waste.vertical.bmt_switch", 217856);
+          ("waste.vertical.fetch_stall", 10544);
+          ("waste.vertical.mem_stall", 1120);
+          ("core.switch_bubble_cycles", 13616);
+          ("sim.switch_stall_cycles", 13616);
+          ("events.bmt_switch", 3404);
+        ] );
+    ]
+
 (* --- baselines experiment --- *)
 
 let test_baselines_ladder () =
@@ -230,6 +288,7 @@ let suite =
       Alcotest.test_case "policy ladder" `Quick test_policy_ladder;
       Alcotest.test_case "BMT switch penalty" `Quick test_bmt_switch_penalty_costs;
       Alcotest.test_case "policy strings" `Quick test_policy_strings;
+      Alcotest.test_case "IMT/BMT golden metrics" `Quick test_policy_golden;
       Alcotest.test_case "baselines ladder" `Quick test_baselines_ladder;
       Alcotest.test_case "sensitivity miss penalty" `Quick test_sensitivity_miss_penalty;
       Alcotest.test_case "sensitivity render" `Quick test_sensitivity_render;
