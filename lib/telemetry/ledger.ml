@@ -16,12 +16,20 @@
      grep, and the hex bit image [bits] which is authoritative. A run
      round-tripped through the ledger diffs as Identical against the
      original, including nan (degraded) cells.
-   - Appends rewrite the file through [Vliw_util.Atomic_io], so a kill
-     mid-append never leaves a torn line; a malformed line (manual
-     edit, disk corruption) is skipped by [load] rather than fatal.
-   - Ids are assigned at append time as "r1", "r2", ... in file order,
-     so CLI invocations can name runs cheaply. The ledger is a
-     single-user, single-writer store by design. *)
+   - Every writer ([append], [merge], [gc]) holds an fcntl lock on the
+     sidecar [ledger.jsonl.lock] (see [Vliw_util.Atomic_io.with_lock]),
+     so several processes can share one [_runs/] — a live `serve`
+     daemon beside `exp`, `dist` or `bench` — without losing a record.
+   - An append is O(record): one O_APPEND write of a complete line. A
+     kill mid-append can leave a torn last line; [load] skips it like
+     any malformed line, and the next append starts on a fresh line.
+     [gc] rewrites the file through a temp file + rename.
+   - Ids are "r1", "r2", ... and every writer keeps them increasing in
+     file order: [append] and [merge] number new records past the last
+     complete line's id, and [gc] keeps survivors in order. That
+     invariant lets [append] read its next id from the file's tail, not
+     the whole file; a tail line with no numeric id (a foreign or
+     corrupt line) falls back to the max over a full scan. *)
 
 type cell = {
   mix : string;
@@ -96,15 +104,19 @@ let grid_digest cells =
 
 (* --- environment ------------------------------------------------------ *)
 
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-    | exception _ -> "unknown")
+(* Resolved once per process, on first use: the code a process runs
+   cannot change under it, so this is also the right revision for a
+   long-lived daemon, and records cost no fork. *)
+let git_rev =
+  lazy
+    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | exception _ -> "unknown"
+    | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      (match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown"
+      | exception _ -> "unknown"))
 
 let make ?(counters = []) ?(gauges = []) ?(cells = [||]) ?(policy = "static")
     ~cmd ~label ~scale ~seed ~jobs ~scheme_names ~mix_names ~wall_s () =
@@ -114,7 +126,7 @@ let make ?(counters = []) ?(gauges = []) ?(cells = [||]) ?(policy = "static")
     time_s = Unix.gettimeofday ();
     cmd;
     label;
-    git_rev = git_rev ();
+    git_rev = Lazy.force git_rev;
     fingerprint = fingerprint_of ~policy ~scale ~seed ~scheme_names ~mix_names ();
     scale;
     seed;
@@ -298,27 +310,45 @@ let load ~dir =
              | Error _ -> None (* torn/corrupt line: skip, don't abort *))
   end
 
-(* Ids are max+1, not count+1: [gc] leaves gaps in the sequence, and a
-   fresh id must never collide with a surviving record's. *)
+module Atomic_io = Vliw_util.Atomic_io
+
 let numeric_id r =
   if String.length r.id > 1 && r.id.[0] = 'r' then
     int_of_string_opt (String.sub r.id 1 (String.length r.id - 1))
   else None
 
-let append ~dir run =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let existing = load ~dir in
-  let next =
-    1
-    + List.fold_left
-        (fun acc r ->
-          match numeric_id r with Some n -> max acc n | None -> acc)
-        0 existing
+(* The next id: one past the last complete line's, which is the maximum
+   because every writer keeps ids increasing in file order. A tail line
+   with no numeric id falls back to max+1 over the whole file — max+1,
+   not count+1, since [gc] leaves gaps in the sequence and a fresh id
+   must never collide with a surviving record's. Call under the lock. *)
+let next_id ~dir =
+  let tail =
+    Option.bind (Atomic_io.last_line ~path:(ledger_path ~dir)) (fun line ->
+        match J.parse line with
+        | Ok j -> Option.bind (of_json j) numeric_id
+        | Error _ -> None)
   in
-  let run = { run with id = Printf.sprintf "r%d" next } in
-  Vliw_util.Atomic_io.append_line ~path:(ledger_path ~dir)
-    (J.to_string (to_json run));
-  run
+  1
+  + match tail with
+    | Some n -> n
+    | None ->
+      List.fold_left
+        (fun acc r -> match numeric_id r with Some n -> max acc n | None -> acc)
+        0 (load ~dir)
+
+let to_line r = J.to_string (to_json r)
+
+let ensure_dir dir =
+  try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+
+let append ~dir run =
+  ensure_dir dir;
+  let path = ledger_path ~dir in
+  Atomic_io.with_lock ~path (fun () ->
+      let run = { run with id = Printf.sprintf "r%d" (next_id ~dir) } in
+      Atomic_io.append_lines ~path [ to_line run ];
+      run)
 
 type gc_report = { kept : run list; dropped : run list }
 
@@ -326,23 +356,30 @@ type gc_report = { kept : run list; dropped : run list }
    records with the same fingerprint but different bits are drift
    evidence (same config, different code revisions) — gc must never
    collapse them, or [runs diff] loses its witnesses. *)
+let dedup_key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells
+
+(* The load and the rewrite share one lock hold, so a record appended
+   meanwhile cannot be lost to the rename. *)
 let gc ?(dry_run = false) ~dir () =
-  let runs = load ~dir in
-  let key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells in
-  let newest = Hashtbl.create 16 in
-  List.iteri (fun i r -> Hashtbl.replace newest (key r) i) runs;
-  let kept = ref [] and dropped = ref [] in
-  List.iteri
-    (fun i r ->
-      if Hashtbl.find newest (key r) = i then kept := r :: !kept
-      else dropped := r :: !dropped)
-    runs;
-  let report = { kept = List.rev !kept; dropped = List.rev !dropped } in
-  if (not dry_run) && report.dropped <> [] then
-    Vliw_util.Atomic_io.write_file ~path:(ledger_path ~dir)
-      (String.concat ""
-         (List.map (fun r -> J.to_string (to_json r) ^ "\n") report.kept));
-  report
+  let path = ledger_path ~dir in
+  let compact () =
+    let runs = load ~dir in
+    let newest = Hashtbl.create 16 in
+    List.iteri (fun i r -> Hashtbl.replace newest (dedup_key r) i) runs;
+    let kept = ref [] and dropped = ref [] in
+    List.iteri
+      (fun i r ->
+        if Hashtbl.find newest (dedup_key r) = i then kept := r :: !kept
+        else dropped := r :: !dropped)
+      runs;
+    let report = { kept = List.rev !kept; dropped = List.rev !dropped } in
+    if (not dry_run) && report.dropped <> [] then
+      Atomic_io.write_file ~path
+        (String.concat "" (List.map (fun r -> to_line r ^ "\n") report.kept));
+    report
+  in
+  if dry_run || not (Sys.file_exists path) then compact ()
+  else Atomic_io.with_lock ~path compact
 
 type merge_report = { added : run list; skipped : run list }
 
@@ -351,44 +388,39 @@ type merge_report = { added : run list; skipped : run list }
    target — or by an earlier source record this merge added — is an
    identical result computed twice and is skipped. Same-fingerprint
    records with different bits are drift evidence and always merge.
-   Added records get fresh target ids; their content (including the
-   original timestamp and git revision) is preserved verbatim. *)
+   Added records get fresh target ids, numbered on from the tail in one
+   lock hold with their append; their content (including the original
+   timestamp and git revision) is preserved verbatim. *)
 let merge ?(dry_run = false) ~dir ~from () =
-  let target = load ~dir in
-  let key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells in
-  let seen = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace seen (key r) ()) target;
-  let next =
-    ref
-      (1
-      + List.fold_left
-          (fun acc r ->
-            match numeric_id r with Some n -> max acc n | None -> acc)
-          0 target)
-  in
-  let added = ref [] and skipped = ref [] in
-  List.iter
-    (fun src ->
-      List.iter
-        (fun r ->
-          if Hashtbl.mem seen (key r) then skipped := r :: !skipped
-          else begin
-            Hashtbl.replace seen (key r) ();
-            added := { r with id = Printf.sprintf "r%d" !next } :: !added;
-            incr next
-          end)
-        (load ~dir:src))
-    from;
-  let report = { added = List.rev !added; skipped = List.rev !skipped } in
-  if (not dry_run) && report.added <> [] then begin
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = ledger_path ~dir in
+  let plan () =
+    let seen = Hashtbl.create 64 in
+    List.iter (fun r -> Hashtbl.replace seen (dedup_key r) ()) (load ~dir);
+    let next = ref (next_id ~dir) in
+    let added = ref [] and skipped = ref [] in
     List.iter
-      (fun r ->
-        Vliw_util.Atomic_io.append_line ~path:(ledger_path ~dir)
-          (J.to_string (to_json r)))
-      report.added
-  end;
-  report
+      (fun src ->
+        List.iter
+          (fun r ->
+            if Hashtbl.mem seen (dedup_key r) then skipped := r :: !skipped
+            else begin
+              Hashtbl.replace seen (dedup_key r) ();
+              added := { r with id = Printf.sprintf "r%d" !next } :: !added;
+              incr next
+            end)
+          (load ~dir:src))
+      from;
+    { added = List.rev !added; skipped = List.rev !skipped }
+  in
+  if dry_run then plan ()
+  else begin
+    ensure_dir dir;
+    Atomic_io.with_lock ~path (fun () ->
+        let report = plan () in
+        if report.added <> [] then
+          Atomic_io.append_lines ~path (List.map to_line report.added);
+        report)
+  end
 
 let find ~dir wanted =
   let runs = load ~dir in

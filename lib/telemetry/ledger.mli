@@ -8,10 +8,17 @@
     [vliwsim runs diff] bit-compares two records' grids; the HTML report
     plots the cross-run trajectory from the same store.
 
-    The store is single-writer: appends rewrite the whole file through
-    {!Vliw_util.Atomic_io}, so readers never see a torn line, but two
-    concurrent appenders can lose one record. Malformed lines are
-    skipped on load rather than fatal. *)
+    Several processes may write one ledger at once: {!append}, {!merge}
+    and {!gc} each hold an fcntl lock on the sidecar [ledger.jsonl.lock]
+    ({!Vliw_util.Atomic_io.with_lock}). An append is O(record), one
+    O_APPEND write of a complete line, whatever the ledger's size. A
+    kill mid-append can leave a torn last line: {!load} skips it, like
+    any malformed line, and the next append starts on a fresh line.
+
+    Every writer keeps ids increasing in file order, so the last
+    complete line carries the highest id and {!append} reads the next id
+    from the tail alone (falling back to a full scan when that line has
+    no numeric id). *)
 
 type cell = {
   mix : string;
@@ -70,10 +77,10 @@ val make :
   wall_s:float ->
   unit ->
   run
-(** Build a record for the current moment: stamps the time, resolves the
-    git revision (["unknown"] outside a work tree), fingerprints the
-    configuration and derives retry/degraded stats from [cells] and the
-    counter snapshot. The id is empty until {!append} assigns one. *)
+(** Build a record for the current moment: stamps the time, records the
+    git revision (resolved once per process; ["unknown"] outside a work
+    tree), fingerprints the configuration and derives retry/degraded
+    stats from [cells] and the counter snapshot. The id is empty until {!append} assigns one. *)
 
 val fingerprint_of :
   ?policy:string ->
@@ -97,9 +104,10 @@ val mean_ipc : run -> float
 (** Mean over non-nan cells; nan if there are none. *)
 
 val append : dir:string -> run -> run
-(** Assign the next id (one past the highest numeric id on file, so ids
-    stay unique across {!gc} gaps), persist atomically (creating [dir]
-    if needed), and return the record with its id filled in. *)
+(** Under the ledger lock, assign the next id (one past the last
+    record's, which is the highest on file, so ids stay unique across
+    {!gc} gaps), append the record as one line (creating [dir] if
+    needed), and return it with its id filled in. *)
 
 type gc_report = { kept : run list; dropped : run list }
 (** Both in file order; surviving records keep their original ids. *)
@@ -109,7 +117,8 @@ val gc : ?dry_run:bool -> dir:string -> unit -> gc_report
     fingerprint, grid digest) pair, keep only the newest. Records with
     equal fingerprints but {e different} grid bits are never collapsed —
     they are drift evidence. With [dry_run] (default false) the file is
-    left untouched; otherwise the survivors are rewritten atomically
+    left untouched; otherwise the load and the atomic rewrite of the
+    survivors share one lock hold, so a concurrent append is never lost
     (a no-op when nothing was dropped). *)
 
 type merge_report = { added : run list; skipped : run list }
@@ -125,7 +134,8 @@ val merge :
     record of this merge — is skipped as an identical duplicate, while
     same-fingerprint records with different grid bits always merge
     (drift evidence). Added records keep their content verbatim but
-    get fresh target ids. With [dry_run] nothing is written. *)
+    get fresh target ids, assigned and appended in one lock hold. With
+    [dry_run] nothing is written. *)
 
 val load : dir:string -> run list
 (** All parseable records in file (= chronological) order; [] if the

@@ -21,6 +21,13 @@ let temp_path () =
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
+(* Temp files [Atomic_io.with_file] left beside [path], if any. *)
+let temp_residue path =
+  let prefix = Filename.basename path ^ "." in
+  Array.exists
+    (fun f -> String.starts_with ~prefix f && Filename.check_suffix f ".tmp")
+    (Sys.readdir (Filename.dirname path))
+
 (* --- Csv.atomically and quoting -------------------------------------- *)
 
 let test_atomic_write_success () =
@@ -30,8 +37,7 @@ let test_atomic_write_success () =
     (fun () ->
       Csv.write ~path ~header:[ "a"; "b" ] [ [ "1"; "2" ] ];
       Alcotest.(check string) "content" "a,b\n1,2\n" (read_file path);
-      Alcotest.(check bool) "no temp residue" false
-        (Sys.file_exists (path ^ ".tmp")))
+      Alcotest.(check bool) "no temp residue" false (temp_residue path))
 
 let test_atomic_write_failure_preserves_old () =
   let path = temp_path () in
@@ -47,8 +53,7 @@ let test_atomic_write_failure_preserves_old () =
               failwith "mid-write crash"));
       Alcotest.(check string)
         "destination untouched" "old\ndata\n" (read_file path);
-      Alcotest.(check bool) "temp file cleaned up" false
-        (Sys.file_exists (path ^ ".tmp")))
+      Alcotest.(check bool) "temp file cleaned up" false (temp_residue path))
 
 (* Full-text CSV parser (handles newlines inside quoted fields, unlike
    the line-based helper in Test_parallel) for the round-trip check. *)
