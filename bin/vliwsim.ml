@@ -1360,6 +1360,20 @@ let report_cmd =
 (* --- serve / submit -------------------------------------------------- *)
 
 module Service = Vliw_service
+module Wire = Vliw_util.Wire
+
+(* The endpoint a client command dials: --socket wins over --tcp. *)
+let client_endpoint cmd socket tcp =
+  match Wire.endpoints ~socket ~tcp with
+  | ep :: _ -> ep
+  | [] -> usage "%s: pass --socket PATH or --tcp PORT" cmd
+
+let connect_or_exit cmd endpoint =
+  try Wire.connect endpoint
+  with e ->
+    Printf.eprintf "%s: cannot connect to %s: %s\n%!" cmd
+      (Wire.endpoint_name endpoint) (Printexc.to_string e);
+    exit 1
 
 let socket_arg =
   Arg.(
@@ -1470,45 +1484,17 @@ let run_submit socket tcp op tag scale seed priority mixes schemes quiet
     | "shutdown" -> Service.Request.Shutdown
     | s -> usage "unknown op %S (submit|ping|stats|metrics|shutdown)" s
   in
-  let fd =
-    match (socket, tcp) with
-    | Some path, _ ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         Unix.close fd;
-         Printf.eprintf "submit: cannot connect to %s: %s\n%!" path
-           (Printexc.to_string e);
-         exit 1);
-      fd
-    | None, Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-       with e ->
-         Unix.close fd;
-         Printf.eprintf "submit: cannot connect to 127.0.0.1:%d: %s\n%!" port
-           (Printexc.to_string e);
-         exit 1);
-      fd
-    | None, None -> usage "submit: pass --socket PATH or --tcp PORT"
-  in
+  let fd = connect_or_exit "submit" (client_endpoint "submit" socket tcp) in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let t_send =
         match tracer with Some (c, _, _, _) -> Span.now c | None -> 0.0
       in
-      let line =
-        Vliw_util.Ndjson.line (Service.Request.to_json req)
-      in
-      let rec push off =
-        if off < String.length line then
-          push (off + Unix.write_substring fd line off (String.length line - off))
-      in
-      push 0;
+      Wire.write_line fd (Service.Request.to_json req);
       (* [submit] streams until its job's done/error reply; every other
          op completes on the first reply line. *)
-      let reader = Vliw_util.Ndjson.reader () in
+      let conn = Wire.conn fd in
       let module J = Vliw_util.Json in
       let reply_kind doc =
         match J.member "reply" doc with
@@ -1565,13 +1551,12 @@ let run_submit socket tcp op tag scale seed priority mixes schemes quiet
           if not quiet then print_string (Vliw_util.Ndjson.line doc);
           if op = "submit" then None else Some 0
       in
-      let buf = Bytes.create 4096 in
       let rec read_loop () =
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 ->
+        match Wire.read conn with
+        | Wire.Eof _ | Wire.Reset ->
           Printf.eprintf "submit: connection closed before the reply\n%!";
           1
-        | n ->
+        | Wire.Lines lines ->
           let rec consume = function
             | [] -> read_loop ()
             | Ok doc :: rest -> (
@@ -1581,8 +1566,7 @@ let run_submit socket tcp op tag scale seed priority mixes schemes quiet
                 (Vliw_util.Ndjson.error_message e);
               1
           in
-          consume
-            (Vliw_util.Ndjson.feed reader ~len:n (Bytes.unsafe_to_string buf))
+          consume lines
       in
       read_loop ())
 
@@ -1657,23 +1641,10 @@ let run_worker connect connect_tcp die_after_cells quiet log_level log_format
   let input, output =
     match (connect, connect_tcp) with
     | Some _, Some _ -> usage "worker: --connect and --connect-tcp conflict"
-    | Some path, None ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         Unix.close fd;
-         Printf.eprintf "worker: cannot connect to %s: %s\n%!" path
-           (Printexc.to_string e);
-         exit 1);
-      (fd, fd)
-    | None, Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-       with e ->
-         Unix.close fd;
-         Printf.eprintf "worker: cannot connect to 127.0.0.1:%d: %s\n%!" port
-           (Printexc.to_string e);
-         exit 1);
+    | Some _, None | None, Some _ ->
+      let fd =
+        connect_or_exit "worker" (client_endpoint "worker" connect connect_tcp)
+      in
       (fd, fd)
     | None, None -> (Unix.stdin, Unix.stdout)
   in
@@ -1982,59 +1953,28 @@ let dist_cmd =
    frame costs nothing; the dist coordinator answers a stats query and
    then drops the peer — so reconnecting each frame is the one shape
    that monitors both daemons. *)
-let poll_stats socket tcp =
-  let module J = Vliw_util.Json in
-  let connected =
-    match (socket, tcp) with
-    | Some path, _ ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd (Unix.ADDR_UNIX path);
-         Ok fd
-       with e ->
-         Unix.close fd;
-         Error (Printexc.to_string e))
-    | None, Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Ok fd
-       with e ->
-         Unix.close fd;
-         Error (Printexc.to_string e))
-    | None, None -> usage "top: pass --socket PATH or --tcp PORT"
-  in
-  match connected with
-  | Error e -> Error e
-  | Ok fd ->
+let poll_stats endpoint =
+  match Wire.connect endpoint with
+  | exception e -> Error (Printexc.to_string e)
+  | fd ->
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let line = Vliw_util.Ndjson.line (J.Obj [ ("op", J.Str "stats") ]) in
-        let rec push off =
-          if off < String.length line then
-            push
-              (off + Unix.write_substring fd line off (String.length line - off))
-        in
-        match push 0 with
-        | () -> (
-          let reader = Vliw_util.Ndjson.reader () in
-          let buf = Bytes.create 4096 in
+        match
+          Wire.write_line fd (Service.Request.to_json Service.Request.Stats)
+        with
+        | () ->
+          let conn = Wire.conn fd in
           let rec read_reply () =
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | 0 -> Error "connection closed before the stats reply"
-            | n -> (
-              match
-                Vliw_util.Ndjson.feed reader ~len:n (Bytes.unsafe_to_string buf)
-              with
-              | [] -> read_reply ()
-              | Ok doc :: _ -> Ok doc
-              | Error e :: _ -> Error (Vliw_util.Ndjson.error_message e))
-            | exception
-                Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              Error "connection reset"
+            match Wire.read conn with
+            | Wire.Lines [] -> read_reply ()
+            | Wire.Lines (Ok doc :: _) -> Ok doc
+            | Wire.Lines (Error e :: _) ->
+              Error (Vliw_util.Ndjson.error_message e)
+            | Wire.Eof _ -> Error "connection closed before the stats reply"
+            | Wire.Reset -> Error "connection reset"
           in
-          read_reply ())
+          read_reply ()
         | exception Unix.Unix_error (e, _, _) ->
           Error ("write failed: " ^ Unix.error_message e))
 
@@ -2150,12 +2090,8 @@ let render_top ~target ~history doc =
 
 let run_top socket tcp interval once =
   if interval <= 0.0 then usage "top: --interval must be positive";
-  let target =
-    match (socket, tcp) with
-    | Some path, _ -> path
-    | None, Some port -> Printf.sprintf "127.0.0.1:%d" port
-    | None, None -> usage "top: pass --socket PATH or --tcp PORT"
-  in
+  let endpoint = client_endpoint "top" socket tcp in
+  let target = Wire.endpoint_name endpoint in
   let cells_done counters_doc =
     let module J = Vliw_util.Json in
     match J.member "counters" counters_doc with
@@ -2174,7 +2110,7 @@ let run_top socket tcp interval once =
   let history = ref [] in
   let prev = ref None in
   let rec loop () =
-    match poll_stats socket tcp with
+    match poll_stats endpoint with
     | Error e ->
       if once then begin
         Printf.eprintf "top: %s\n%!" e;

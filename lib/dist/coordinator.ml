@@ -19,6 +19,7 @@
 
 module E = Vliw_experiments
 module Ndjson = Vliw_util.Ndjson
+module Wire = Vliw_util.Wire
 module J = Vliw_util.Json
 module Log = Vliw_util.Log
 module Span = Vliw_telemetry.Span
@@ -126,8 +127,7 @@ type wrk = {
   w_id : int;
   w_pid : int option;  (* None for attached transports *)
   w_in : Unix.file_descr;
-  w_out : Unix.file_descr;  (* = w_in for socket transports *)
-  w_reader : Ndjson.reader;
+  w_out : Wire.conn;  (* reads the same fd as [w_in] on socket transports *)
   mutable w_ready : bool;
   mutable w_shard : ishard option;
   mutable w_deadline : float;  (* infinity when idle or no timeout *)
@@ -176,8 +176,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     && cfg.listen_socket = None
     && cfg.listen_tcp = None
   then failwith "dist: no worker transport configured";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
+  Wire.ignore_sigpipe ();
   let stats = make_stats () in
   let scale_str = E.Common.scale_name scale in
   let grid_cells = Plan.cells_of_grid ~mix_names ~scheme_names in
@@ -363,14 +362,13 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
   let next_worker = ref 0 in
   let spawned_total = ref 0 in
   let respawn_budget = cfg.workers + 8 in
-  let add_worker ~pid ~fd_in ~fd_out =
+  let add_worker ~pid ~fd_in out =
     let w =
       {
         w_id = !next_worker;
         w_pid = pid;
         w_in = fd_in;
-        w_out = fd_out;
-        w_reader = Ndjson.reader ();
+        w_out = out;
         w_ready = false;
         w_shard = None;
         w_deadline = infinity;
@@ -384,6 +382,10 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     w
   in
   let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let close_transport w =
+    close_fd w.w_in;
+    if Wire.fd w.w_out <> w.w_in then close_fd (Wire.fd w.w_out)
+  in
   (* Quiet removal for peers that were never workers (stats monitors):
      no death is charged and nothing re-queues. *)
   let drop_peer (w : wrk) =
@@ -391,8 +393,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       w.w_closed <- true;
       Hashtbl.remove workers w.w_id;
       alive_workers := Hashtbl.length workers;
-      close_fd w.w_in;
-      if w.w_out <> w.w_in then close_fd w.w_out
+      close_transport w
     end
   in
   (* Close the open shard/dispatch spans of [w]'s current shard, whether
@@ -451,7 +452,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
         Unix.set_close_on_exec stdout_r;
         incr spawned_total;
         stats.workers_spawned <- stats.workers_spawned + 1;
-        let w = add_worker ~pid:(Some pid) ~fd_in:stdin_w ~fd_out:stdout_r in
+        let w = add_worker ~pid:(Some pid) ~fd_in:stdin_w (Wire.conn stdout_r) in
         Log.info cfg.log "worker spawned"
           [ ("worker", Log.I w.w_id); ("pid", Log.I pid) ];
         true
@@ -467,8 +468,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       w.w_closed <- true;
       Hashtbl.remove workers w.w_id;
       alive_workers := Hashtbl.length workers;
-      close_fd w.w_in;
-      if w.w_out <> w.w_in then close_fd w.w_out;
+      close_transport w;
       (match w.w_pid with
       | Some pid ->
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -528,19 +528,12 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
   in
   let send (w : wrk) msg =
     if w.w_closed then false
-    else begin
-      let line = Ndjson.line (Protocol.to_worker_to_json msg) in
-      let len = String.length line in
-      let rec push off =
-        if off < len then
-          push (off + Unix.write_substring w.w_in line off (len - off))
-      in
-      match push 0 with
+    else
+      match Wire.write_line w.w_in (Protocol.to_worker_to_json msg) with
       | () -> true
       | exception Unix.Unix_error _ ->
         worker_died "write failed" w;
         false
-    end
   in
   (* --- inbound messages ------------------------------------------------- *)
   let handle_cell_result (w : wrk) c_shard (r : Protocol.cell_result) =
@@ -679,17 +672,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
        ]
       @ latency)
   in
-  let reply_line (w : wrk) doc =
-    let line = Ndjson.line doc in
-    let len = String.length line in
-    try
-      let rec push off =
-        if off < len then
-          push (off + Unix.write_substring w.w_in line off (len - off))
-      in
-      push 0
-    with Unix.Unix_error _ -> ()
-  in
   let handle_msg (w : wrk) = function
     | Protocol.Ready _ ->
       if (not w.w_ready) && w.w_pid = None then
@@ -697,7 +679,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       w.w_ready <- true
     | Protocol.Query_stats ->
       (* a monitor, not a worker: answer and drop the connection *)
-      reply_line w (stats_json ());
+      (try Wire.write_line w.w_in (stats_json ()) with Unix.Unix_error _ -> ());
       drop_peer w
     | Protocol.Cell { c_shard; c_result } -> handle_cell_result w c_shard c_result
     | Protocol.Shard_done { d_shard; d_spans } -> (
@@ -725,12 +707,8 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       | _ -> ())
   in
   let read_worker (w : wrk) =
-    let buf = Bytes.create 65536 in
-    match Unix.read w.w_out buf 0 (Bytes.length buf) with
-    | 0 ->
-      ignore (Ndjson.close w.w_reader);
-      worker_died "eof" w
-    | n ->
+    match Wire.read w.w_out with
+    | Wire.Lines lines ->
       List.iter
         (fun line ->
           if not w.w_closed then
@@ -741,58 +719,35 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
               | Error e -> worker_died ("protocol error: " ^ e) w)
             | Error framing ->
               worker_died ("framing error: " ^ Ndjson.error_message framing) w)
-        (Ndjson.feed w.w_reader ~len:n (Bytes.unsafe_to_string buf))
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      worker_died "read failed" w
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        lines
+    (* a peer that hung up before greeting was never a worker (a
+       listener's liveness probe, say): no death is charged *)
+    | Wire.Eof _ when w.w_pid = None && not w.w_ready -> drop_peer w
+    | Wire.Eof _ -> worker_died "eof" w
+    | Wire.Reset -> worker_died "read failed" w
   in
-  (* --- listeners -------------------------------------------------------- *)
-  let listeners = ref [] in
-  Option.iter
-    (fun path ->
-      (match Unix.stat path with
-      | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let dir = Filename.dirname path in
-      if dir <> "." && not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.bind fd (Unix.ADDR_UNIX path);
-         Unix.listen fd 16
-       with e ->
-         Unix.close fd;
-         raise e);
-      listeners := fd :: !listeners;
-      Log.info cfg.log "listening" [ ("socket", Log.S path) ])
-    cfg.listen_socket;
-  Option.iter
-    (fun port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.listen fd 16
-       with e ->
-         Unix.close fd;
-         raise e);
-      listeners := fd :: !listeners;
-      Log.info cfg.log "listening"
-        [ ("tcp", Log.S (Printf.sprintf "127.0.0.1:%d" port)) ])
-    cfg.listen_tcp;
+  let listeners =
+    List.map
+      (fun ep ->
+        let fd = Wire.listen ep in
+        Log.info cfg.log "listening"
+          [ ("endpoint", Log.S (Wire.endpoint_name ep)) ];
+        (ep, fd))
+      (Wire.endpoints ~socket:cfg.listen_socket ~tcp:cfg.listen_tcp)
+  in
   (* An accepted peer may be a worker or a [vliwsim top] monitor; it is
      only counted as attached once it greets with Ready. *)
   let accept fd =
-    match Unix.accept fd with
-    | cfd, _addr ->
-      let w = add_worker ~pid:None ~fd_in:cfd ~fd_out:cfd in
+    match Wire.accept fd with
+    | Some conn ->
+      let w = add_worker ~pid:None ~fd_in:(Wire.fd conn) conn in
       Log.info cfg.log "peer attached" [ ("worker", Log.I w.w_id) ]
-    | exception Unix.Unix_error _ -> ()
+    | None -> ()
   in
   (* pre-connected transports join the fleet before the loop starts *)
   List.iter
     (fun fd ->
-      let w = add_worker ~pid:None ~fd_in:fd ~fd_out:fd in
+      let w = add_worker ~pid:None ~fd_in:fd (Wire.conn fd) in
       Log.info cfg.log "peer attached"
         [ ("worker", Log.I w.w_id); ("preconnected", Log.B true) ])
     cfg.attached;
@@ -865,21 +820,16 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     done
   in
   let stuck () =
-    !completed < total && Hashtbl.length workers = 0 && !listeners = []
+    !completed < total && Hashtbl.length workers = 0 && listeners = []
   in
   (* --- main loop -------------------------------------------------------- *)
   let cleanup () =
-    List.iter close_fd !listeners;
-    listeners := [];
-    Option.iter
-      (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
-      cfg.listen_socket;
+    List.iter (fun (ep, fd) -> Wire.close_listener ep fd) listeners;
     List.iter
       (fun w ->
         if not w.w_closed then begin
           w.w_closed <- true;
-          close_fd w.w_in;
-          if w.w_out <> w.w_in then close_fd w.w_out;
+          close_transport w;
           match w.w_pid with
           | Some pid ->
             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -899,22 +849,14 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
         if stuck () then
           failwith "dist: no workers available and none can be spawned";
         dispatch ();
-        let wfds = Hashtbl.fold (fun _ w acc -> w.w_out :: acc) workers [] in
-        (match Unix.select (!listeners @ wfds) [] [] 0.2 with
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              if List.mem fd !listeners then accept fd
-              else
-                match
-                  Hashtbl.fold
-                    (fun _ w acc -> if w.w_out = fd then Some w else acc)
-                    workers None
-                with
-                | Some w -> read_worker w
-                | None -> ())
-            ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+        List.iter
+          (function
+            | Wire.Accept fd -> accept fd
+            | Wire.Readable w -> if not w.w_closed then read_worker w)
+          (Wire.select
+             ~listeners:(List.map snd listeners)
+             ~timeout:0.2
+             (Hashtbl.fold (fun _ w acc -> (w.w_out, w) :: acc) workers []))
       done;
       (* orderly shutdown: Quit, close (EOF doubles as quit), reap *)
       List.iter
@@ -925,8 +867,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
           if send w Protocol.Quit then begin
             w.w_closed <- true;
             Hashtbl.remove workers w.w_id;
-            close_fd w.w_in;
-            if w.w_out <> w.w_in then close_fd w.w_out;
+            close_transport w;
             Option.iter reap w.w_pid
           end)
         (snapshot ()));

@@ -99,5 +99,6 @@ val run :
   result
 (** Defaults: the fig10 scheme set (every catalog scheme except "ST"),
     all Table 2 mixes, [seeds = [seed]], [seed = Common.default_seed].
-    Raises [Invalid_argument] on unknown mix/scheme names and [Failure]
-    when no transport can make progress. *)
+    Raises [Invalid_argument] on unknown mix/scheme names, [Failure]
+    when no transport can make progress, and [Unix.Unix_error] when a
+    listener cannot bind ({!Vliw_util.Wire.listen}). *)

@@ -1,5 +1,6 @@
 module E = Vliw_experiments
 module Ndjson = Vliw_util.Ndjson
+module Wire = Vliw_util.Wire
 module Log = Vliw_util.Log
 module Span = Vliw_telemetry.Span
 
@@ -9,16 +10,6 @@ exception Killed
    result lands — before reading a trailing Shard_done. A write into a
    closed transport is an orderly end of service, not a fault. *)
 exception Hangup
-
-let write_line fd doc =
-  let line = Ndjson.line doc in
-  let len = String.length line in
-  let rec push off =
-    if off < len then push (off + Unix.write_substring fd line off (len - off))
-  in
-  try push 0
-  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-    raise Hangup
 
 (* Span ids must be deterministic per (seed, shard) so a traced rerun
    produces the same tree; only the timestamps come from [clock]. *)
@@ -77,7 +68,11 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
     E.Sweep.simulate_prepared pr column
   in
   let completed = ref 0 in
-  let emit msg = write_line output (Protocol.from_worker_to_json msg) in
+  let emit msg =
+    try Wire.write_line output (Protocol.from_worker_to_json msg)
+    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+      raise Hangup
+  in
   let run_cell ~shard ~scale ~seed (c : Plan.cell_spec) =
     let t0 = Unix.gettimeofday () in
     let result =
@@ -139,15 +134,15 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
       emit (Protocol.Shard_done { d_shard = a.a_shard; d_spans });
       true
   in
+  Wire.ignore_sigpipe ();
   try
     emit (Protocol.Ready { pid = Unix.getpid () });
-    let reader = Ndjson.reader () in
-    let buf = Bytes.create 65536 in
+    let conn = Wire.conn input in
     let running = ref true in
     while !running do
-      match Unix.read input buf 0 (Bytes.length buf) with
-      | 0 -> running := false (* coordinator gone: orderly exit *)
-      | n ->
+      match Wire.read conn with
+      | Wire.Eof _ | Wire.Reset -> running := false (* coordinator gone *)
+      | Wire.Lines lines ->
         List.iter
           (fun line ->
             match line with
@@ -161,9 +156,6 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
               Log.error log "framing error"
                 [ ("err", Log.S (Ndjson.error_message framing)) ];
               running := false)
-          (Ndjson.feed reader ~len:n (Bytes.unsafe_to_string buf))
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        running := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          lines
     done
   with Hangup -> Log.info log "coordinator closed the transport: orderly exit" []

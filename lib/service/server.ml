@@ -25,6 +25,7 @@
 
 module J = Vliw_util.Json
 module Ndjson = Vliw_util.Ndjson
+module Wire = Vliw_util.Wire
 module Log = Vliw_util.Log
 module E = Vliw_experiments
 module Ledger = Vliw_telemetry.Ledger
@@ -66,93 +67,6 @@ let default_config =
     trace_out = None;
   }
 
-(* --- service counters -------------------------------------------------- *)
-
-(* Process-global so [metrics_exposition] can be scraped without a
-   handle on the running loop; [run] resets them on entry (one daemon
-   per process is the deployment shape, and sequential test servers
-   want fresh numbers). *)
-type stats = {
-  mutable requests : int;
-  mutable rejected : int;
-  mutable submits : int;
-  mutable jobs_completed : int;
-  mutable cells_cached : int;
-  mutable cells_simulated : int;
-  mutable cells_degraded : int;
-  mutable cache_preloaded : int;
-  mutable clients_accepted : int;
-  (* gauges, refreshed by the loop *)
-  mutable queue_depth : int;
-  mutable clients_now : int;
-  mutable cache_cells : int;
-}
-
-let stats =
-  {
-    requests = 0;
-    rejected = 0;
-    submits = 0;
-    jobs_completed = 0;
-    cells_cached = 0;
-    cells_simulated = 0;
-    cells_degraded = 0;
-    cache_preloaded = 0;
-    clients_accepted = 0;
-    queue_depth = 0;
-    clients_now = 0;
-    cache_cells = 0;
-  }
-
-(* Span latencies observed into per-kind histograms; process-global for
-   the same scrape-without-a-handle reason as [stats]. *)
-let span_registry = ref (Counters.create ())
-
-let reset_stats () =
-  stats.requests <- 0;
-  stats.rejected <- 0;
-  stats.submits <- 0;
-  stats.jobs_completed <- 0;
-  stats.cells_cached <- 0;
-  stats.cells_simulated <- 0;
-  stats.cells_degraded <- 0;
-  stats.cache_preloaded <- 0;
-  stats.clients_accepted <- 0;
-  stats.queue_depth <- 0;
-  stats.clients_now <- 0;
-  stats.cache_cells <- 0;
-  span_registry := Counters.create ()
-
-let counters_list () =
-  [
-    ("service.cache.preloaded", stats.cache_preloaded);
-    ("service.cells.cached", stats.cells_cached);
-    ("service.cells.degraded", stats.cells_degraded);
-    ("service.cells.simulated", stats.cells_simulated);
-    ("service.clients.accepted", stats.clients_accepted);
-    ("service.jobs.completed", stats.jobs_completed);
-    ("service.requests", stats.requests);
-    ("service.requests.rejected", stats.rejected);
-    ("service.submits", stats.submits);
-  ]
-
-let gauges_list () =
-  [
-    ("service.cache.cells", float_of_int stats.cache_cells);
-    ("service.clients", float_of_int stats.clients_now);
-    ("service.queue.depth", float_of_int stats.queue_depth);
-  ]
-
-let metrics_exposition () =
-  Vliw_telemetry.Openmetrics.render
-    ~labels:[ ("component", "service") ]
-    ~snapshot:
-      {
-        Counters.counters = counters_list ();
-        histograms = (Counters.snapshot !span_registry).Counters.histograms;
-      }
-    ~gauges:(gauges_list ()) ()
-
 (* --- jobs -------------------------------------------------------------- *)
 
 type slot_result = {
@@ -193,8 +107,7 @@ type job = {
 
 type client = {
   c_id : int;
-  c_fd : Unix.file_descr;
-  c_reader : Ndjson.reader;
+  c_conn : Wire.conn;
   mutable c_inflight : int;
   mutable c_requests : int;
   mutable c_closed : bool;
@@ -209,16 +122,28 @@ let with_fields extra = function
 let run cfg =
   if cfg.socket_path = None && cfg.tcp_port = None then
     invalid_arg "Server.run: no listener configured (socket or tcp)";
-  reset_stats ();
+  (* Counters belong to this run, so daemons sharing a process keep
+     separate numbers. All are created up front: a fresh exposition
+     lists each one at zero. *)
+  let registry = Counters.create () in
+  let counter name = Counters.counter registry ("service." ^ name) in
+  let requests = counter "requests" in
+  let rejected = counter "requests.rejected" in
+  let submits = counter "submits" in
+  let jobs_completed = counter "jobs.completed" in
+  let cells_cached = counter "cells.cached" in
+  let cells_simulated = counter "cells.simulated" in
+  let cells_degraded = counter "cells.degraded" in
+  let cache_preloaded = counter "cache.preloaded" in
+  let clients_accepted = counter "clients.accepted" in
   let effective_jobs =
     if cfg.jobs <= 0 then Vliw_util.Pool.auto_jobs () else cfg.jobs
   in
   let cache = Cache.create () in
-  stats.cache_preloaded <- Cache.preload cache ~dir:cfg.runs_dir;
-  stats.cache_cells <- Cache.size cache;
+  Counters.add cache_preloaded (Cache.preload cache ~dir:cfg.runs_dir);
   Log.info cfg.log "cache preloaded"
     [
-      ("cells", Log.I stats.cache_preloaded);
+      ("cells", Log.I (Counters.value cache_preloaded));
       ("ledger", Log.S (Ledger.ledger_path ~dir:cfg.runs_dir));
     ];
   (* The collector always exists (per-request tracing works even on an
@@ -260,59 +185,29 @@ let run cfg =
     Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle drain)
   end;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  (* listeners *)
-  let listeners = ref [] in
-  let add_listener fd = listeners := fd :: !listeners in
-  Option.iter
-    (fun path ->
-      (match Unix.stat path with
-      | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let dir = Filename.dirname path in
-      if dir <> "." && not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.bind fd (Unix.ADDR_UNIX path);
-         Unix.listen fd 16
-       with e ->
-         Unix.close fd;
-         raise e);
-      add_listener fd;
-      Log.info cfg.log "listening" [ ("socket", Log.S path) ])
-    cfg.socket_path;
-  Option.iter
-    (fun port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.listen fd 16
-       with e ->
-         Unix.close fd;
-         raise e);
-      add_listener fd;
-      Log.info cfg.log "listening"
-        [ ("tcp", Log.S (Printf.sprintf "127.0.0.1:%d" port)) ])
-    cfg.tcp_port;
+  Wire.ignore_sigpipe ();
   (* client and job state *)
   let clients : (int, client) Hashtbl.t = Hashtbl.create 16 in
   let next_client = ref 0 in
   let next_job = ref 0 in
   let next_arrival = ref 0 in
   let queue : job list ref = ref [] in
-  let refresh_gauges () =
-    stats.queue_depth <- List.length !queue;
-    stats.clients_now <- Hashtbl.length clients;
-    stats.cache_cells <- Cache.size cache
+  let exposition () =
+    Vliw_telemetry.Openmetrics.render
+      ~labels:[ ("component", "service") ]
+      ~snapshot:(Counters.snapshot registry)
+      ~gauges:
+        [
+          ("service.cache.cells", float_of_int (Cache.size cache));
+          ("service.clients", float_of_int (Hashtbl.length clients));
+          ("service.queue.depth", float_of_int (List.length !queue));
+        ]
+      ()
   in
   let write_metrics () =
     Option.iter
       (fun path ->
-        refresh_gauges ();
-        try Vliw_util.Atomic_io.write_file ~path (metrics_exposition ())
+        try Vliw_util.Atomic_io.write_file ~path (exposition ())
         with e ->
           Log.warn cfg.log "could not write metrics"
             [ ("path", Log.S path); ("err", Log.S (Printexc.to_string e)) ])
@@ -322,24 +217,15 @@ let run cfg =
     if not c.c_closed then begin
       c.c_closed <- true;
       Hashtbl.remove clients c.c_id;
-      try Unix.close c.c_fd with Unix.Unix_error _ -> ()
+      try Unix.close (Wire.fd c.c_conn) with Unix.Unix_error _ -> ()
     end
   in
   let send c doc =
-    if not c.c_closed then begin
-      let line = Ndjson.line doc in
-      let len = String.length line in
-      let rec push off =
-        if off < len then begin
-          let n = Unix.write_substring c.c_fd line off (len - off) in
-          push (off + n)
-        end
-      in
-      try push 0
+    if not c.c_closed then
+      try Wire.write_line (Wire.fd c.c_conn) doc
       with Unix.Unix_error _ ->
         (* peer gone mid-write: drop the client, keep its jobs *)
         close_client c
-    end
   in
   let send_to_client_id id doc =
     match Hashtbl.find_opt clients id with
@@ -347,7 +233,7 @@ let run cfg =
     | None -> ()
   in
   let send_error c ?job msg =
-    stats.rejected <- stats.rejected + 1;
+    Counters.incr rejected;
     send c
       (J.Obj
          (("reply", J.Str "error")
@@ -389,15 +275,15 @@ let run cfg =
     job.j_remaining <- job.j_remaining - 1;
     if r.r_cached then begin
       job.j_cached <- job.j_cached + 1;
-      stats.cells_cached <- stats.cells_cached + 1
+      Counters.incr cells_cached
     end
     else if r.r_error <> None then begin
       job.j_degraded <- job.j_degraded + 1;
-      stats.cells_degraded <- stats.cells_degraded + 1
+      Counters.incr cells_degraded
     end
     else begin
       job.j_simulated <- job.j_simulated + 1;
-      stats.cells_simulated <- stats.cells_simulated + 1;
+      Counters.incr cells_simulated;
       let mix, scheme = job.j_slots.(idx) in
       Cache.add cache
         ~key:
@@ -408,7 +294,6 @@ let run cfg =
     end;
     emit_cell job idx r
   in
-  let completed_jobs = ref 0 in
   let finalize job =
     let wall_s = Unix.gettimeofday () -. job.j_t0 in
     let cells =
@@ -496,7 +381,7 @@ let run cfg =
       in
       Span.add tracer sp;
       job.j_spans <- sp :: job.j_spans;
-      Span.observe_histograms !span_registry (List.rev job.j_spans));
+      Span.observe_histograms registry (List.rev job.j_spans));
     emit_event job
       (E.Sweep.Sweep_finished
          {
@@ -531,8 +416,7 @@ let run cfg =
     (match Hashtbl.find_opt clients job.j_client with
     | Some c -> c.c_inflight <- max 0 (c.c_inflight - 1)
     | None -> ());
-    stats.jobs_completed <- stats.jobs_completed + 1;
-    incr completed_jobs;
+    Counters.incr jobs_completed;
     Log.debug cfg.log "job done"
       [
         ("job", Log.S job.j_id);
@@ -542,7 +426,7 @@ let run cfg =
         ("wall_s", Log.F wall_s);
       ];
     (match cfg.max_jobs with
-    | Some n when !completed_jobs >= n ->
+    | Some n when Counters.value jobs_completed >= n ->
       Log.info cfg.log "max-jobs reached; draining" [ ("max_jobs", Log.I n) ];
       draining := true
     | _ -> ());
@@ -586,7 +470,7 @@ let run cfg =
         else begin
           incr next_job;
           incr next_arrival;
-          stats.submits <- stats.submits + 1;
+          Counters.incr submits;
           let slots =
             Array.of_list
               (List.concat_map
@@ -704,7 +588,7 @@ let run cfg =
         end)
   in
   let handle_request c req =
-    stats.requests <- stats.requests + 1;
+    Counters.incr requests;
     c.c_requests <- c.c_requests + 1;
     if c.c_requests > cfg.max_requests then begin
       send_error c
@@ -716,7 +600,6 @@ let run cfg =
       match req with
       | Request.Ping -> send c (J.Obj [ ("reply", J.Str "pong") ])
       | Request.Stats ->
-        refresh_gauges ();
         let inflight =
           Hashtbl.fold
             (fun _ cl acc ->
@@ -741,25 +624,24 @@ let run cfg =
              ([
                 ("reply", J.Str "stats");
                 ("kind", J.Str "service");
-                ("queue_depth", J.Num (float_of_int stats.queue_depth));
-                ("cache_cells", J.Num (float_of_int stats.cache_cells));
-                ("clients", J.Num (float_of_int stats.clients_now));
+                ("queue_depth", J.Num (float_of_int (List.length !queue)));
+                ("cache_cells", J.Num (float_of_int (Cache.size cache)));
+                ("clients", J.Num (float_of_int (Hashtbl.length clients)));
                 ("draining", J.Bool !draining);
                 ("inflight", J.List inflight);
                 ( "counters",
                   J.Obj
                     (List.map
                        (fun (k, v) -> (k, J.Num (float_of_int v)))
-                       (counters_list ())) );
+                       (Counters.snapshot registry).Counters.counters) );
               ]
              @ latency))
       | Request.Metrics ->
-        refresh_gauges ();
         send c
           (J.Obj
              [
                ("reply", J.Str "metrics");
-               ("exposition", J.Str (metrics_exposition ()));
+               ("exposition", J.Str (exposition ()));
              ])
       | Request.Shutdown ->
         draining := true;
@@ -774,43 +656,35 @@ let run cfg =
       match Request.of_json doc with
       | Ok req -> handle_request c req
       | Error msg ->
-        stats.requests <- stats.requests + 1;
+        Counters.incr requests;
         send_error c msg)
     | Error framing ->
-      stats.requests <- stats.requests + 1;
+      Counters.incr requests;
       send_error c (Ndjson.error_message framing)
   in
   let read_client c =
-    let buf = Bytes.create 4096 in
-    match Unix.read c.c_fd buf 0 (Bytes.length buf) with
-    | 0 ->
-      (* orderly EOF; an unterminated trailing line is a peer bug but
-         there is no one left to tell *)
-      ignore (Ndjson.close c.c_reader);
+    match Wire.read c.c_conn with
+    | Wire.Lines lines -> List.iter (handle_line c) lines
+    | Wire.Eof _ | Wire.Reset ->
+      (* an unterminated trailing line is a peer bug, but there is no
+         one left to tell *)
       close_client c
-    | n ->
-      List.iter (handle_line c)
-        (Ndjson.feed c.c_reader ~len:n (Bytes.unsafe_to_string buf))
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      close_client c
-    | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
   in
   let accept fd =
-    match Unix.accept fd with
-    | client_fd, _addr ->
+    match Wire.accept ~max_line_bytes:cfg.max_line_bytes fd with
+    | Some conn ->
       incr next_client;
-      stats.clients_accepted <- stats.clients_accepted + 1;
+      Counters.incr clients_accepted;
       Log.debug cfg.log "client accepted" [ ("client", Log.I !next_client) ];
       Hashtbl.replace clients !next_client
         {
           c_id = !next_client;
-          c_fd = client_fd;
-          c_reader = Ndjson.reader ~max_line_bytes:cfg.max_line_bytes ();
+          c_conn = conn;
           c_inflight = 0;
           c_requests = 0;
           c_closed = false;
         }
-    | exception Unix.Unix_error _ -> ()
+    | None -> ()
   in
   (* --- one batch of cold cells ----------------------------------------- *)
   let run_batch () =
@@ -900,41 +774,38 @@ let run cfg =
       touched
   in
   (* --- main loop -------------------------------------------------------- *)
-  write_metrics ();
+  let listeners = ref [] in
   let cleanup () =
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-    Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ())
+    List.iter (fun (ep, fd) -> Wire.close_listener ep fd) !listeners;
+    Hashtbl.iter
+      (fun _ c -> try Unix.close (Wire.fd c.c_conn) with Unix.Unix_error _ -> ())
       clients;
-    Hashtbl.reset clients;
-    Option.iter
-      (fun path -> try Unix.unlink path with Unix.Unix_error _ -> ())
-      cfg.socket_path
+    Hashtbl.reset clients
   in
   Fun.protect ~finally:cleanup (fun () ->
+      (* A listener that fails (a live daemon owns the socket path)
+         raises before it joins [listeners], so cleanup never unlinks a
+         path this daemon did not bind. *)
+      List.iter
+        (fun ep ->
+          listeners := (ep, Wire.listen ep) :: !listeners;
+          Log.info cfg.log "listening"
+            [ ("endpoint", Log.S (Wire.endpoint_name ep)) ])
+        (Wire.endpoints ~socket:cfg.socket_path ~tcp:cfg.tcp_port);
+      write_metrics ();
       let finished () = !draining && !queue = [] in
       while not (finished ()) do
-        let client_fds =
-          Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) clients []
+        let ready =
+          Wire.select
+            ~listeners:(if !draining then [] else List.map snd !listeners)
+            ~timeout:(if !queue <> [] then 0.0 else 0.2)
+            (Hashtbl.fold (fun _ c acc -> (c.c_conn, c) :: acc) clients [])
         in
-        let watch =
-          (if !draining then [] else !listeners) @ client_fds
-        in
-        let timeout = if !queue <> [] then 0.0 else 0.2 in
-        (match Unix.select watch [] [] timeout with
-        | ready, _, _ ->
-          List.iter
-            (fun fd ->
-              if List.mem fd !listeners then accept fd
-              else
-                match
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.c_fd = fd then Some c else acc)
-                    clients None
-                with
-                | Some c -> read_client c
-                | None -> ())
-            ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        List.iter
+          (function
+            | Wire.Accept fd -> accept fd
+            | Wire.Readable c -> if not c.c_closed then read_client c)
+          ready;
         if !queue <> [] then run_batch ()
       done;
       write_metrics ();
@@ -950,7 +821,7 @@ let run cfg =
         cfg.trace_out;
       Log.info cfg.log "shutdown"
         [
-          ("jobs", Log.I stats.jobs_completed);
-          ("cached", Log.I stats.cells_cached);
-          ("simulated", Log.I stats.cells_simulated);
+          ("jobs", Log.I (Counters.value jobs_completed));
+          ("cached", Log.I (Counters.value cells_cached));
+          ("simulated", Log.I (Counters.value cells_simulated));
         ])

@@ -65,12 +65,10 @@ val default_config : config
     [jobs = 1], 1 MiB lines, 4 in-flight jobs and 10000 requests per
     client, no signal handling, silent log. *)
 
-val metrics_exposition : unit -> string
-(** OpenMetrics exposition of the current process's service counters —
-    what the [metrics] op and [metrics_out] emit. Meaningful while (or
-    after) {!run} executes; before that it is an all-zero exposition. *)
-
 val run : config -> unit
 (** Run the daemon until graceful shutdown. Raises [Invalid_argument]
     when no listener is configured, and [Unix.Unix_error] when binding
-    fails. *)
+    fails — [EADDRINUSE] when a live daemon already answers on
+    [socket_path] ({!Vliw_util.Wire.listen}). Counters and gauges
+    belong to this run: two daemons in one process keep separate
+    numbers. *)

@@ -298,6 +298,23 @@ let read_messages fd stop =
   in
   loop []
 
+(* A coordinator that hangs up before the worker writes (here before
+   its Ready greeting; in a sweep, before a trailing Shard_done) ends
+   the worker process cleanly instead of killing it with SIGPIPE. *)
+let test_worker_hangup_exit () =
+  let ours, theirs =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  let exe = "../bin/vliwsim.exe" in
+  let pid =
+    Unix.create_process exe [| exe; "worker"; "--quiet" |] theirs theirs
+      Unix.stderr
+  in
+  Unix.close theirs;
+  Unix.close ours;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "worker exits 0" true (status = Unix.WEXITED 0)
+
 let test_worker_serve () =
   let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let worker =
@@ -778,6 +795,8 @@ let suite =
         test_worker_serve;
       Alcotest.test_case "worker: bad cells error, loop survives" `Quick
         test_worker_bad_cell;
+      Alcotest.test_case "worker: coordinator hang-up exits 0" `Quick
+        test_worker_hangup_exit;
       QCheck_alcotest.to_alcotest test_coordinator_bit_identity;
       Alcotest.test_case "coordinator: survives a worker death" `Quick
         test_coordinator_worker_death;

@@ -29,5 +29,6 @@ let () =
       Test_observability.suite;
       Test_service.suite;
       Test_dist.suite;
+      Test_wire.suite;
       Test_cli.suite;
     ]

@@ -104,9 +104,9 @@ let test_request_defaults () =
       ({|{"op":"submit","mixes":[1]}|}, "non-string mix entry");
     ]
 
-(* Round-trip property: any request encodes to JSON and decodes back to
-   itself. Strings are arbitrary bytes — the JSON layer owns escaping. *)
-let test_request_roundtrip =
+(* Any request; strings are arbitrary bytes — the JSON layer owns
+   escaping. Also the seed corpus of the wire fuzzer (Test_wire). *)
+let request_gen =
   let gen_submit =
     QCheck.Gen.(
       let* tag = string_size (int_bound 12) in
@@ -124,15 +124,19 @@ let test_request_roundtrip =
       return
         (Request.Submit { tag; scale; seed; priority; mixes; schemes; trace }))
   in
-  let gen =
-    QCheck.Gen.(
-      frequency
-        [
-          (4, gen_submit);
-          (1, oneofl [ Request.Ping; Request.Stats; Request.Metrics; Request.Shutdown ]);
-        ])
+  QCheck.Gen.(
+    frequency
+      [
+        (4, gen_submit);
+        (1, oneofl [ Request.Ping; Request.Stats; Request.Metrics; Request.Shutdown ]);
+      ])
+
+(* Round-trip property: any request encodes to JSON and decodes back to
+   itself. *)
+let test_request_roundtrip =
+  let arb =
+    QCheck.make ~print:(fun r -> J.to_string (Request.to_json r)) request_gen
   in
-  let arb = QCheck.make ~print:(fun r -> J.to_string (Request.to_json r)) gen in
   QCheck.Test.make ~count:200 ~name:"service: request <-> JSON round-trip" arb
     (fun req ->
       match Request.of_line (J.to_string (Request.to_json req)) with
@@ -753,6 +757,78 @@ let test_traced_oversized_request () =
       (root.Span.parent = Some croot)
   | rs -> Alcotest.failf "expected one submit root, found %d" (List.length rs)
 
+(* --- daemon instances ---------------------------------------------------- *)
+
+let spawn_daemon ~socket ~runs_dir =
+  Domain.spawn (fun () ->
+      Server.run
+        { Server.default_config with socket_path = Some socket; runs_dir })
+
+let reply kind d = if member_str "reply" d = Some kind then Some d else None
+
+let request fd req kind =
+  send_line fd (Request.to_json req);
+  fst (read_until fd (reply kind))
+
+let shutdown_daemon socket server =
+  let fd = connect socket in
+  ignore (request fd Request.Shutdown "shutting_down");
+  Unix.close fd;
+  Domain.join server
+
+let submits_counter socket =
+  let fd = connect socket in
+  let s = request fd Request.Stats "stats" in
+  Unix.close fd;
+  Option.bind (J.member "counters" s) (member_num "service.submits")
+
+(* Counters belong to one run: a daemon started later in the same
+   process begins at zero and leaves the first daemon's numbers alone. *)
+let test_daemon_counters_per_instance () =
+  let dir = temp_dir () in
+  let sock_a = Filename.concat dir "a.sock" in
+  let sock_b = Filename.concat dir "b.sock" in
+  let a = spawn_daemon ~socket:sock_a ~runs_dir:(Filename.concat dir "runs_a") in
+  let fd = connect sock_a in
+  send_line fd (submit_json ~seed:5L ~tag:"a" ());
+  ignore (read_until fd done_reply);
+  Unix.close fd;
+  let b = spawn_daemon ~socket:sock_b ~runs_dir:(Filename.concat dir "runs_b") in
+  let fd = connect sock_b in
+  ignore (request fd Request.Ping "pong");
+  Unix.close fd;
+  Alcotest.(check (option (float 0.0))) "A keeps its submit" (Some 1.0)
+    (submits_counter sock_a);
+  Alcotest.(check (option (float 0.0))) "B starts from zero" (Some 0.0)
+    (submits_counter sock_b);
+  shutdown_daemon sock_a a;
+  shutdown_daemon sock_b b
+
+(* A second daemon on a live socket path fails to start instead of
+   taking the path; the first keeps serving and still cleans up. *)
+let test_daemon_keeps_live_socket () =
+  let dir = temp_dir () in
+  let socket = Filename.concat dir "svc.sock" in
+  let a = spawn_daemon ~socket ~runs_dir:(Filename.concat dir "runs_a") in
+  let fd = connect socket in
+  ignore (request fd Request.Ping "pong");
+  Unix.close fd;
+  (match
+     Server.run
+       {
+         Server.default_config with
+         socket_path = Some socket;
+         runs_dir = Filename.concat dir "runs_b";
+       }
+   with
+  | () -> Alcotest.fail "second daemon started on a live socket path"
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+  let fd = connect socket in
+  ignore (request fd Request.Ping "pong");
+  Unix.close fd;
+  shutdown_daemon socket a;
+  Alcotest.(check bool) "socket unlinked at shutdown" false (Sys.file_exists socket)
+
 let suite =
   ( "service",
     [
@@ -778,4 +854,8 @@ let suite =
       QCheck_alcotest.to_alcotest test_tracing_observation_only;
       Alcotest.test_case "daemon: oversized traced request poisoned" `Quick
         test_traced_oversized_request;
+      Alcotest.test_case "daemon: counters are per instance" `Quick
+        test_daemon_counters_per_instance;
+      Alcotest.test_case "daemon: a live socket path is not taken" `Quick
+        test_daemon_keeps_live_socket;
     ] )
