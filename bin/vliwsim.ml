@@ -258,26 +258,6 @@ let event_logger ~quiet log_json =
     let oc = open_out path in
     (Some (E.Sweep.json_logger oc), fun () -> close_out oc)
 
-(* After any run that forced the shared sweep: surface degraded cells
-   (retry budget exhausted, rendered "n/a") on stderr so a clean-looking
-   table never hides them. *)
-let warn_degraded ctx =
-  if Lazy.is_val ctx.E.Registry.fig10 then begin
-    let cells = (Lazy.force ctx.E.Registry.fig10).E.Fig10.cells in
-    match E.Sweep.degraded cells with
-    | [] -> ()
-    | ds ->
-      Printf.eprintf "warning: %d sweep cell(s) degraded to n/a:\n"
-        (List.length ds);
-      List.iter
-        (fun (c : E.Sweep.cell) ->
-          Printf.eprintf "  %s/%s after %d attempt(s): %s\n" c.mix c.scheme
-            c.attempts
-            (Option.value ~default:"unknown error" c.error))
-        ds;
-      prerr_string "%!"
-  end
-
 let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
     checkpoint resume no_ledger runs_dir metrics_out log_json workers
     replicates name =
@@ -287,6 +267,9 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
   if workers < 0 then usage "--workers must be non-negative";
   if replicates < 0 then usage "--replicates must be non-negative";
   let on_event, close_log = event_logger ~quiet log_json in
+  (* Every sweep of the command reports here, so a degraded cell in any
+     table is named on stderr and fails the exit status. *)
+  let on_event, degraded_warning = E.Sweep.watch_degraded on_event in
   let t0 = Unix.gettimeofday () in
   let note msg = Printf.eprintf "note: %s\n%!" msg in
   (* --workers N swaps the shared sweep's execution engine for the
@@ -306,7 +289,7 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
         (if quiet then Log.null
          else
            Log.make ~component:"dist" (fun l -> Printf.eprintf "%s\n%!" l));
-      on_event;
+      on_event = Some on_event;
     }
   in
   let grid_exec =
@@ -349,7 +332,7 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
   let ctx =
     E.Registry.make_ctx ~scale ~seed ~jobs
       ?progress:(progress_reporter ~quiet ())
-      ~telemetry ~max_retries ?checkpoint ~resume ~log:note ?on_event
+      ~telemetry ~max_retries ?checkpoint ~resume ~log:note ~on_event
       ?replicate_seeds ?replicate_exec ?grid_exec ()
   in
   (* Ledger export of the last experiment that defined one (e.g.
@@ -389,7 +372,8 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
       print_string (Vliw_telemetry.Report.render snap);
       export_csv csv_dir "telemetry.csv" (E.Sweep.telemetry_csv cells)
   end;
-  warn_degraded ctx;
+  let degraded = degraded_warning () in
+  Option.iter (fun w -> prerr_string w; flush stderr) degraded;
   if name <> "list" then begin
     let wall_s = Unix.gettimeofday () -. t0 in
     let cells, scheme_names, mix_names, gauges, policy, info_counters =
@@ -427,7 +411,7 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
             ~scale:(E.Common.scale_name scale) ~seed ~jobs ~scheme_names
             ~mix_names ~wall_s ()))
   end;
-  0
+  if degraded = None then 0 else 1
 
 let exp_cmd =
   let name_arg =
@@ -465,7 +449,8 @@ let exp_cmd =
           ~doc:
             "Retry a failing sweep cell up to $(docv) times before \
              recording it as degraded (n/a) instead of aborting the \
-             sweep. Retries cannot change results: cells are pure \
+             sweep; degraded cells are listed on stderr and the command \
+             exits 1. Retries cannot change results: cells are pure \
              functions of their seeds.")
   in
   let checkpoint_arg =
@@ -1756,7 +1741,7 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
             ~mix_names:result.d_mix_names cells ))
       result.d_grids
   in
-  (* Surface degraded cells exactly like `exp` does. *)
+  (* Surface degraded cells on stderr, as `exp` does. *)
   List.iter
     (fun (s, cells) ->
       match E.Sweep.degraded cells with

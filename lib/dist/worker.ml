@@ -23,7 +23,7 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
      wholesale flush, no eviction order needed. Per-invocation, so
      in-process test workers running as sibling domains never share
      mutable state. *)
-  let prepared_cache : (string * int64 * string, E.Sweep.prepared_row) Hashtbl.t
+  let prepared_cache : (string * int64 * string, E.Sweep.row) Hashtbl.t
       =
     Hashtbl.create 64
   in

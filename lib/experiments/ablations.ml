@@ -27,44 +27,43 @@ let variants =
 
 type row = { variant : string; ipc_by_scheme : (string * float) list }
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(schemes = [ "3CCC"; "2SC3"; "3SSS" ]) ?(mixes = [ "LLLL"; "LLHH"; "HHHH" ]) () =
+(* One row per mix; one column per (variant, scheme), each applying its
+   variant's knobs to the scheme's configuration. *)
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event ?(schemes = [ "3CCC"; "2SC3"; "3SSS" ])
+    ?(mixes = [ "LLLL"; "LLHH"; "HHHH" ]) () =
   let schedule = Common.schedule_of_scale scale in
-  let machine = Vliw_isa.Machine.default in
-  (* Compile each mix once; all variants and schemes share the code. *)
-  let programs_of_mix =
+  let rows =
     List.map
-      (fun mix_name ->
-        let mix = Vliw_workloads.Mixes.find_exn mix_name in
-        let rng = Vliw_util.Rng.create (Int64.add seed 0x9E37L) in
-        List.map
-          (fun p ->
-            Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng)
-              machine p)
-          mix.members)
+      (fun mix ->
+        Sweep.row ~schedule ~compile_seed:seed ~seed mix
+          (Vliw_workloads.Mixes.find_exn mix).members)
       mixes
+  in
+  let name v scheme = v.label ^ "/" ^ scheme in
+  let column v scheme =
+    Sweep.column
+      ~config:(fun c ->
+        {
+          c with
+          Vliw_sim.Config.rotate_priority = v.rotate_priority;
+          stall_on_dmiss = v.stall_on_dmiss;
+          routing = v.routing;
+        })
+      (name v scheme) (Vliw_merge.Catalog.find_exn scheme).scheme
+  in
+  let grid =
+    Sweep.run ~scale ~seed ~rows
+      ~columns:(List.concat_map (fun v -> List.map (column v) schemes) variants)
+      ?jobs ?progress ?max_retries ?on_event ()
   in
   List.map
     (fun v ->
-      let ipc_by_scheme =
-        List.map
-          (fun scheme_name ->
-            let entry = Vliw_merge.Catalog.find_exn scheme_name in
-            let config =
-              Vliw_sim.Config.make ~machine ~rotate_priority:v.rotate_priority
-                ~stall_on_dmiss:v.stall_on_dmiss ~routing:v.routing entry.scheme
-            in
-            let ipcs =
-              List.map
-                (fun programs ->
-                  Vliw_sim.Metrics.ipc
-                    (Vliw_sim.Multitask.run_programs config ~seed ~schedule programs))
-                programs_of_mix
-            in
-            (scheme_name, Vliw_util.Stats.mean (Array.of_list ipcs)))
-          schemes
-      in
-      { variant = v.label; ipc_by_scheme })
+      {
+        variant = v.label;
+        ipc_by_scheme =
+          List.map (fun s -> (s, Common.grid_average grid (name v s))) schemes;
+      })
     variants
 
 let render rows =

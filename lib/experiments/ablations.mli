@@ -23,13 +23,7 @@ type row = {
   ipc_by_scheme : (string * float) list;  (** Average IPC over the mixes. *)
 }
 
-val run :
-  ?scale:Common.scale ->
-  ?seed:int64 ->
-  ?schemes:string list ->
-  ?mixes:string list ->
-  unit ->
-  row list
+val run : (?schemes:string list -> ?mixes:string list -> unit -> row list) Sweep.study
 (** Defaults: schemes 3CCC, 2SC3, 3SSS; mixes LLLL, LLHH, HHHH. *)
 
 val render : row list -> string

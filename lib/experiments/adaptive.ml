@@ -50,9 +50,8 @@ let columns () =
   in
   let adaptive name policy =
     {
-      Sweep.col_name = name;
-      col_scheme = (Vliw_merge.Catalog.find_exn anchor_scheme).scheme;
-      col_policy = Controller.policy_to_string policy;
+      (Sweep.column name (Vliw_merge.Catalog.find_exn anchor_scheme).scheme)
+      with
       col_controller =
         Some
           (fun () -> Controller.create policy ~candidates ~initial:anchor_scheme);

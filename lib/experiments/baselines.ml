@@ -1,52 +1,48 @@
 type row = { label : string; avg_ipc : float; avg_vertical_waste : float }
 
-let configs () =
+let columns () =
   let scheme name = (Vliw_merge.Catalog.find_exn name).scheme in
-  let four_contexts = scheme "3SSS" in
+  let issue policy c = { c with Vliw_sim.Config.policy } in
   [
-    ("single-thread", Vliw_sim.Config.make (scheme "ST"));
-    ("IMT (4 ctx)", Vliw_sim.Config.make ~policy:Vliw_sim.Policy.Imt four_contexts);
-    ( "BMT (4 ctx)",
-      Vliw_sim.Config.make ~policy:Vliw_sim.Policy.default_bmt four_contexts );
-    ("CSMT 3CCC", Vliw_sim.Config.make (scheme "3CCC"));
-    ("mixed 2SC3", Vliw_sim.Config.make (scheme "2SC3"));
-    ("SMT 3SSS", Vliw_sim.Config.make (scheme "3SSS"));
+    Sweep.column "single-thread" (scheme "ST");
+    Sweep.column ~config:(issue Vliw_sim.Policy.Imt)
+      "IMT (4 ctx)" (scheme "3SSS");
+    Sweep.column ~config:(issue Vliw_sim.Policy.default_bmt)
+      "BMT (4 ctx)" (scheme "3SSS");
+    Sweep.column "CSMT 3CCC" (scheme "3CCC");
+    Sweep.column "mixed 2SC3" (scheme "2SC3");
+    Sweep.column "SMT 3SSS" (scheme "3SSS");
   ]
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(mixes = Vliw_workloads.Mixes.names) () =
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event ?(mixes = Vliw_workloads.Mixes.names) () =
   let schedule = Common.schedule_of_scale scale in
-  let machine = Vliw_isa.Machine.default in
-  let programs_of_mix =
+  let rows =
     List.map
-      (fun mix_name ->
-        let mix = Vliw_workloads.Mixes.find_exn mix_name in
-        let rng = Vliw_util.Rng.create (Int64.add seed 0x9E37L) in
-        List.map
-          (fun p ->
-            Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng)
-              machine p)
-          mix.members)
+      (fun mix ->
+        Sweep.row ~schedule ~compile_seed:seed ~seed mix
+          (Vliw_workloads.Mixes.find_exn mix).members)
       mixes
   in
-  List.map
-    (fun (label, config) ->
-      let metrics =
-        List.map
-          (fun programs ->
-            Vliw_sim.Multitask.run_programs config ~seed ~schedule programs)
-          programs_of_mix
+  let columns = columns () in
+  let _, _, cells =
+    Sweep.run_metrics ~scale ~seed ~rows ~columns ?jobs ?progress ?max_retries ?on_event
+      ()
+  in
+  let n = List.length columns in
+  List.mapi
+    (fun j (column : Sweep.column) ->
+      let avg f =
+        Vliw_util.Stats.mean
+          (Array.init (List.length rows) (fun i ->
+               Sweep.metric f cells.((i * n) + j)))
       in
       {
-        label;
-        avg_ipc =
-          Vliw_util.Stats.mean
-            (Array.of_list (List.map Vliw_sim.Metrics.ipc metrics));
-        avg_vertical_waste =
-          Vliw_util.Stats.mean
-            (Array.of_list (List.map Vliw_sim.Metrics.vertical_waste metrics));
+        label = column.col_name;
+        avg_ipc = avg Vliw_sim.Metrics.ipc;
+        avg_vertical_waste = avg Vliw_sim.Metrics.vertical_waste;
       })
-    (configs ())
+    columns
 
 let render rows =
   let table =

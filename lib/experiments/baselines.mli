@@ -13,6 +13,7 @@ type row = {
   avg_vertical_waste : float;  (** Fraction of cycles issuing nothing. *)
 }
 
-val run : ?scale:Common.scale -> ?seed:int64 -> ?mixes:string list -> unit -> row list
+val run : (?mixes:string list -> unit -> row list) Sweep.study
+(** Default: all nine mixes. *)
 
 val render : row list -> string

@@ -33,14 +33,6 @@ let default_seed = 0xC5EEDL
 let ipc_string ?(decimals = 4) v =
   if Float.is_nan v then "n/a" else Printf.sprintf "%.*f" decimals v
 
-let single_thread_ipc ?(scale = Default) ?(seed = default_seed) ~perfect profile =
-  let config = Vliw_sim.Config.make (Vliw_merge.Scheme.thread 0) in
-  let metrics =
-    Vliw_sim.Multitask.run config ~perfect_mem:perfect ~seed
-      ~schedule:(schedule_of_scale scale) [ profile ]
-  in
-  Vliw_sim.Metrics.ipc metrics
-
 type grid = {
   scheme_names : string list;
   mix_names : string list;

@@ -21,10 +21,6 @@ val ipc_string : ?decimals:int -> float -> string
 (** Fixed-point rendering of an IPC value; [nan] (a degraded sweep
     cell) renders as ["n/a"]. [decimals] defaults to 4. *)
 
-val single_thread_ipc :
-  ?scale:scale -> ?seed:int64 -> perfect:bool -> Vliw_compiler.Profile.t -> float
-(** Single-thread IPC of one benchmark on the default machine. *)
-
 type grid = {
   scheme_names : string list;
   mix_names : string list;

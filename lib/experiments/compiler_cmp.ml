@@ -8,40 +8,51 @@ type data = {
   ladder : ladder_row list;
 }
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?(trace_len = 4)
-    () =
+(* Two sweeps, each with a block-scheduled and a trace-scheduled row per
+   workload: every benchmark alone on perfect memory under one
+   single-thread column, then the LLHH mix under the scheme ladder. *)
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event ?(trace_len = 4) () =
   let schedule = Common.schedule_of_scale scale in
-  let single mode profile =
-    let config = Vliw_sim.Config.make (Vliw_merge.Scheme.thread 0) in
-    Vliw_sim.Metrics.ipc
-      (Vliw_sim.Multitask.run config ~perfect_mem:true ~seed ~schedule ~mode
-         [ profile ])
-  in
-  let benches =
+  let both ?perfect_mem name profiles =
     List.map
-      (fun (p : Vliw_compiler.Profile.t) ->
-        {
-          name = p.name;
-          block_ipc = single `Block p;
-          trace_ipc = single (`Trace trace_len) p;
-        })
-      Vliw_workloads.Benchmarks.all
+      (fun (suffix, mode) ->
+        Sweep.row ~mode ?perfect_mem ~schedule ~compile_seed:seed ~seed
+          (name ^ suffix) profiles)
+      [ ("/block", `Block); ("/trace", `Trace trace_len) ]
   in
-  let mix = Vliw_workloads.Mixes.find_exn "LLHH" in
-  let ladder_entry scheme_name =
-    let config =
-      Vliw_sim.Config.make (Vliw_merge.Catalog.find_exn scheme_name).scheme
-    in
-    let ipc mode =
-      Vliw_sim.Metrics.ipc
-        (Vliw_sim.Multitask.run config ~seed ~schedule ~mode mix.members)
-    in
-    { scheme = scheme_name; block_ipc = ipc `Block; trace_ipc = ipc (`Trace trace_len) }
+  let sweep rows scheme_names =
+    (Sweep.run ~scale ~seed ~rows ~scheme_names ?jobs ?progress ?max_retries ?on_event ())
+      .ipc
+  in
+  let benches = Vliw_workloads.Benchmarks.all in
+  let bench_ipc =
+    sweep
+      (List.concat_map
+         (fun (p : Vliw_compiler.Profile.t) -> both ~perfect_mem:true p.name [ p ])
+         benches)
+      [ "ST" ]
+  in
+  let ladder = [ "3CCC"; "2SC3"; "3SSS" ] in
+  let ladder_ipc =
+    sweep (both "LLHH" (Vliw_workloads.Mixes.find_exn "LLHH").members) ladder
   in
   {
     trace_len;
-    benches;
-    ladder = List.map ladder_entry [ "3CCC"; "2SC3"; "3SSS" ];
+    benches =
+      List.mapi
+        (fun i (p : Vliw_compiler.Profile.t) ->
+          {
+            name = p.name;
+            block_ipc = bench_ipc.(2 * i).(0);
+            trace_ipc = bench_ipc.((2 * i) + 1).(0);
+          })
+        benches;
+    ladder =
+      List.mapi
+        (fun j scheme ->
+          { scheme; block_ipc = ladder_ipc.(0).(j); trace_ipc = ladder_ipc.(1).(j) })
+        ladder;
   }
 
 let render d =

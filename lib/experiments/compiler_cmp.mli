@@ -25,7 +25,7 @@ type data = {
   ladder : ladder_row list;  (** On the LLHH mix. *)
 }
 
-val run : ?scale:Common.scale -> ?seed:int64 -> ?trace_len:int -> unit -> data
+val run : (?trace_len:int -> unit -> data) Sweep.study
 (** Default trace length: 4 blocks per region. *)
 
 val render : data -> string

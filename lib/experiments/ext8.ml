@@ -51,36 +51,28 @@ let doubled_mixes () =
       (mix.name ^ "x2", mix.members @ mix.members))
     Vliw_workloads.Mixes.all
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) () =
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event () =
   let schedule = Common.schedule_of_scale scale in
-  let machine = Vliw_isa.Machine.default in
-  let workloads =
+  let rows =
     List.map
       (fun (name, members) ->
-        let rng = Vliw_util.Rng.create (Int64.add seed 0x8E37L) in
-        ( name,
-          List.map
-            (fun p ->
-              Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng)
-                machine p)
-            members ))
+        Sweep.row ~stream:`Doubled ~schedule ~compile_seed:seed ~seed name
+          members)
       (doubled_mixes ())
   in
+  let grid =
+    Sweep.run ~scale ~seed ~rows
+      ~columns:(List.map (fun (e : entry) -> Sweep.column e.name e.scheme) schemes)
+      ?jobs ?progress ?max_retries ?on_event ()
+  in
   List.map
-    (fun e ->
-      let config = Vliw_sim.Config.make ~machine e.scheme in
-      let ipcs =
-        List.map
-          (fun (_, programs) ->
-            Vliw_sim.Metrics.ipc
-              (Vliw_sim.Multitask.run_programs config ~seed ~schedule programs))
-          workloads
-      in
+    (fun (e : entry) ->
       {
         name = e.name;
         delay = Vliw_cost.Scheme_cost.delay e.scheme;
         transistors = Vliw_cost.Scheme_cost.transistors e.scheme;
-        avg_ipc = Vliw_util.Stats.mean (Array.of_list ipcs);
+        avg_ipc = Common.grid_average grid e.name;
       })
     schemes
 

@@ -22,7 +22,7 @@ type row = {
   avg_ipc : float;
 }
 
-val run : ?scale:Common.scale -> ?seed:int64 -> unit -> row list
+val run : (unit -> row list) Sweep.study
 (** Average IPC over the nine doubled mixes (each Table 2 mix run with
     two instances of every member). *)
 

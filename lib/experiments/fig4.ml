@@ -1,9 +1,9 @@
 type data = { single : float; two_thread : float; four_thread : float }
 
-let run ?scale ?seed ?jobs ?progress ?max_retries () =
+let run ?scale ?seed ?jobs ?progress ?max_retries ?on_event () =
   let grid =
     Sweep.run ?scale ?seed ~scheme_names:[ "ST"; "1S"; "3SSS" ] ?jobs ?progress
-      ?max_retries ()
+      ?max_retries ?on_event ()
   in
   {
     single = Common.grid_average grid "ST";

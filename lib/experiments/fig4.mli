@@ -8,15 +8,7 @@ type data = {
   four_thread : float;  (** Scheme 3SSS. *)
 }
 
-val run :
-  ?scale:Common.scale ->
-  ?seed:int64 ->
-  ?jobs:int ->
-  ?progress:(Sweep.progress -> unit) ->
-  ?max_retries:int ->
-  unit ->
-  data
-(** [max_retries] is passed to {!Sweep.run} (cell retry budget). *)
+val run : (unit -> data) Sweep.study
 
 val four_over_two_pct : data -> float
 

@@ -122,19 +122,23 @@ let run_entry_full ctx (E e) =
     Option.map (fun f -> f artifact) e.csv,
     Option.map (fun f -> f artifact) e.info )
 
+(* A simulating study at the ctx's scale and seed with its engine knobs,
+   still to be applied to the study's own arguments. *)
+let study ctx (run : 'a Sweep.study) =
+  run ~scale:ctx.scale ~seed:ctx.seed ~jobs:ctx.jobs ?progress:ctx.progress
+    ~max_retries:ctx.max_retries ?on_event:ctx.on_event
+
 let entry ?(expensive = false) ?csv ?info id title run render =
   E { id; title; expensive; run; render; csv; info }
 
 let all : t list =
   [
     entry "table1" "Table 1"
-      (fun ctx -> Table1.run ~scale:ctx.scale ~seed:ctx.seed ())
+      (fun ctx -> (study ctx Table1.run) ())
       Table1.render ~csv:Table1.csv_rows;
     entry "table2" "Table 2" (fun _ -> ()) (fun () -> Table2.render ());
     entry "fig4" "Figure 4"
-      (fun ctx ->
-        Fig4.run ~scale:ctx.scale ~seed:ctx.seed ~jobs:ctx.jobs
-          ?progress:ctx.progress ~max_retries:ctx.max_retries ())
+      (fun ctx -> (study ctx Fig4.run) ())
       Fig4.render;
     entry "fig5" "Figure 5" (fun _ -> Fig5.run ()) Fig5.render ~csv:Fig5.csv_rows;
     entry "fig6" "Figure 6"
@@ -155,25 +159,25 @@ let all : t list =
       (fun ctx -> Claims.of_fig10 (Lazy.force ctx.fig10))
       Claims.render;
     entry "ablations" "Ablations"
-      (fun ctx -> Ablations.run ~scale:ctx.scale ~seed:ctx.seed ())
+      (fun ctx -> (study ctx Ablations.run) ())
       Ablations.render;
     entry "ext8" "Extension: 8 threads"
-      (fun ctx -> Ext8.run ~scale:ctx.scale ~seed:ctx.seed ())
+      (fun ctx -> (study ctx Ext8.run) ())
       Ext8.render;
     entry "baselines" "Baselines (IMT/BMT vs merging)"
-      (fun ctx -> Baselines.run ~scale:ctx.scale ~seed:ctx.seed ())
+      (fun ctx -> (study ctx Baselines.run) ())
       Baselines.render;
     entry "sensitivity" "Sensitivity"
-      (fun ctx -> Sensitivity.all ~scale:ctx.scale ~seed:ctx.seed ())
+      (fun ctx -> (study ctx Sensitivity.all) ())
       Sensitivity.render_all;
     entry "compiler" "Compiler: block vs trace scheduling"
-      (fun ctx -> Compiler_cmp.run ~scale:ctx.scale ~seed:ctx.seed ())
+      (fun ctx -> (study ctx Compiler_cmp.run) ())
       Compiler_cmp.render;
     entry "waste" "Waste decomposition"
-      (fun ctx -> Waste.run ~scale:ctx.scale ~seed:ctx.seed ~mix:"LLHH" ())
+      (fun ctx -> (study ctx Waste.run) ~mix:"LLHH" ())
       (Waste.render "LLHH");
     entry "speedup" "Weighted speedup and fairness"
-      (fun ctx -> Speedup.run ~scale:ctx.scale ~seed:ctx.seed ~mix:"LLHH" ())
+      (fun ctx -> (study ctx Speedup.run) ~mix:"LLHH" ())
       (Speedup.render "LLHH");
     entry "replicates" "Headline claims across seeds" ~expensive:true
       ~info:(fun (t : Replicates.t) ->

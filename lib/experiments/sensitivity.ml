@@ -4,112 +4,86 @@ type sweep = { title : string; points : point list }
 
 let schemes = [ "3CCC"; "2SC3"; "3SSS" ]
 
-let measure ~machine ~schedule ~seed mix_name =
-  let mix = Vliw_workloads.Mixes.find_exn mix_name in
-  let rng = Vliw_util.Rng.create (Int64.add seed 0x9E37L) in
-  let programs =
-    List.map
-      (fun p ->
-        Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng) machine p)
-      mix.members
-  in
-  List.map
-    (fun name ->
-      let config =
-        Vliw_sim.Config.make ~machine (Vliw_merge.Catalog.find_exn name).scheme
-      in
-      Vliw_sim.Metrics.ipc
-        (Vliw_sim.Multitask.run_programs config ~seed ~schedule programs))
-    schemes
-
-let point ~machine ~schedule ~seed ~mix param =
-  match measure ~machine ~schedule ~seed mix with
-  | [ csmt; mixed; smt ] -> { param; csmt; mixed; smt }
-  | _ -> assert false
-
-let miss_penalty ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(mix = "LLHH") () =
-  let schedule = Common.schedule_of_scale scale in
-  {
-    title = "DCache/ICache miss penalty (paper: 20 cycles)";
-    points =
-      List.map
-        (fun p ->
-          let machine = { Vliw_isa.Machine.default with miss_penalty = p } in
-          point ~machine ~schedule ~seed ~mix (Printf.sprintf "%d cycles" p))
-        [ 10; 20; 40; 80 ];
-  }
-
-let dcache_size ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(mix = "LLHH") () =
-  let schedule = Common.schedule_of_scale scale in
-  {
-    title = "DCache size (paper: 64 KB)";
-    points =
-      List.map
-        (fun kb ->
-          let machine =
-            {
-              Vliw_isa.Machine.default with
-              dcache = { Vliw_isa.Machine.default.dcache with size_bytes = kb * 1024 };
-            }
-          in
-          point ~machine ~schedule ~seed ~mix (Printf.sprintf "%d KB" kb))
-        [ 16; 32; 64; 128 ];
-  }
-
-let branch_penalty ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(mix = "LLHH") () =
-  let schedule = Common.schedule_of_scale scale in
-  {
-    title = "Taken-branch penalty (paper: 2 cycles)";
-    points =
-      List.map
-        (fun p ->
-          let machine = { Vliw_isa.Machine.default with branch_penalty = p } in
-          point ~machine ~schedule ~seed ~mix (Printf.sprintf "%d cycles" p))
-        [ 0; 2; 4; 8 ];
-  }
-
-let timeslice ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(mix = "LLHH") () =
+(* One sweep: a row per parameter point (label, machine, timeslice
+   override), compiled for that point's machine; one column per pivotal
+   scheme. *)
+let measure ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
+    ?progress ?max_retries ?on_event ?(mix = "LLHH") title points =
   let base = Common.schedule_of_scale scale in
+  let members = (Vliw_workloads.Mixes.find_exn mix).members in
+  let rows =
+    List.map
+      (fun (param, machine, timeslice) ->
+        let schedule =
+          { base with timeslice = Option.value timeslice ~default:base.timeslice }
+        in
+        Sweep.row ~machine ~schedule ~compile_seed:seed ~seed param members)
+      points
+  in
+  let grid =
+    Sweep.run ~scale ~seed ~rows ~scheme_names:schemes ?jobs ?progress
+      ?max_retries ?on_event ()
+  in
   {
-    title = "OS timeslice (paper: 1M cycles at full scale)";
+    title;
     points =
-      List.map
-        (fun ts ->
-          let schedule = { base with Vliw_sim.Multitask.timeslice = ts } in
-          point ~machine:Vliw_isa.Machine.default ~schedule ~seed ~mix
-            (Printf.sprintf "%dk cycles" (ts / 1000)))
-        [ 10_000; 50_000; 200_000 ];
+      List.mapi
+        (fun i (param, _, _) ->
+          let ipc = grid.ipc.(i) in
+          { param; csmt = ipc.(0); mixed = ipc.(1); smt = ipc.(2) })
+        points;
   }
 
-let predictor ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?(mix = "LLHH") () =
-  let schedule = Common.schedule_of_scale scale in
-  {
-    title = "Branch predictor (paper: none, fall-through predicted)";
-    points =
-      List.map
-        (fun (label, p) ->
-          let machine = { Vliw_isa.Machine.default with predictor = p } in
-          point ~machine ~schedule ~seed ~mix label)
-        [
-          ("none", Vliw_isa.Machine.No_predictor);
-          ("bimodal 512", Vliw_isa.Machine.Bimodal 512);
-          ("bimodal 4096", Vliw_isa.Machine.Bimodal 4096);
-        ];
-  }
+let default = Vliw_isa.Machine.default
 
-let all ?scale ?seed ?mix () =
-  [
-    miss_penalty ?scale ?seed ?mix ();
-    dcache_size ?scale ?seed ?mix ();
-    branch_penalty ?scale ?seed ?mix ();
-    timeslice ?scale ?seed ?mix ();
-    predictor ?scale ?seed ?mix ();
-  ]
+let miss_penalty ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix () =
+  measure ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix
+    "DCache/ICache miss penalty (paper: 20 cycles)"
+    (List.map
+       (fun p ->
+         (Printf.sprintf "%d cycles" p, { default with miss_penalty = p }, None))
+       [ 10; 20; 40; 80 ])
+
+let dcache_size ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix () =
+  measure ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix
+    "DCache size (paper: 64 KB)"
+    (List.map
+       (fun kb ->
+         ( Printf.sprintf "%d KB" kb,
+           { default with dcache = { default.dcache with size_bytes = kb * 1024 } },
+           None ))
+       [ 16; 32; 64; 128 ])
+
+let branch_penalty ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix () =
+  measure ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix
+    "Taken-branch penalty (paper: 2 cycles)"
+    (List.map
+       (fun p ->
+         (Printf.sprintf "%d cycles" p, { default with branch_penalty = p }, None))
+       [ 0; 2; 4; 8 ])
+
+let timeslice ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix () =
+  measure ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix
+    "OS timeslice (paper: 1M cycles at full scale)"
+    (List.map
+       (fun ts -> (Printf.sprintf "%dk cycles" (ts / 1000), default, Some ts))
+       [ 10_000; 50_000; 200_000 ])
+
+let predictor ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix () =
+  measure ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix
+    "Branch predictor (paper: none, fall-through predicted)"
+    (List.map
+       (fun (label, p) -> (label, { default with predictor = p }, None))
+       [
+         ("none", Vliw_isa.Machine.No_predictor);
+         ("bimodal 512", Vliw_isa.Machine.Bimodal 512);
+         ("bimodal 4096", Vliw_isa.Machine.Bimodal 4096);
+       ])
+
+let all ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix () =
+  List.map
+    (fun sweep -> sweep ?scale ?seed ?jobs ?progress ?max_retries ?on_event ?mix ())
+    [ miss_penalty; dcache_size; branch_penalty; timeslice; predictor ]
 
 let render sweep =
   let table =

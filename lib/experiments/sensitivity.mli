@@ -4,7 +4,9 @@
     Each sweep varies one machine or OS parameter and reports the IPC of
     the three pivotal schemes (4-thread CSMT, the mixed 2SC3, 4-thread
     SMT) plus the 2SC3-vs-CSMT advantage, on a representative mixed
-    workload. *)
+    workload ([mix], default LLHH). Each sweep is one {!Sweep.run}: a
+    row per parameter value (its machine and schedule), a column per
+    scheme. *)
 
 type point = {
   param : string;  (** Rendered parameter value, e.g. "40 cycles". *)
@@ -15,24 +17,24 @@ type point = {
 
 type sweep = { title : string; points : point list }
 
-val miss_penalty : ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> unit -> sweep
+val miss_penalty : (?mix:string -> unit -> sweep) Sweep.study
 (** Miss penalty 10 / 20 (paper) / 40 / 80 cycles. *)
 
-val dcache_size : ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> unit -> sweep
+val dcache_size : (?mix:string -> unit -> sweep) Sweep.study
 (** DCache 16 / 32 / 64 (paper) / 128 KB. *)
 
-val branch_penalty : ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> unit -> sweep
+val branch_penalty : (?mix:string -> unit -> sweep) Sweep.study
 (** Taken-branch penalty 0 / 2 (paper) / 4 / 8 cycles. *)
 
-val timeslice : ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> unit -> sweep
+val timeslice : (?mix:string -> unit -> sweep) Sweep.study
 (** OS timeslice 10k / 50k / 200k cycles (at Default scale). *)
 
-val predictor : ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> unit -> sweep
+val predictor : (?mix:string -> unit -> sweep) Sweep.study
 (** None (paper) / bimodal 512 / bimodal 4096 branch predictor — an
     extension: a predictor shrinks the branch bubbles multithreading
     would otherwise fill. *)
 
-val all : ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> unit -> sweep list
+val all : (?mix:string -> unit -> sweep list) Sweep.study
 
 val render : sweep -> string
 

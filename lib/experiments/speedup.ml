@@ -5,48 +5,59 @@ type row = {
   ipc : float;
 }
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?(mix = "LLHH")
-    ?(schemes = [ "1S"; "3CCC"; "2SC3"; "3SSS" ]) () =
-  let schedule = Common.schedule_of_scale scale in
-  let machine = Vliw_isa.Machine.default in
-  let members = (Vliw_workloads.Mixes.find_exn mix).members in
-  let rng = Vliw_util.Rng.create (Int64.add seed 0x9E37L) in
-  let programs =
-    List.map
-      (fun p ->
-        Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng) machine p)
-      members
+(* Per-thread IPC of an [n]-thread cell: each thread's retired ops over
+   the run's cycles ([nan] for a cell without metrics). *)
+let thread_ipcs ~n (_, metrics) =
+  match metrics with
+  | None -> List.init n (fun _ -> Float.nan)
+  | Some (m : Vliw_sim.Metrics.t) ->
+    Array.to_list m.per_thread
+    |> List.map (fun (pt : Vliw_sim.Metrics.per_thread) ->
+           float_of_int pt.ops /. float_of_int (max 1 m.cycles))
+
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event ?(mix = "LLHH") ?(schemes = [ "1S"; "3CCC"; "2SC3"; "3SSS" ]) () =
+  let mixed =
+    Sweep.row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
+      ~seed mix (Vliw_workloads.Mixes.find_exn mix).members
+  in
+  let sweep ?scheme_names ?columns rows =
+    let _, _, cells =
+      Sweep.run_metrics ~scale ~seed ~rows ?scheme_names ?columns ?jobs ?progress
+        ?max_retries ?on_event ()
+    in
+    Array.to_list cells
   in
   (* Solo baseline: each thread alone on the machine, same programs. *)
   let solo_ipc =
-    List.map
-      (fun program ->
-        let config = Vliw_sim.Config.make ~machine (Vliw_merge.Scheme.thread 0) in
-        let m = Vliw_sim.Multitask.run_programs config ~seed ~schedule [ program ] in
-        (* One thread: per-thread ops over the run's cycles. *)
-        float_of_int m.per_thread.(0).ops /. float_of_int (max 1 m.cycles))
-      programs
+    sweep ~scheme_names:[ "ST" ]
+      (List.mapi
+         (fun i p ->
+           { mixed with name = Printf.sprintf "%s/%d" mix i; programs = [ p ] })
+         mixed.programs)
+    |> List.concat_map (thread_ipcs ~n:1)
   in
-  List.map
-    (fun name ->
-      let config =
-        Vliw_sim.Config.make ~machine (Vliw_merge.Scheme_name.parse_exn name)
+  List.map2
+    (fun scheme cell ->
+      let ratios =
+        List.map2
+          (fun mt solo -> mt /. solo)
+          (thread_ipcs ~n:(List.length mixed.programs) cell)
+          solo_ipc
       in
-      let m = Vliw_sim.Multitask.run_programs config ~seed ~schedule programs in
-      let mt_ipc =
-        Array.to_list m.per_thread
-        |> List.map (fun (pt : Vliw_sim.Metrics.per_thread) ->
-               float_of_int pt.ops /. float_of_int (max 1 m.cycles))
-      in
-      let ratios = List.map2 (fun mt solo -> mt /. solo) mt_ipc solo_ipc in
       let weighted_speedup = List.fold_left ( +. ) 0.0 ratios in
       let fairness =
         let mn = List.fold_left min infinity ratios in
         let mx = List.fold_left max 0.0 ratios in
         if mx <= 0.0 then 0.0 else mn /. mx
       in
-      { scheme = name; weighted_speedup; fairness; ipc = Vliw_sim.Metrics.ipc m })
+      { scheme; weighted_speedup; fairness; ipc = Sweep.metric Vliw_sim.Metrics.ipc cell })
     schemes
+    (sweep [ mixed ]
+       ~columns:
+         (List.map
+            (fun name -> Sweep.column name (Vliw_merge.Scheme_name.parse_exn name))
+            schemes))
 
 let render mix rows =
   let table =

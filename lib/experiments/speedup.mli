@@ -16,13 +16,7 @@ type row = {
   ipc : float;
 }
 
-val run :
-  ?scale:Common.scale ->
-  ?seed:int64 ->
-  ?mix:string ->
-  ?schemes:string list ->
-  unit ->
-  row list
+val run : (?mix:string -> ?schemes:string list -> unit -> row list) Sweep.study
 (** Defaults: mix LLHH; schemes 1S, 3CCC, 2SC3, 3SSS. *)
 
 val render : string -> row list -> string

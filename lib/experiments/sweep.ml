@@ -1,69 +1,31 @@
-(* Declarative (mix x scheme) sweep engine.
-
-   This is the execution core that used to live inline in
-   [Common.run_grid]: compile each mix's programs once, then simulate
-   every (mix, scheme) cell. Cells are independent, so they are
-   dispatched through [Vliw_util.Pool] and run on as many domains as
-   requested.
-
-   Determinism is normative: the grid produced with [~jobs:8] is
-   bit-identical to [~jobs:1]. Two rules guarantee it:
-
-   - Programs are compiled in the parent domain, per mix, with the same
-     RNG derivation regardless of [jobs]; cells only read them.
-   - Each mix row gets an independently derived simulation seed
-     (SplitMix64 scramble of the master seed and the mix name), fixed
-     before any cell runs. All scheme columns within a row share the
-     row seed on purpose: schemes are compared on identical workloads
-     (same programs, same memory behavior), which is what makes the
-     comparison controlled and keeps the parallel/serial scheme
-     equivalences (3CCC = C4, 2SC3 = 3SCC) bit-exact in simulation.
-
-   Fault tolerance (both opt-in, off by default):
-
-   - A cell whose simulation raises (or trips [inject_failure], or
-     exceeds [cell_timeout_s]) is retried up to [max_retries] times,
-     then recorded as a degraded cell — [ipc = nan], [error = Some _],
-     rendered as "n/a" — instead of aborting the sweep and discarding
-     every completed cell. Retry/degradation counts ride the telemetry
-     counters ([sweep.retries] etc.) and the [attempts]/[error] fields.
-     Retries are harmless to determinism: a cell simulation is a pure
-     function of its row seed, so a retried cell produces the identical
-     result.
-
-   - With [checkpoint], every completed cell is journaled (atomic
-     temp+rename via [Checkpoint]); with [resume], journaled cells are
-     restored — bit-identical, the journal stores raw IPC bits — and
-     only the missing cells simulate. A journal whose configuration
-     header does not match the requested sweep is ignored.
-
-   Each cell records its own wall-clock time, and an optional progress
-   callback (serialized across workers) makes long sweeps observable. *)
+(* Declarative rows x columns sweep engine: the one path by which an
+   experiment compiles programs ([row], [prepare_row]) and simulates a
+   cell ([simulate]). Cells are independent and run on [Pool] domains.
+   The result is bit-identical for any [jobs]: rows are compiled in the
+   parent domain with a fixed RNG derivation before any cell runs, and
+   a cell is a pure function of its row and column — which is also why
+   retrying a failed cell, or restoring it from a checkpoint journal
+   (raw IPC bits), cannot change a result. sweep.mli documents seeding,
+   fault tolerance and resume. *)
 
 module Counters = Vliw_telemetry.Counters
 module Report = Vliw_telemetry.Report
 
-(* A sweep column: what one grid column simulates. The classic sweep is
-   one static scheme per column; an adaptive column carries a controller
-   factory instead, and the cell's scheme name is the column's display
-   name ("adaptive", "oracle", ...). The factory is invoked once per
-   simulation attempt — controllers are stateful, and a retried cell
-   must start from a pristine one to stay a pure function of its row
-   seed. *)
+(* A sweep column: a scheme, plus either an edit of the simulator
+   configuration (ablation knobs, IMT/BMT issue policy) or an adaptive
+   controller factory, invoked once per simulation attempt so a retried
+   cell starts from a pristine controller. *)
 type column = {
   col_name : string;  (* display/journal name; must be unique per sweep *)
   col_scheme : Vliw_merge.Scheme.t;  (* initial (or only) scheme *)
-  col_policy : string;  (* "static" or a Controller.policy_to_string *)
   col_controller : (unit -> Vliw_sim.Controller.t) option;
+  col_config : Vliw_sim.Config.t -> Vliw_sim.Config.t;
 }
 
-let static_column (e : Vliw_merge.Catalog.entry) =
-  {
-    col_name = e.name;
-    col_scheme = e.scheme;
-    col_policy = "static";
-    col_controller = None;
-  }
+let column ?(config = Fun.id) name scheme =
+  { col_name = name; col_scheme = scheme; col_controller = None; col_config = config }
+
+let static_column (e : Vliw_merge.Catalog.entry) = column e.name e.scheme
 
 type cell = {
   mix : string;
@@ -107,6 +69,15 @@ type event =
       eta_s : float;  (* nan until one timed cell has completed *)
     }
   | Sweep_finished of { total : int; degraded : int; wall_s : float }
+
+type 'a study =
+  ?scale:Common.scale ->
+  ?seed:int64 ->
+  ?jobs:int ->
+  ?progress:(progress -> unit) ->
+  ?max_retries:int ->
+  ?on_event:(event -> unit) ->
+  'a
 
 let json_of_event ev =
   let module J = Vliw_util.Json in
@@ -183,6 +154,30 @@ let json_logger oc =
         output_char oc '\n';
         flush oc)
 
+(* Every Cell_degraded event of every sweep a command runs, collected
+   across domains, so a degraded cell in any table gets a warning. *)
+let watch_degraded on_event =
+  let m = Mutex.create () and seen = ref [] in
+  let watch ev =
+    (match ev with
+    | Cell_degraded { mix; scheme; attempts; error } ->
+      let line =
+        Printf.sprintf "  %s/%s after %d attempt(s): %s\n" mix scheme attempts error
+      in
+      Mutex.protect m (fun () -> seen := line :: !seen)
+    | _ -> ());
+    Option.iter (fun f -> f ev) on_event
+  in
+  let warning () =
+    match List.sort compare (Mutex.protect m (fun () -> !seen)) with
+    | [] -> None
+    | lines ->
+      Some
+        (Printf.sprintf "warning: %d sweep cell(s) degraded to n/a:\n%s"
+           (List.length lines) (String.concat "" lines))
+  in
+  (watch, warning)
+
 exception Cell_timeout of { elapsed_s : float; limit_s : float }
 
 let () =
@@ -206,11 +201,6 @@ let degraded cells =
 let total_retries cells =
   Array.fold_left (fun acc c -> acc + max 0 (c.attempts - 1)) 0 cells
 
-let default_scheme_names () =
-  List.map
-    (fun (e : Vliw_merge.Catalog.entry) -> e.name)
-    Vliw_merge.Catalog.four_thread
-
 (* FNV-1a over the mix name, scrambled through one SplitMix64 step, so
    every row's simulation seed is statistically independent of the
    master seed and of the other rows. *)
@@ -223,101 +213,84 @@ let row_seed ~seed mix_name =
   in
   Vliw_util.Rng.next_int64 (Vliw_util.Rng.create (Int64.logxor seed h))
 
-let compile_mix ~machine ~seed mix_name =
-  let mix = Vliw_workloads.Mixes.find_exn mix_name in
-  (* Same derivation as the historical run_grid: compile once per mix,
-     every scheme sees identical programs. *)
-  let rng = Vliw_util.Rng.create (Int64.add seed 0x9E37L) in
-  List.map
-    (fun p ->
-      Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng) machine p)
-    mix.members
-
-(* A mix row prepared outside a grid: the same derivations [run_cells]
-   performs per row, packaged so a single cell can be simulated on its
-   own (and the compilation shared across many cells of the same row).
-   Bit-equality with the in-grid cell is the load-bearing property —
-   both paths must call the same compile/seed/config code. *)
-type prepared_row = {
-  pr_mix : string;
-  pr_row_seed : int64;
-  pr_programs : Vliw_compiler.Program.t list;
-  pr_schedule : Vliw_sim.Multitask.schedule;
-  pr_machine : Vliw_isa.Machine.t;
+(* One sweep row: compiled programs plus everything a simulation of them
+   needs except the column; built in the caller's domain, then only
+   read. *)
+type row = {
+  name : string;
+  programs : Vliw_compiler.Program.t list;
+  seed : int64;  (* simulation seed *)
+  schedule : Vliw_sim.Multitask.schedule;
+  machine : Vliw_isa.Machine.t;
+  perfect_mem : bool;
 }
 
+let row ?(machine = Vliw_isa.Machine.default) ?mode ?stream
+    ?(perfect_mem = false) ~schedule ~compile_seed ~seed name profiles =
+  let programs =
+    Vliw_sim.Multitask.compile ?mode ?stream ~seed:compile_seed machine profiles
+  in
+  { name; programs; seed; schedule; machine; perfect_mem }
+
+(* The grid row: a Table 2 mix compiled from the master seed and
+   simulated on its own derived row seed. *)
 let prepare_row ?(scale = Common.Default) ?(seed = Common.default_seed)
     mix_name =
-  let machine = Vliw_isa.Machine.default in
-  {
-    pr_mix = mix_name;
-    pr_row_seed = row_seed ~seed mix_name;
-    pr_programs = compile_mix ~machine ~seed mix_name;
-    pr_schedule = Common.schedule_of_scale scale;
-    pr_machine = machine;
-  }
+  row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
+    ~seed:(row_seed ~seed mix_name) mix_name
+    (Vliw_workloads.Mixes.find_exn mix_name).members
 
-let prepared_mix pr = pr.pr_mix
-
-let simulate_prepared ?tapes pr (column : column) =
-  let config = Vliw_sim.Config.make ~machine:pr.pr_machine column.col_scheme in
-  let controller = Option.map (fun mk -> mk ()) column.col_controller in
-  let metrics =
-    Vliw_sim.Multitask.run_programs config ~seed:pr.pr_row_seed
-      ~schedule:pr.pr_schedule ?controller ?tapes pr.pr_programs
+(* The one place a cell is simulated (retries get a fresh controller). *)
+let simulate ?tapes ?counters row column =
+  let config =
+    column.col_config (Vliw_sim.Config.make ~machine:row.machine column.col_scheme)
   in
-  Vliw_sim.Metrics.ipc metrics
+  let controller = Option.map (fun mk -> mk ()) column.col_controller in
+  Vliw_sim.Multitask.run_programs config ~perfect_mem:row.perfect_mem
+    ~seed:row.seed ~schedule:row.schedule ?counters ?controller ?tapes
+    row.programs
 
-(* Several scheme columns of one row in lockstep: the columns already
-   share the row seed (schemes are compared on identical workloads), so
-   they can also share the workload's stochastic draw streams through
-   one {!Vliw_sim.Tape.set} — the first column records every draw, the
-   rest replay it. Each column's IPC is bit-identical to an independent
-   [simulate_prepared] run (property-tested). *)
-let simulate_prepared_columns pr columns =
+let simulate_prepared ?tapes row column =
+  Vliw_sim.Metrics.ipc (simulate ?tapes row column)
+
+(* Columns of one row share its seed, so they can also share its draw
+   streams: the first column records every draw, the rest replay it. *)
+let simulate_prepared_columns row columns =
   let tapes = Vliw_sim.Tape.create_set () in
-  List.map (simulate_prepared ~tapes pr) columns
+  List.map (simulate_prepared ~tapes row) columns
 
 let snapshot_with extra base =
   { Counters.counters = List.sort compare (extra @ base); histograms = [] }
 
-let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?scheme_names ?columns ?mix_names ?(jobs = 1) ?(lockstep = false) ?progress
-    ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s ?checkpoint
-    ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event () =
+let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
+    ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1) ?(lockstep = false)
+    ?progress ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
+    ?checkpoint ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event ()
+    =
   let emit ev = match on_event with Some f -> f ev | None -> () in
+  let exclusive what = invalid_arg ("Sweep.run_cells: " ^ what ^ " are exclusive") in
   let columns =
-    match columns with
-    | Some cols ->
-      if cols = [] then invalid_arg "Sweep.run_cells: empty column list";
-      if scheme_names <> None then
-        invalid_arg "Sweep.run_cells: ~columns and ~scheme_names are exclusive";
-      cols
-    | None ->
-      let scheme_names =
-        match scheme_names with
-        | Some names -> names
-        | None -> default_scheme_names ()
-      in
-      List.map
-        (fun name -> static_column (Vliw_merge.Catalog.find_exn name))
-        scheme_names
+    match (columns, scheme_names) with
+    | Some [], _ -> invalid_arg "Sweep.run_cells: empty column list"
+    | Some _, Some _ -> exclusive "~columns and ~scheme_names"
+    | Some cols, None -> cols
+    | None, Some names ->
+      List.map (fun name -> static_column (Vliw_merge.Catalog.find_exn name)) names
+    | None, None -> List.map static_column Vliw_merge.Catalog.four_thread
+  in
+  (* Rows are compiled up front, in the parent domain: cells must not
+     race on catalog lookups or compilation. *)
+  let rows =
+    match (rows, mix_names) with
+    | Some _, Some _ -> exclusive "~rows and ~mix_names"
+    | Some rows, None -> rows
+    | None, names ->
+      List.map (prepare_row ~scale ~seed)
+        (Option.value names ~default:Vliw_workloads.Mixes.names)
   in
   let scheme_names = List.map (fun c -> c.col_name) columns in
-  let mix_names =
-    match mix_names with Some names -> names | None -> Vliw_workloads.Mixes.names
-  in
-  let schedule = Common.schedule_of_scale scale in
-  let machine = Vliw_isa.Machine.default in
-  (* Resolve columns and compile programs up front, in the parent
-     domain: cells must not race on catalog lookups or compilation. *)
+  let mix_names = List.map (fun r -> r.name) rows in
   let cols = Array.of_list columns in
-  let rows =
-    List.map
-      (fun mix_name ->
-        (mix_name, row_seed ~seed mix_name, compile_mix ~machine ~seed mix_name))
-      mix_names
-  in
   let meta =
     {
       Checkpoint.scale = Common.scale_name scale;
@@ -359,28 +332,28 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
     | _ -> None
   in
   let epoch = Unix.gettimeofday () in
+  (* A cell without a completed simulation (degraded or restored). *)
+  let unsimulated ?(ipc = Float.nan) ?(started_s = Unix.gettimeofday () -. epoch)
+      ?(worker = 0) ?telemetry ?(attempts = 0) ?error mix scheme =
+    ( { mix; scheme; ipc; elapsed_s = 0.0; started_s; worker; telemetry; attempts; error },
+      None )
+  in
   (* One simulation attempt; raises on an injected fault, a simulator
      exception, or a blown per-cell timeout. The timeout is enforced
      after the fact (a domain cannot be preempted mid-simulation): the
      attempt's result is discarded and the cell retried or degraded. *)
-  let attempt_once ?tapes ~row ~col ~config ~(column : column) ~row_seed
-      ~programs () =
+  let attempt_once ?tapes ~i ~j (row : row) column =
     (match !inject_failure with
-    | Some f when f ~row ~col ->
-      failwith (Printf.sprintf "injected fault in cell (%d, %d)" row col)
+    | Some f when f ~row:i ~col:j ->
+      failwith (Printf.sprintf "injected fault in cell (%d, %d)" i j)
     | _ -> ());
     let t0 = Unix.gettimeofday () in
     let counters = if telemetry then Some (Counters.create ()) else None in
-    (* A fresh controller per attempt: controllers are stateful, and a
-       retried cell must replay from scratch to stay a pure function of
-       its row seed. (A shared tape is safe across retries: replayed
-       draws are position-keyed, so a fresh thread re-reads the same
-       recorded values.) *)
-    let controller = Option.map (fun mk -> mk ()) column.col_controller in
-    let metrics =
-      Vliw_sim.Multitask.run_programs config ~seed:row_seed ~schedule ?counters
-        ?controller ?tapes programs
-    in
+    (* [simulate] makes a fresh controller per attempt, so a retried cell
+       replays from scratch. (A shared tape is safe across retries:
+       replayed draws are position-keyed, so a fresh thread re-reads the
+       same recorded values.) *)
+    let metrics = simulate ?tapes ?counters row column in
     Option.iter
       (fun c ->
         if Vliw_sim.Invariants.enforced () then
@@ -393,14 +366,10 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
     | _ -> ());
     (metrics, counters, t0, elapsed)
   in
-  let simulate_cell ?tapes ~row ~col ~mix_name ~row_seed ~programs
-      ~(column : column) ~worker () =
-    let config = Vliw_sim.Config.make ~machine column.col_scheme in
-    emit (Cell_started { mix = mix_name; scheme = column.col_name; worker });
+  let simulate_cell ?tapes ~i ~j (row : row) (column : column) ~worker =
+    emit (Cell_started { mix = row.name; scheme = column.col_name; worker });
     let rec go ~attempt ~timeouts =
-      match
-        attempt_once ?tapes ~row ~col ~config ~column ~row_seed ~programs ()
-      with
+      match attempt_once ?tapes ~i ~j row column with
       | metrics, counters, t0, elapsed ->
         Option.iter
           (fun c ->
@@ -411,42 +380,34 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
             if timeouts > 0 then
               Counters.add (Counters.counter c Report.n_sweep_timeouts) timeouts)
           counters;
-        {
-          mix = mix_name;
-          scheme = column.col_name;
-          ipc = Vliw_sim.Metrics.ipc metrics;
-          elapsed_s = elapsed;
-          started_s = t0 -. epoch;
-          worker;
-          telemetry = Option.map Counters.snapshot counters;
-          attempts = attempt;
-          error = None;
-        }
+        ( {
+            mix = row.name;
+            scheme = column.col_name;
+            ipc = Vliw_sim.Metrics.ipc metrics;
+            elapsed_s = elapsed;
+            started_s = t0 -. epoch;
+            worker;
+            telemetry = Option.map Counters.snapshot counters;
+            attempts = attempt;
+            error = None;
+          },
+          Some metrics )
       | exception e ->
         let timeouts =
           match e with Cell_timeout _ -> timeouts + 1 | _ -> timeouts
         in
+        let error = Printexc.to_string e in
         if attempt <= max_retries then begin
           emit
             (Cell_retried
-               {
-                 mix = mix_name;
-                 scheme = column.col_name;
-                 attempt;
-                 error = Printexc.to_string e;
-               });
+               { mix = row.name; scheme = column.col_name; attempt; error });
           go ~attempt:(attempt + 1) ~timeouts
         end
         else begin
           emit
             (Cell_degraded
-               {
-                 mix = mix_name;
-                 scheme = column.col_name;
-                 attempts = attempt;
-                 error = Printexc.to_string e;
-               });
-          let telemetry_snap =
+               { mix = row.name; scheme = column.col_name; attempts = attempt; error });
+          let telemetry =
             if telemetry then
               Some
                 (snapshot_with
@@ -457,23 +418,14 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
                    [])
             else None
           in
-          {
-            mix = mix_name;
-            scheme = column.col_name;
-            ipc = Float.nan;
-            elapsed_s = 0.0;
-            started_s = Unix.gettimeofday () -. epoch;
-            worker;
-            telemetry = telemetry_snap;
-            attempts = attempt;
-            error = Some (Printexc.to_string e);
-          }
+          unsimulated ~worker ?telemetry ~attempts:attempt ~error row.name
+            column.col_name
         end
     in
     go ~attempt:1 ~timeouts:0
   in
   let restore_cell ~(record : Checkpoint.record) ~worker =
-    let telemetry_snap =
+    let telemetry =
       if telemetry then
         Some
           (snapshot_with
@@ -481,58 +433,36 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
              (Option.value ~default:[] record.counters))
       else None
     in
-    {
-      mix = record.mix;
-      scheme = record.scheme;
-      ipc = record.ipc;
-      elapsed_s = 0.0;
-      started_s = Unix.gettimeofday () -. epoch;
-      worker;
-      telemetry = telemetry_snap;
-      attempts = 0;
-      error = None;
-    }
+    unsimulated ~ipc:record.ipc ~worker ?telemetry record.mix record.scheme
   in
-  (* Every task yields a [cell array]: one cell per task normally, one
+  (* Every task yields an array of cells: one cell per task normally, one
      whole row per task under [lockstep], where the row's columns share
      a draw-tape set (see [simulate_prepared_columns]) — so the grid
      parallelizes over rows instead of cells, and sibling columns reuse
      the first column's recorded draws. Cells are bit-identical either
      way (property-tested at jobs 1 and 4). *)
-  let cell_of ?tapes ~row ~col ~mix_name ~row_seed ~programs ~worker () =
-    let column = cols.(col) in
-    match resumed ~mix:mix_name ~scheme:column.col_name with
+  let cell_of ?tapes ~i ~j row ~worker =
+    let column = cols.(j) in
+    match resumed ~mix:row.name ~scheme:column.col_name with
     | Some record -> restore_cell ~record ~worker
-    | None ->
-      simulate_cell ?tapes ~row ~col ~mix_name ~row_seed ~programs ~column
-        ~worker ()
+    | None -> simulate_cell ?tapes ~i ~j row column ~worker
   in
+  let n_schemes = Array.length cols in
   let tasks =
     if lockstep then
       Array.of_list
         (List.mapi
-           (fun row (mix_name, row_seed, programs) ~worker ->
+           (fun i row ~worker ->
              let tapes = Vliw_sim.Tape.create_set () in
-             Array.init (Array.length cols) (fun col ->
-                 cell_of ~tapes ~row ~col ~mix_name ~row_seed ~programs ~worker
-                   ()))
+             Array.init n_schemes (fun j -> cell_of ~tapes ~i ~j row ~worker))
            rows)
     else
       Array.of_list
         (List.concat
            (List.mapi
-              (fun row (mix_name, row_seed, programs) ->
-                Array.to_list
-                  (Array.init (Array.length cols) (fun col ~worker ->
-                       [|
-                         cell_of ~row ~col ~mix_name ~row_seed ~programs
-                           ~worker ();
-                       |])))
+              (fun i row ->
+                List.init n_schemes (fun j ~worker -> [| cell_of ~i ~j row ~worker |]))
               rows))
-  in
-  let row_seed_of_mix =
-    let seeds = List.map (fun (m, s, _) -> (m, s)) rows in
-    fun mix -> List.assoc mix seeds
   in
   (* Runs inside the pool's serialized result callback: journal the
      fresh cell (atomic rewrite), then report progress. A journal write
@@ -547,7 +477,7 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
             {
               Checkpoint.mix = cell.mix;
               scheme = cell.scheme;
-              row_seed = row_seed_of_mix cell.mix;
+              row_seed = (List.find (fun r -> r.name = cell.mix) rows).seed;
               ipc = cell.ipc;
               attempts = cell.attempts;
               counters =
@@ -558,22 +488,20 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
       end
     | _ -> ()
   in
-  (* Worker count the pool will actually use, for the ETA heuristic. *)
-  let effective_jobs =
-    if jobs <= 0 then Domain.recommended_domain_count () else jobs
-  in
-  let n_schemes = Array.length cols in
+  (* Worker count the pool actually uses (capped at the task count), for
+     the start event and the ETA heuristic. *)
+  let effective_jobs = Vliw_util.Pool.effective_jobs ~jobs (Array.length tasks) in
   let total_cells = n_schemes * List.length rows in
   let on_result =
     let completed = ref 0 in
     let elapsed_sum = ref 0.0 and timed = ref 0 in
     Some
-      (fun _i (res : (cell array, exn) result) ->
+      (fun _i (res : ((cell * Vliw_sim.Metrics.t option) array, exn) result) ->
         match res with
         | Error _ -> () (* repackaged as degraded cells below *)
         | Ok task_cells ->
           Array.iter
-            (fun cell ->
+            (fun (cell, _) ->
               journal_cell cell;
               incr completed;
               if cell.attempts > 0 && cell.error = None then begin
@@ -610,18 +538,12 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
      exception here means the harness itself broke (e.g. the journal
      write raised). [run_results] still isolates it to its task. *)
   let results = Vliw_util.Pool.run_results ~jobs ?on_result tasks in
-  let degraded_cell ~mix_name ~(column : column) e =
-    {
-      mix = mix_name;
-      scheme = column.col_name;
-      ipc = Float.nan;
-      elapsed_s = 0.0;
-      started_s = 0.0;
-      worker = 0;
-      telemetry = None;
-      attempts = 0;
-      error = Some (Printexc.to_string e);
-    }
+  let degraded_cell e (row : row) (column : column) =
+    let error = Printexc.to_string e in
+    emit
+      (Cell_degraded
+         { mix = row.name; scheme = column.col_name; attempts = 0; error });
+    unsimulated ~started_s:0.0 ~error row.name column.col_name
   in
   let cells =
     Array.concat
@@ -630,14 +552,14 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
             (fun idx -> function
               | Ok task_cells -> task_cells
               | Error e ->
-                if lockstep then begin
-                  let mix_name, _, _ = List.nth rows idx in
-                  Array.map (fun column -> degraded_cell ~mix_name ~column e) cols
-                end
-                else begin
-                  let mix_name, _, _ = List.nth rows (idx / n_schemes) in
-                  [| degraded_cell ~mix_name ~column:cols.(idx mod n_schemes) e |]
-                end)
+                if lockstep then
+                  Array.map (degraded_cell e (List.nth rows idx)) cols
+                else
+                  [|
+                    degraded_cell e
+                      (List.nth rows (idx / n_schemes))
+                      cols.(idx mod n_schemes);
+                  |])
             results))
   in
   emit
@@ -646,11 +568,23 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
          total = Array.length cells;
          degraded =
            Array.fold_left
-             (fun acc c -> acc + (if c.error <> None then 1 else 0))
+             (fun acc (c, _) -> acc + (if c.error <> None then 1 else 0))
              0 cells;
          wall_s = Unix.gettimeofday () -. epoch;
        });
   (scheme_names, mix_names, cells)
+
+let run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
+    ?lockstep ?progress ?telemetry ?max_retries ?cell_timeout_s ?checkpoint
+    ?resume ?log ?on_event () =
+  let scheme_names, mix_names, cells =
+    run_metrics ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
+      ?lockstep ?progress ?telemetry ?max_retries ?cell_timeout_s ?checkpoint
+      ?resume ?log ?on_event ()
+  in
+  (scheme_names, mix_names, Array.map fst cells)
+
+let metric f (_, metrics) = Option.fold ~none:Float.nan ~some:f metrics
 
 let grid_of_cells ~scheme_names ~mix_names cells =
   let n_schemes = List.length scheme_names in
@@ -660,11 +594,13 @@ let grid_of_cells ~scheme_names ~mix_names cells =
   in
   Common.make_grid ~scheme_names ~mix_names ~ipc
 
-let run ?scale ?seed ?scheme_names ?mix_names ?jobs ?lockstep ?progress
-    ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event () =
+let run ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs ?lockstep
+    ?progress ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event
+    () =
   let scheme_names, mix_names, cells =
-    run_cells ?scale ?seed ?scheme_names ?mix_names ?jobs ?lockstep ?progress
-      ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ()
+    run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
+      ?lockstep ?progress ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log
+      ?on_event ()
   in
   grid_of_cells ~scheme_names ~mix_names cells
 

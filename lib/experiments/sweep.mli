@@ -1,25 +1,26 @@
-(** Declarative, deterministic, multicore (mix x scheme) sweep engine.
-
-    Programs are compiled once per mix in the calling domain; each
-    (mix, scheme) cell then simulates independently and cells are
+(** Declarative, deterministic, multicore rows x columns sweep engine:
+    the one path by which any experiment compiles programs ({!row},
+    {!prepare_row}) and simulates a cell ({!simulate}). Rows are
+    compiled in the calling domain; cells then simulate independently,
     dispatched through {!Vliw_util.Pool}. Determinism is normative:
     results are bit-identical for any [jobs] value (property-tested).
 
-    Seeding: every mix row gets an independently derived simulation
-    seed (a SplitMix64 scramble of the master seed and the mix name).
-    All scheme columns within a row deliberately share the row seed, so
-    schemes are compared on identical workloads and the parallel/serial
-    scheme equivalences (3CCC = C4, 2SC3 = 3SCC) stay bit-exact in
-    simulation.
+    Seeding: every Table 2 mix row of the classic grid gets its own
+    derived simulation seed ({!row_seed}); other rows carry the seed
+    their experiment gives them. All columns of a row share its seed,
+    so schemes are compared on identical workloads and the
+    parallel/serial scheme equivalences (3CCC = C4, 2SC3 = 3SCC) stay
+    bit-exact in simulation.
 
     Fault tolerance (opt-in): a cell whose simulation raises — or trips
     {!inject_failure}, or exceeds [cell_timeout_s] — is retried up to
     [max_retries] times, then recorded as a {e degraded} cell
     ([ipc = nan], [error = Some _]) instead of aborting the sweep.
-    Because a cell is a pure function of its row seed, retries cannot
-    change results. With [checkpoint], completed cells are journaled
-    crash-safely ({!Checkpoint}); with [resume], journaled cells are
-    restored bit-identically and only missing cells simulate. *)
+    Because a cell is a pure function of its row and column, retries
+    cannot change results. With [checkpoint], completed cells are
+    journaled crash-safely ({!Checkpoint}); with [resume], journaled
+    cells are restored bit-identically and only missing cells
+    simulate. *)
 
 type column = {
   col_name : string;
@@ -27,23 +28,56 @@ type column = {
           within a sweep (it is the cell/checkpoint key). *)
   col_scheme : Vliw_merge.Scheme.t;
       (** The scheme the column's simulations start on (the only scheme,
-          for a static column). *)
-  col_policy : string;
-      (** ["static"], or the {!Vliw_sim.Controller.policy_to_string}
-          descriptor of the adaptive policy driving the column — what
-          the run ledger fingerprints. *)
+          without a controller). *)
   col_controller : (unit -> Vliw_sim.Controller.t) option;
       (** Adaptive columns carry a controller factory; it is invoked
           once {e per simulation attempt} (controllers are stateful, and
-          a retried cell must replay from a pristine one to stay a pure
-          function of its row seed). [None] = static column. *)
+          a retried cell must replay from a pristine one). *)
+  col_config : Vliw_sim.Config.t -> Vliw_sim.Config.t;
+      (** Edit of [Config.make ~machine col_scheme]: ablation knobs or
+          the IMT/BMT issue policy; [Fun.id] for a plain column. *)
 }
-(** What one grid column simulates. The classic sweep is one static
-    catalog scheme per column ({!static_column}); an adaptive column
-    runs the same programs under a per-timeslice scheme controller. *)
+
+val column :
+  ?config:(Vliw_sim.Config.t -> Vliw_sim.Config.t) ->
+  string ->
+  Vliw_merge.Scheme.t ->
+  column
+(** [column ?config name scheme]: no controller; [config] (default
+    [Fun.id]) edits the column's configuration. *)
 
 val static_column : Vliw_merge.Catalog.entry -> column
-(** The classic column: one fixed scheme, no controller. *)
+(** The classic column: one catalog scheme, nothing else. *)
+
+type row = {
+  name : string;  (** Display and journal name; unique within a sweep. *)
+  programs : Vliw_compiler.Program.t list;
+  seed : int64;  (** Simulation seed. *)
+  schedule : Vliw_sim.Multitask.schedule;
+  machine : Vliw_isa.Machine.t;
+  perfect_mem : bool;
+}
+(** Compiled programs plus everything a simulation needs except the
+    column. Immutable, so worker domains read it concurrently. A record
+    update may rename it or narrow [programs] (e.g. one thread alone). *)
+
+val row :
+  ?machine:Vliw_isa.Machine.t ->
+  ?mode:Vliw_compiler.Program.mode ->
+  ?stream:[ `Mix | `Doubled ] ->
+  ?perfect_mem:bool ->
+  schedule:Vliw_sim.Multitask.schedule ->
+  compile_seed:int64 ->
+  seed:int64 ->
+  string ->
+  Vliw_compiler.Profile.t list ->
+  row
+(** [row ~schedule ~compile_seed ~seed name profiles] compiles one
+    program per profile with {!Vliw_sim.Multitask.compile} (the
+    seeding [vliwsim run] uses too) for [machine] (default
+    {!Vliw_isa.Machine.default}) in [mode] (default block scheduling),
+    on [stream]: [`Mix] (default) for the 4-thread workloads,
+    [`Doubled] for the 8-thread mixes. *)
 
 type cell = {
   mix : string;
@@ -106,6 +140,18 @@ type event =
     }
   | Sweep_finished of { total : int; degraded : int; wall_s : float }
 
+type 'a study =
+  ?scale:Common.scale ->
+  ?seed:int64 ->
+  ?jobs:int ->
+  ?progress:(progress -> unit) ->
+  ?max_retries:int ->
+  ?on_event:(event -> unit) ->
+  'a
+(** A simulating experiment's entry point: scale, master seed and the
+    engine knobs it passes to {!run} / {!run_metrics}, then its own
+    arguments. *)
+
 val json_of_event : event -> Vliw_util.Json.t
 (** One JSON object per event: an ["ev"] tag, a ["ts"] wall-clock stamp,
     and the event's fields. Non-finite numbers (a degraded cell's IPC,
@@ -116,6 +162,12 @@ val json_logger : out_channel -> event -> unit
     one NDJSON line to [oc], flushed per line so [tail -f] follows a
     live sweep. Writes are serialized through a mutex, so the consumer
     is safe across worker domains. *)
+
+val watch_degraded : (event -> unit) option -> (event -> unit) * (unit -> string option)
+(** [watch_degraded on_event] is [(watch, warning)]: [watch] forwards
+    every event to [on_event] and records each [Cell_degraded] one
+    (domain-safe); [warning ()] lists the recorded cells, sorted, or is
+    [None]. The CLI hands [watch] to every sweep a command runs. *)
 
 exception Cell_timeout of { elapsed_s : float; limit_s : float }
 (** Raised {e inside} a cell attempt when it overran [cell_timeout_s].
@@ -143,34 +195,32 @@ val row_seed : seed:int64 -> string -> int64
 (** The simulation seed of a mix row, a pure function of the master
     seed and the mix name. *)
 
-type prepared_row
-(** One mix row, compiled and seeded exactly as {!run_cells} would:
-    programs generated in the caller's domain, row seed derived from
-    the master seed and the mix name, schedule fixed by the scale. The
-    unit of sharing for out-of-grid cell execution (the sweep service
-    compiles a mix once and simulates many scheme cells against it,
-    possibly across jobs). Immutable after construction, so worker
-    domains may read it concurrently. *)
+val prepare_row : ?scale:Common.scale -> ?seed:int64 -> string -> row
+(** [prepare_row ~scale ~seed mix_name]: the classic grid row, as
+    {!run_cells} builds it for [mix_names] — compiled from [seed] on the
+    default machine, simulated on {!row_seed}. The sweep service and
+    dist workers compile a mix once this way and simulate many cells
+    against it. Raises like {!Vliw_workloads.Mixes.find_exn}. *)
 
-val prepare_row :
-  ?scale:Common.scale -> ?seed:int64 -> string -> prepared_row
-(** [prepare_row ~scale ~seed mix_name]; raises like
-    {!Vliw_workloads.Mixes.find_exn} on an unknown mix. *)
+val simulate :
+  ?tapes:Vliw_sim.Tape.set ->
+  ?counters:Vliw_telemetry.Counters.t ->
+  row ->
+  column ->
+  Vliw_sim.Metrics.t
+(** The one cell simulation every path runs: the column's edited
+    configuration on the row's machine, a fresh controller, the row's
+    seed, schedule, memory and programs. No events or retries. Safe in
+    a {!Vliw_util.Pool} worker. [tapes] shares the row's draw streams
+    with sibling simulations ({!Vliw_sim.Tape}); [counters] attaches a
+    telemetry registry; neither changes the result. *)
 
-val prepared_mix : prepared_row -> string
+val simulate_prepared : ?tapes:Vliw_sim.Tape.set -> row -> column -> float
+(** IPC of {!simulate}, as in the {!run_cells} cell (property-tested). *)
 
-val simulate_prepared : ?tapes:Vliw_sim.Tape.set -> prepared_row -> column -> float
-(** IPC of one (row, column) cell — bit-identical to the cell
-    {!run_cells} produces for the same (scale, seed, mix, column)
-    (property-tested). No telemetry, no events, no retries: the caller
-    owns fault handling. Safe to call from a {!Vliw_util.Pool} worker.
-    [tapes] shares the row's stochastic draw streams with other
-    simulations of the same row (see {!Vliw_sim.Tape}); results are
-    bit-identical with or without it. *)
-
-val simulate_prepared_columns : prepared_row -> column list -> float list
-(** Several scheme columns of one row in lockstep: all columns replay
-    one shared draw-tape set, so the workload's stochastic streams are
+val simulate_prepared_columns : row -> column list -> float list
+(** Several columns of one row in lockstep: all columns replay one
+    shared draw-tape set, so the workload's stochastic streams are
     generated once and reused. Each IPC is bit-identical to an
     independent {!simulate_prepared} call (property-tested). *)
 
@@ -178,7 +228,9 @@ val run :
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?scheme_names:string list ->
+  ?columns:column list ->
   ?mix_names:string list ->
+  ?rows:row list ->
   ?jobs:int ->
   ?lockstep:bool ->
   ?progress:(progress -> unit) ->
@@ -190,10 +242,10 @@ val run :
   ?on_event:(event -> unit) ->
   unit ->
   Common.grid
-(** IPC of every (mix, scheme) pair. Defaults: all 4-thread schemes of
-    the catalog, all Table 2 mixes, [jobs = 1]. [jobs <= 0] uses one
-    worker per core. [progress] is called after every cell, serialized
-    across workers. See {!run_cells} for the fault-tolerance knobs. *)
+(** IPC of every (row, column) cell as a grid. Defaults: all 4-thread
+    schemes of the catalog, all Table 2 mixes, [jobs = 1]. [jobs <= 0]
+    uses one worker per core. [progress] is called after every cell,
+    serialized across workers. See {!run_cells} for the other knobs. *)
 
 val run_cells :
   ?scale:Common.scale ->
@@ -201,6 +253,7 @@ val run_cells :
   ?scheme_names:string list ->
   ?columns:column list ->
   ?mix_names:string list ->
+  ?rows:row list ->
   ?jobs:int ->
   ?lockstep:bool ->
   ?progress:(progress -> unit) ->
@@ -236,6 +289,11 @@ val run_cells :
     columns is bit-identical to the equivalent [scheme_names] sweep
     (property-tested).
 
+    [rows] generalizes [mix_names] the same way (the two are mutually
+    exclusive): a {!row}'s name is its cells' [mix]. Without [rows],
+    each mix name is {!prepare_row}[ ~scale ~seed]; with them, [scale]
+    and [seed] only label the sweep (events, checkpoint header).
+
     Fault-tolerance knobs:
     - [max_retries] (default 0): failed cell attempts beyond the first
       are retried this many times before the cell degrades.
@@ -256,6 +314,32 @@ val run_cells :
     Restored cells have [attempts = 0], [elapsed_s = 0.], and — when
     telemetry is on — their journaled counters plus
     [sweep.resumed_cells = 1]. *)
+
+val run_metrics :
+  ?scale:Common.scale ->
+  ?seed:int64 ->
+  ?scheme_names:string list ->
+  ?columns:column list ->
+  ?mix_names:string list ->
+  ?rows:row list ->
+  ?jobs:int ->
+  ?lockstep:bool ->
+  ?progress:(progress -> unit) ->
+  ?telemetry:bool ->
+  ?max_retries:int ->
+  ?cell_timeout_s:float ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  ?log:(string -> unit) ->
+  ?on_event:(event -> unit) ->
+  unit ->
+  string list * string list * (cell * Vliw_sim.Metrics.t option) array
+(** The engine itself, {!run_cells} being its projection: each cell
+    with the {!Vliw_sim.Metrics.t} of its simulation, for studies that
+    report more than IPC. Restored and degraded cells carry [None]. *)
+
+val metric : (Vliw_sim.Metrics.t -> float) -> cell * Vliw_sim.Metrics.t option -> float
+(** One figure of a {!run_metrics} cell; [nan] without metrics. *)
 
 val grid_of_cells :
   scheme_names:string list ->

@@ -4,13 +4,28 @@ type row = {
   ipc_perfect : float;
 }
 
-let run ?scale ?seed () =
-  List.map
-    (fun profile ->
+(* Two rows per benchmark, real then perfect memory, sharing one
+   compiled program; one single-thread column. *)
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event () =
+  let schedule = Common.schedule_of_scale scale in
+  let rows =
+    List.concat_map
+      (fun (p : Vliw_compiler.Profile.t) ->
+        let real = Sweep.row ~schedule ~compile_seed:seed ~seed p.name [ p ] in
+        [ real; { real with name = p.name ^ "/perfect"; perfect_mem = true } ])
+      Vliw_workloads.Benchmarks.all
+  in
+  let grid =
+    Sweep.run ~scale ~seed ~rows ~scheme_names:[ "ST" ] ?jobs ?progress
+      ?max_retries ?on_event ()
+  in
+  List.mapi
+    (fun i profile ->
       {
         profile;
-        ipc_real = Common.single_thread_ipc ?scale ?seed ~perfect:false profile;
-        ipc_perfect = Common.single_thread_ipc ?scale ?seed ~perfect:true profile;
+        ipc_real = grid.ipc.(2 * i).(0);
+        ipc_perfect = grid.ipc.((2 * i) + 1).(0);
       })
     Vliw_workloads.Benchmarks.all
 

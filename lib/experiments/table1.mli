@@ -7,7 +7,7 @@ type row = {
   ipc_perfect : float;
 }
 
-val run : ?scale:Common.scale -> ?seed:int64 -> unit -> row list
+val run : (unit -> row list) Sweep.study
 
 val render : row list -> string
 

@@ -6,30 +6,30 @@ type row = {
   merge_degree : float;
 }
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?(mix = "LLHH")
-    ?(schemes = [ "ST"; "1S"; "3CCC"; "2SC3"; "3SSS" ]) () =
-  let schedule = Common.schedule_of_scale scale in
-  let machine = Vliw_isa.Machine.default in
-  let members = (Vliw_workloads.Mixes.find_exn mix).members in
-  let rng = Vliw_util.Rng.create (Int64.add seed 0x9E37L) in
-  let programs =
-    List.map
-      (fun p ->
-        Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng) machine p)
-      members
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+    ?max_retries ?on_event ?(mix = "LLHH") ?(schemes = [ "ST"; "1S"; "3CCC"; "2SC3"; "3SSS" ])
+    () =
+  let row =
+    Sweep.row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
+      ~seed mix (Vliw_workloads.Mixes.find_exn mix).members
   in
-  List.map
-    (fun name ->
-      let config =
-        Vliw_sim.Config.make ~machine (Vliw_merge.Scheme_name.parse_exn name)
-      in
-      let m = Vliw_sim.Multitask.run_programs config ~seed ~schedule programs in
+  let _, _, cells =
+    Sweep.run_metrics ~scale ~seed ~rows:[ row ]
+      ~columns:
+        (List.map
+           (fun name -> Sweep.column name (Vliw_merge.Scheme_name.parse_exn name))
+           schemes)
+      ?jobs ?progress ?max_retries ?on_event ()
+  in
+  List.mapi
+    (fun j scheme ->
+      let get f = Sweep.metric f cells.(j) in
       {
-        scheme = name;
-        ipc = Vliw_sim.Metrics.ipc m;
-        vertical = Vliw_sim.Metrics.vertical_waste m;
-        horizontal = Vliw_sim.Metrics.horizontal_waste m;
-        merge_degree = Vliw_sim.Metrics.avg_threads_merged m;
+        scheme;
+        ipc = get Vliw_sim.Metrics.ipc;
+        vertical = get Vliw_sim.Metrics.vertical_waste;
+        horizontal = get Vliw_sim.Metrics.horizontal_waste;
+        merge_degree = get Vliw_sim.Metrics.avg_threads_merged;
       })
     schemes
 

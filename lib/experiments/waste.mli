@@ -15,9 +15,7 @@ type row = {
   merge_degree : float;  (** Mean threads issuing per non-empty cycle. *)
 }
 
-val run :
-  ?scale:Common.scale -> ?seed:int64 -> ?mix:string -> ?schemes:string list ->
-  unit -> row list
+val run : (?mix:string -> ?schemes:string list -> unit -> row list) Sweep.study
 (** Defaults: LLHH; ST, 1S, 3CCC, 2SC3, 3SSS. *)
 
 val render : string -> row list -> string

@@ -166,7 +166,7 @@ let run cfg =
   in
   (* Rows compiled once and shared across jobs; flushed wholesale when
      over budget — bounded without keeping an eviction order. *)
-  let prepared : (string * int64 * string, E.Sweep.prepared_row) Hashtbl.t =
+  let prepared : (string * int64 * string, E.Sweep.row) Hashtbl.t =
     Hashtbl.create 64
   in
   let prepared_row ~scale ~seed mix =

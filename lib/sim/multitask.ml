@@ -143,15 +143,19 @@ let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
   if Invariants.enforced () then Invariants.check_metrics metrics;
   metrics
 
+(* Program seeds are drawn from one stream on [seed] plus a salt: every
+   4-thread workload uses one salt, the doubled 8-thread mixes have
+   always used their own. *)
+let compile ?mode ?(stream = `Mix) ~seed machine profiles =
+  let salt = match stream with `Mix -> 0x9E37L | `Doubled -> 0x8E37L in
+  let rng = Rng.create (Int64.add seed salt) in
+  List.map
+    (fun p ->
+      Vliw_compiler.Program.generate ~seed:(Rng.next_int64 rng) ?mode machine p)
+    profiles
+
 let run config ?perfect_mem ?(seed = 0x5EEDL) ?schedule ?mode ?telemetry
     ?counters ?controller ?tapes profiles =
-  let rng = Rng.create (Int64.add seed 0x9E37L) in
-  let programs =
-    List.map
-      (fun p ->
-        Vliw_compiler.Program.generate ~seed:(Rng.next_int64 rng) ?mode
-          config.Config.machine p)
-      profiles
-  in
   run_programs config ?perfect_mem ~seed ?schedule ?telemetry ?counters
-    ?controller ?tapes programs
+    ?controller ?tapes
+    (compile ?mode ~seed config.Config.machine profiles)

@@ -24,6 +24,17 @@ val default_schedule : schedule
 val quick_schedule : schedule
 (** Very small runs for unit tests and smoke benches. *)
 
+val compile :
+  ?mode:Vliw_compiler.Program.mode ->
+  ?stream:[ `Mix | `Doubled ] ->
+  seed:int64 ->
+  Vliw_isa.Machine.t ->
+  Vliw_compiler.Profile.t list ->
+  Vliw_compiler.Program.t list
+(** One program per profile for [machine] in [mode] (default block
+    scheduling), seeded in order from [seed] on the 4-thread workloads'
+    stream ([`Mix], default) or the doubled 8-thread mixes' ([`Doubled]). *)
+
 val run :
   Config.t ->
   ?perfect_mem:bool ->
@@ -37,7 +48,7 @@ val run :
   Vliw_compiler.Profile.t list ->
   Metrics.t
 (** [run config profiles] builds one program and one thread per profile
-    (deterministically from [seed]) and simulates the multitasking
+    (deterministically from [seed], by {!compile}) and simulates the multitasking
     environment. Fewer profiles than contexts leaves contexts idle;
     more profiles multitask over the timeslices. [mode] selects the
     compiler's scheduling mode (default block scheduling). [telemetry]

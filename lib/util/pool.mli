@@ -3,6 +3,9 @@
 val auto_jobs : unit -> int
 (** One worker per hardware thread ([Domain.recommended_domain_count]). *)
 
+val effective_jobs : jobs:int -> int -> int
+(** Workers a run of [n] tasks uses: [jobs] (or {!auto_jobs}) capped at [n]. *)
+
 val run : ?jobs:int -> ?on_result:(int -> 'a -> unit) -> (unit -> 'a) array -> 'a array
 (** [run ~jobs tasks] evaluates every thunk and returns the results in
     task order, independent of completion order. [jobs = 1] (default)

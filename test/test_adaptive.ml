@@ -283,13 +283,12 @@ let adaptive_columns () =
        {
          E.Sweep.col_name = "adaptive";
          col_scheme = (M.Catalog.find_exn "2SC3").scheme;
-         col_policy =
-           Sim.Controller.policy_to_string Sim.Controller.default_hill;
          col_controller =
            Some
              (fun () ->
                Sim.Controller.create Sim.Controller.default_hill
                  ~candidates:group ~initial:"2SC3");
+         col_config = Fun.id;
        };
      ]
 

@@ -103,6 +103,30 @@ let test_table1_quick () =
   Alcotest.(check bool) "render has mcf" true
     (contains ~needle:"mcf" (E.Table1.render rows))
 
+(* Pinned render digests of the studies that run their simulations as
+   Sweep rows x columns (Quick scale, default seed). Each digest is also
+   the md5 of `vliwsim exp <id> --scale quick` stdout. *)
+let golden_renders =
+  [
+    ("table1", "9079af422bb4a321886dc72a1ccb967d");
+    ("ablations", "f7242ac7987556d2135310b34596a66e");
+    ("ext8", "890499ffd797c8d138854a9f66a435de");
+    ("baselines", "45f4a170690b127d0db1e4f832791386");
+    ("sensitivity", "d5e8634f024ed3f2f3d7cfb040ca4c3c");
+    ("compiler", "53a2bcb315c9209cdb7fa8da64d19fd7");
+    ("waste", "d227f53d49699b70dd72c92a0ae99fdf");
+    ("speedup", "7b99ea54cd52aa70eb9870e89e9e0871");
+  ]
+
+let test_golden_renders () =
+  let ctx = E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:2 () in
+  List.iter
+    (fun (id, digest) ->
+      let text, _ = E.Registry.run_entry ctx (E.Registry.find_exn id) in
+      Alcotest.(check string) (id ^ " render digest") digest
+        (Digest.to_hex (Digest.string text)))
+    golden_renders
+
 let suite =
   ( "experiments",
     [
@@ -117,4 +141,5 @@ let suite =
       Alcotest.test_case "fig11/12 from fig10" `Quick test_fig11_12_from_fig10;
       Alcotest.test_case "claims from fig10" `Quick test_claims_from_fig10;
       Alcotest.test_case "table1 quick" `Quick test_table1_quick;
+      Alcotest.test_case "golden renders" `Slow test_golden_renders;
     ] )

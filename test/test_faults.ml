@@ -327,6 +327,30 @@ let test_degraded_cell () =
       Alcotest.(check string) "ipc_string" "n/a"
         (E.Common.ipc_string Float.nan))
 
+let test_degraded_study_cell_warned () =
+  (* A failing cell in a study (table1 here) degrades like a fig10 cell,
+     and the registry routes its Cell_degraded event to the command's
+     watch, which names it even though the shared sweep never ran. *)
+  let watch, warning = E.Sweep.watch_degraded None in
+  let ctx = E.Registry.make_ctx ~scale:E.Common.Quick ~on_event:watch () in
+  let text, _ =
+    with_injection
+      (fun ~row ~col -> row = 1 && col = 0)
+      (fun () -> E.Registry.run_entry ctx (E.Registry.find_exn "table1"))
+  in
+  Alcotest.(check bool) "table still rendered" true (String.length text > 0);
+  Alcotest.(check bool) "shared sweep not forced" false
+    (Lazy.is_val ctx.E.Registry.fig10);
+  let row = (List.hd Vliw_workloads.Benchmarks.all).name ^ "/perfect" in
+  Alcotest.(check (option string))
+    "warning names the cell"
+    (Some
+       (Printf.sprintf
+          "warning: 1 sweep cell(s) degraded to n/a:\n\
+          \  %s/ST after 1 attempt(s): Failure(\"injected fault in cell (1, 0)\")\n"
+          row))
+    (warning ())
+
 let test_fault_injection_acceptance () =
   (* 10% of cells (here: cell index multiples of 10 over a 4x4 grid --
      use the full catalog rows to get enough cells) fail twice then
@@ -567,6 +591,8 @@ let suite =
       Alcotest.test_case "checkpoint rejects garbage" `Quick
         test_checkpoint_rejects_garbage;
       Alcotest.test_case "degraded cell" `Quick test_degraded_cell;
+      Alcotest.test_case "degraded study cell is warned" `Quick
+        test_degraded_study_cell_warned;
       Alcotest.test_case "fault injection acceptance" `Slow
         test_fault_injection_acceptance;
       Alcotest.test_case "injected faults keep results bit-identical" `Quick

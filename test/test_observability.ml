@@ -376,7 +376,7 @@ let test_html_report_self_contained () =
 
 (* --- Sweep events ----------------------------------------------------- *)
 
-let collect_events ~jobs ?telemetry () =
+let collect_events ~jobs ?lockstep ?telemetry () =
   let m = Mutex.create () in
   let events = ref [] in
   let on_event ev =
@@ -386,9 +386,14 @@ let collect_events ~jobs ?telemetry () =
   in
   let names_and_cells =
     E.Sweep.run_cells ~scale:E.Common.Quick ~scheme_names:[ "1S"; "2SC3" ]
-      ~mix_names:[ "LLHH" ] ~jobs ?telemetry ~on_event ()
+      ~mix_names:[ "LLHH" ] ~jobs ?lockstep ?telemetry ~on_event ()
   in
   (names_and_cells, List.rev !events)
+
+let started_jobs events =
+  match events with
+  | E.Sweep.Sweep_started { jobs; _ } :: _ -> jobs
+  | _ -> Alcotest.fail "first event must be Sweep_started"
 
 let test_sweep_event_stream () =
   let (_, _, cells), events = collect_events ~jobs:2 () in
@@ -437,7 +442,13 @@ let test_sweep_event_stream () =
         Alcotest.(check bool) "event has a timestamp" true
           (Option.bind (J.member "ts" doc) J.to_float <> None)
       | Error e -> Alcotest.fail ("event JSON unparseable: " ^ e))
-    events
+    events;
+  (* The start event reports the workers the pool really uses: requests
+     beyond the task count are capped, and a lockstep task is a row. *)
+  Alcotest.(check int) "jobs capped at the cell count" 2
+    (started_jobs (snd (collect_events ~jobs:4 ())));
+  Alcotest.(check int) "lockstep: one row is one task" 1
+    (started_jobs (snd (collect_events ~jobs:2 ~lockstep:true ())))
 
 let test_sweep_retry_events () =
   let attempts = Atomic.make 0 in

@@ -214,12 +214,20 @@ let parse_csv text =
 let test_registry_runs_and_csv_roundtrip () =
   (* Every registered experiment renders non-empty output at Quick
      scale, and when it exports CSV the data survives a render/parse
-     round-trip. The ctx is shared so the fig10 grid runs once. *)
+     round-trip. The ctx is shared so the fig10 grid runs once. Every
+     standard entry also renders identical text and CSV serially: jobs
+     1 ≡ N holds for the whole registry, not only the fig10 grid. *)
   let ctx = E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:2 () in
+  let serial = E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:1 () in
   List.iter
     (fun entry ->
       let id = E.Registry.id entry in
       let text, csv = E.Registry.run_entry ctx entry in
+      if not (E.Registry.expensive entry) then begin
+        let text1, csv1 = E.Registry.run_entry serial entry in
+        Alcotest.(check string) (id ^ " text: jobs 1 = jobs 2") text1 text;
+        Alcotest.(check bool) (id ^ " csv: jobs 1 = jobs 2") true (csv1 = csv)
+      end;
       Alcotest.(check bool) (id ^ " renders non-empty") true
         (String.length (String.trim text) > 0);
       match csv with

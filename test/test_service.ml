@@ -337,7 +337,7 @@ let test_simulate_prepared_bit_identity () =
   List.iter
     (fun mix ->
       let pr = E.Sweep.prepare_row ~scale ~seed mix in
-      Alcotest.(check string) "prepared mix name" mix (E.Sweep.prepared_mix pr);
+      Alcotest.(check string) "prepared mix name" mix pr.E.Sweep.name;
       List.iter
         (fun scheme ->
           let ipc =

@@ -1,13 +1,17 @@
 (* The socket layer under every NDJSON peer, over real socketpairs and
-   listeners, plus a byte fuzzer over the decoders that read its lines:
-   whatever arrives on a socket, a decoder answers Ok or Error and
-   never raises. *)
+   listeners, plus a byte fuzzer over the decoders that read its lines
+   and the on-disk records (checkpoint journal, ledger, spans): whatever
+   arrives on a socket or sits in a file, a decoder answers Ok/Error
+   (or None) and never raises. *)
 
 module J = Vliw_util.Json
 module Ndjson = Vliw_util.Ndjson
 module Wire = Vliw_util.Wire
 module Request = Vliw_service.Request
 module Protocol = Vliw_dist.Protocol
+module Checkpoint = Vliw_experiments.Checkpoint
+module Ledger = Vliw_telemetry.Ledger
+module Span = Vliw_telemetry.Span
 
 let pair () = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
 
@@ -134,14 +138,16 @@ let encoded_gen =
           Test_dist.from_worker_gen;
       ])
 
-(* One byte of a valid line replaced: the inputs that get furthest into
-   a decoder before something is wrong. *)
-let mutated_gen =
+(* One byte of a valid encoding replaced: the inputs that get furthest
+   into a decoder before something is wrong. *)
+let mutate valid_gen =
   QCheck.Gen.(
-    let* line = encoded_gen in
+    let* line = valid_gen in
     let* pos = int_bound (String.length line - 1) in
     let* byte = char in
     return (String.mapi (fun i c -> if i = pos then byte else c) line))
+
+let mutated_gen = mutate encoded_gen
 
 let arbitrary_gen =
   QCheck.Gen.(
@@ -149,12 +155,105 @@ let arbitrary_gen =
       ~gen:(frequency [ (9, char); (1, return '\n') ])
       (int_bound 300))
 
-let fuzz name gen =
+let fuzz ?(decode = decode_all) name gen =
   QCheck.Test.make ~count:1000 ~name
     (QCheck.make ~print:String.escaped gen)
     (fun bytes ->
-      try decode_all bytes
+      try decode bytes
       with e -> QCheck.Test.fail_reportf "exception %s" (Printexc.to_string e))
+
+(* --- on-disk decoder fuzzing ------------------------------------------- *)
+
+let name_gen = QCheck.Gen.(string_size ~gen:printable (int_range 1 6))
+
+let journal_gen =
+  QCheck.Gen.(
+    let* scheme_names = list_size (int_range 1 3) name_gen in
+    let* mix_names = list_size (int_range 1 3) name_gen in
+    let* seed = ui64 in
+    let* telemetry = bool in
+    let record =
+      let* mix = oneofl mix_names in
+      let* scheme = oneofl scheme_names in
+      let* row_seed = ui64 in
+      let* ipc_bits = ui64 in
+      let* attempts = int_bound 3 in
+      let* counters = option (list_size (int_bound 3) (pair name_gen nat)) in
+      return
+        {
+          Checkpoint.mix;
+          scheme;
+          row_seed;
+          ipc = Int64.float_of_bits ipc_bits;
+          attempts;
+          counters;
+        }
+    in
+    let* records = list_size (int_bound 4) record in
+    let meta =
+      { Checkpoint.scale = "quick"; seed; scheme_names; mix_names; telemetry }
+    in
+    return
+      (Checkpoint.to_string
+         (List.fold_left Checkpoint.add (Checkpoint.create meta) records)))
+
+let ledger_gen =
+  QCheck.Gen.(
+    let* mix = name_gen in
+    let* scheme = name_gen in
+    let* ipc_bits = ui64 in
+    let* seed = ui64 in
+    let* counters = list_size (int_bound 3) (pair name_gen nat) in
+    let* gauges = list_size (int_bound 3) (pair name_gen float) in
+    let cell =
+      {
+        Ledger.mix;
+        scheme;
+        ipc = Int64.float_of_bits ipc_bits;
+        elapsed_s = 0.5;
+        started_s = 0.25;
+        worker = 1;
+        attempts = 1;
+        degraded = false;
+      }
+    in
+    return
+      (J.to_string
+         (Ledger.to_json
+            (Ledger.make ~counters ~gauges ~cells:[| cell |] ~cmd:"exp"
+               ~label:"fuzz" ~scale:"quick" ~seed ~jobs:2
+               ~scheme_names:[ scheme ] ~mix_names:[ mix ] ~wall_s:1.0 ()))))
+
+let span_json_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> J.to_string (Span.to_json s)) Test_dist.span_gen;
+        map
+          (fun l -> J.to_string (Span.list_to_json l))
+          (list_size (int_bound 3) Test_dist.span_gen);
+      ])
+
+let disk_gen = QCheck.Gen.oneof [ journal_gen; ledger_gen; span_json_gen ]
+
+(* The bytes as a journal file, and the whole text and each of its lines
+   through [Json.parse] into the ledger and span decoders. *)
+let decode_disk =
+  let path = Filename.temp_file "vliwsim_fuzz" ".journal" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  fun bytes ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    (match Checkpoint.load ~path with Ok _ | Error (_ : string) -> ());
+    List.iter
+      (fun text ->
+        match J.parse text with
+        | Ok doc ->
+          ignore (Ledger.of_json doc : Ledger.run option);
+          (match Span.of_json doc with Ok _ | Error (_ : string) -> ());
+          (match Span.list_of_json doc with Ok _ | Error (_ : string) -> ())
+        | Error (_ : string) -> ())
+      (bytes :: String.split_on_char '\n' bytes);
+    true
 
 let suite =
   ( "wire",
@@ -170,4 +269,10 @@ let suite =
         (fuzz "decoders: arbitrary bytes never raise" arbitrary_gen);
       QCheck_alcotest.to_alcotest
         (fuzz "decoders: mutated lines never raise" mutated_gen);
+      QCheck_alcotest.to_alcotest
+        (fuzz ~decode:decode_disk "on-disk decoders: arbitrary bytes never raise"
+           arbitrary_gen);
+      QCheck_alcotest.to_alcotest
+        (fuzz ~decode:decode_disk "on-disk decoders: mutated records never raise"
+           (mutate disk_gen));
     ] )
