@@ -20,7 +20,8 @@ type t = {
   mutable capacity : int;  (* as thread bitmasks *)
   mutable bmt_current : int;  (* thread owning the pipeline under BMT *)
   mutable switch_stall_until : int;  (* BMT context-switch bubble *)
-  mutable telemetry : Tel.Sink.t;
+  mutable telemetry : Tel.Sink.t;  (* the caller's recording sink *)
+  events : Tel.Counters.events option;  (* event counter slots *)
   attribution : Tel.Report.handles option;
   counters : Tel.Counters.t option;
   network : Merge.Merge_network.t option;
@@ -38,11 +39,10 @@ type t = {
 
 let create ?(telemetry = Tel.Sink.null) ?counters config mem =
   let n = Config.contexts config in
-  let telemetry, attribution =
+  let events, attribution =
     match counters with
-    | None -> (telemetry, None)
-    | Some c ->
-      (Tel.Sink.both telemetry (Tel.Counters.sink c), Some (Tel.Report.attach c))
+    | None -> (None, None)
+    | Some c -> (Some (Tel.Counters.events c), Some (Tel.Report.attach c))
   in
   let network =
     match config.Config.policy with
@@ -70,6 +70,7 @@ let create ?(telemetry = Tel.Sink.null) ?counters config mem =
     bmt_current = 0;
     switch_stall_until = 0;
     telemetry;
+    events;
     attribution;
     counters;
     network;
@@ -97,6 +98,11 @@ let fetch_pending t ~hw (th : Thread_state.t) =
   if stall > 0 then begin
     th.resume_at <- t.cycle + stall;
     th.stall_src <- Thread_state.Fetch_stall;
+    (match t.events with
+    | Some e ->
+      Tel.Counters.cache_miss e Tel.Event.L1i;
+      Tel.Counters.fetch_stall e
+    | None -> ());
     if Tel.Sink.enabled t.telemetry then begin
       Tel.Sink.emit t.telemetry ~cycle:t.cycle
         (Tel.Event.Cache_miss { thread = hw; level = Tel.Event.L1i });
@@ -144,9 +150,14 @@ let rec dstall_of t ~hw (th : Thread_state.t) remaining acc =
   else begin
     let addr = Thread_state.next_addr th in
     let s = Mem.Mem_system.daccess t.mem addr in
-    if s > 0 && Tel.Sink.enabled t.telemetry then
-      Tel.Sink.emit t.telemetry ~cycle:t.cycle
-        (Tel.Event.Cache_miss { thread = hw; level = Tel.Event.L1d });
+    if s > 0 then begin
+      (match t.events with
+      | Some e -> Tel.Counters.cache_miss e Tel.Event.L1d
+      | None -> ());
+      if Tel.Sink.enabled t.telemetry then
+        Tel.Sink.emit t.telemetry ~cycle:t.cycle
+          (Tel.Event.Cache_miss { thread = hw; level = Tel.Event.L1d })
+    end;
     dstall_of t ~hw th (remaining - 1)
       (if t.config.stall_on_dmiss then acc + s else acc)
   end
@@ -229,6 +240,9 @@ let decide t =
         let hw = first_live t ((t.bmt_current + 1) mod t.n) 0 in
         if hw < 0 then 0
         else begin
+          (match t.events with
+          | Some e -> Tel.Counters.bmt_switch e
+          | None -> ());
           if Tel.Sink.enabled t.telemetry then
             Tel.Sink.emit t.telemetry ~cycle:t.cycle
               (Tel.Event.Bmt_switch
@@ -258,9 +272,10 @@ type cycle_record = {
 }
 
 (* Operation count of the candidates in [mask]. Only asked about
-   threads that did not issue, so their instruction is still pending. *)
+   threads that did not issue, so their instruction is still pending.
+   Stops at the mask's highest set bit. *)
 let rec pending_ops t mask hw acc =
-  if hw >= t.n then acc
+  if mask lsr hw = 0 then acc
   else if mask land (1 lsl hw) = 0 then pending_ops t mask (hw + 1) acc
   else begin
     match t.contexts.(hw) with
@@ -268,6 +283,47 @@ let rec pending_ops t mask hw acc =
     | Some th ->
       pending_ops t mask (hw + 1) (acc + Isa.Instr.op_count th.pending)
   end
+
+(* A cycle that issued nothing loses its whole width to one vertical
+   cause: the majority stall source among resident threads (ties break
+   fetch > mem > branch), idle when no thread is resident. Top-level
+   recursion with int accumulators, as in [retire_issued]. *)
+let rec book_vertical t (h : Tel.Report.handles) hw resident fetch mem br =
+  if hw >= t.n then begin
+    let cause =
+      if resident = 0 then h.v_idle
+      else if fetch > 0 && fetch >= mem && fetch >= br then h.v_fetch
+      else if mem > 0 && mem >= br then h.v_mem
+      else if br > 0 then h.v_branch
+      else h.v_idle
+    in
+    Tel.Counters.add cause t.width
+  end
+  else begin
+    match t.contexts.(hw) with
+    | None -> book_vertical t h (hw + 1) resident fetch mem br
+    | Some th -> (
+      let resident = resident + 1 in
+      match th.stall_src with
+      | Thread_state.Fetch_stall ->
+        book_vertical t h (hw + 1) resident (fetch + 1) mem br
+      | Thread_state.Mem_stall ->
+        book_vertical t h (hw + 1) resident fetch (mem + 1) br
+      | Thread_state.Branch_stall ->
+        book_vertical t h (hw + 1) resident fetch mem (br + 1)
+      | Thread_state.Ready -> book_vertical t h (hw + 1) resident fetch mem br)
+  end
+
+(* Book up to the pending operations of [mask] of the [rem]
+   still-unattributed slots to [counter]; returns what remains. *)
+let take t counter rem mask =
+  let ops = if rem > 0 then pending_ops t mask 0 0 else 0 in
+  if ops > 0 then begin
+    let x = if ops < rem then ops else rem in
+    Tel.Counters.add counter x;
+    rem - x
+  end
+  else rem
 
 (* Exact slot attribution for one cycle; see Vliw_telemetry.Report. *)
 let attribute t (h : Tel.Report.handles) ~issued ~issued_ops ~priority =
@@ -277,11 +333,7 @@ let attribute t (h : Tel.Report.handles) ~issued ~issued_ops ~priority =
   Tel.Counters.add h.slots_filled issued_ops;
   if issued = 0 then begin
     (* No thread selected (note: a selected nop-only instruction still
-       counts as horizontal waste below). The whole width goes to
-       exactly one cause: candidates present but nothing issued only
-       happens in a BMT switch bubble; otherwise classify by the
-       majority stall source among resident threads (ties break
-       fetch > mem > branch). *)
+       counts as horizontal waste below). *)
     if t.live <> 0 then begin
       (* Candidates present but nothing issued only happens inside a
          switch bubble (BMT context switch or merge-network
@@ -291,53 +343,37 @@ let attribute t (h : Tel.Report.handles) ~issued ~issued_ops ~priority =
       Tel.Counters.add h.v_switch w;
       Tel.Counters.incr h.switch_bubbles
     end
-    else begin
-      let fetch = ref 0 and mem = ref 0 and br = ref 0 and resident = ref 0 in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (th : Thread_state.t) ->
-            incr resident;
-            (match th.stall_src with
-            | Thread_state.Fetch_stall -> incr fetch
-            | Thread_state.Mem_stall -> incr mem
-            | Thread_state.Branch_stall -> incr br
-            | Thread_state.Ready -> ()))
-        t.contexts;
-      let cause =
-        if !resident = 0 then h.v_idle
-        else if !fetch > 0 && !fetch >= !mem && !fetch >= !br then h.v_fetch
-        else if !mem > 0 && !mem >= !br then h.v_mem
-        else if !br > 0 then h.v_branch
-        else h.v_idle
-      in
-      Tel.Counters.add cause w
-    end
+    else book_vertical t h 0 0 0 0 0
   end
   else begin
     (* Horizontal: rejected candidates could have filled slots (capped
        at the actual waste, in cause order); the rest is ILP shortfall. *)
-    let rem = ref (w - issued_ops) in
-    let take counter ops =
-      if !rem > 0 && ops > 0 then begin
-        let x = min !rem ops in
-        Tel.Counters.add counter x;
-        rem := !rem - x
-      end
-    in
-    take h.h_conflict (pending_ops t t.conflict 0 0);
-    take h.h_capacity (pending_ops t t.capacity 0 0);
-    take h.h_priority (pending_ops t priority 0 0);
-    if !rem > 0 then Tel.Counters.add h.h_ilp !rem
+    let rem = take t h.h_conflict (w - issued_ops) t.conflict in
+    let rem = take t h.h_capacity rem t.capacity in
+    let rem = take t h.h_priority rem priority in
+    if rem > 0 then Tel.Counters.add h.h_ilp rem
   end
 
-(* The observation pass: events and exact-sum attribution read the
-   cycle's masks and never touch simulator state, which is what makes
-   telemetry on and off bit-identical. Candidates the policy passed over
-   without a resource reason — ready threads IMT/BMT did not select,
-   every candidate of a switch bubble — are priority rejects. *)
+(* The observation pass: event counters, recorded events and exact-sum
+   attribution read the cycle's masks and never touch simulator state,
+   which is what makes telemetry on and off bit-identical. Candidates
+   the policy passed over without a resource reason — ready threads
+   IMT/BMT did not select, every candidate of a switch bubble — are
+   priority rejects. Counting adds mask popcounts to slots and
+   allocates nothing; [Event.t] values are built only for a recording
+   sink. *)
 let observe t ~issued ~issued_ops =
   let priority = t.live land lnot (issued lor t.conflict lor t.capacity) in
+  (match t.events with
+  | Some e ->
+    Tel.Counters.merge_rejects e Tel.Event.Conflict (popcount 0 t.conflict);
+    Tel.Counters.merge_rejects e Tel.Event.Capacity
+      (popcount 0 (t.capacity land lnot t.conflict));
+    Tel.Counters.merge_rejects e Tel.Event.Priority (popcount 0 priority);
+    if issued <> 0 then
+      Tel.Counters.issue e ~threads_merged:(popcount 0 issued)
+        ~slots_filled:issued_ops
+  | None -> ());
   if Tel.Sink.enabled t.telemetry then begin
     let reject thread reason =
       Tel.Sink.emit t.telemetry ~cycle:t.cycle
@@ -477,6 +513,9 @@ let switch_scheme t ?name ~penalty scheme =
       if penalty < 0 then invalid_arg "Core.switch_scheme: negative penalty";
       if penalty > 0 then
         t.switch_stall_until <- max t.switch_stall_until (t.cycle + penalty);
+      (match t.events with
+      | Some e -> Tel.Counters.scheme_switch e
+      | None -> ());
       if Tel.Sink.enabled t.telemetry then
         Tel.Sink.emit t.telemetry ~cycle:t.cycle
           (Tel.Event.Scheme_switch

@@ -16,17 +16,19 @@ val create :
   Config.t ->
   Vliw_mem.Mem_system.t ->
   t
-(** [telemetry] (default {!Vliw_telemetry.Sink.null}) receives typed
-    pipeline events. When [counters] is given, a counting sink and an
-    exact-sum stall-attribution pass ({!Vliw_telemetry.Report}) are
-    attached on top of it. Telemetry is observation-only: simulation
-    results are bit-identical with any sink. *)
+(** [telemetry] (default {!Vliw_telemetry.Sink.null}) is a recording
+    sink: it receives typed pipeline events, which are built only when
+    it is enabled. When [counters] is given, the core bumps that
+    registry's event slots ({!Vliw_telemetry.Counters.events}) directly
+    and books an exact-sum stall attribution
+    ({!Vliw_telemetry.Report}); neither needs a sink nor allocates per
+    cycle. Telemetry is observation-only: simulation results are
+    bit-identical with any sink and with or without counters. *)
 
 val set_sink : t -> Vliw_telemetry.Sink.t -> unit
-(** Replace the event sink installed at creation (including the
-    counting sink composed in by [create ~counters]); the attribution
-    pass, if any, is unaffected. Lets a caller warm up silently and
-    record afterwards. *)
+(** Replace the recording sink installed at creation. Event counting
+    and attribution into the [counters] registry, if any, are
+    unaffected. Lets a caller warm up silently and record afterwards. *)
 
 val install : t -> Thread_state.t option array -> unit
 (** Set the threads resident on the hardware contexts; the array length
@@ -37,9 +39,10 @@ val step : t -> unit
     setting: a fetch pass fills the live-port mask (and, under
     {!Policy.Merged}, the installed scheme's {!Vliw_merge.Engine.Batch});
     the policy turns it into issued and reject bitmasks; the issued
-    threads retire; only then, when a sink or attribution is attached,
-    an observation pass emits events and books attribution from those
-    masks. Allocation-free once warm when nothing observes. *)
+    threads retire; only then, when a sink or counters are attached, an
+    observation pass counts and records events and books attribution
+    from those masks. Allocation-free once warm, with or without
+    counters; only a recording sink allocates (the events it gets). *)
 
 type cycle_record = {
   cycle : int;

@@ -160,7 +160,30 @@ let check_attribution (snap : Vliw_telemetry.Counters.snapshot) =
            (Printf.sprintf
               "switch-penalty conservation: %d bubble cycles exceed %d \
                stall-window cycles"
-              bubbles stall))
+              bubbles stall));
+    (* Event slots agree with attribution. Only for a registry every part
+       of which was filled by a core: a cell restored from a checkpoint
+       carries its counters but not its histograms. *)
+    let hist name =
+      List.assoc_opt name snap.Vliw_telemetry.Counters.histograms
+    in
+    match (hist "issue.slots_filled", hist "issue.threads_merged") with
+    | Some slots, Some merged when count Vliw_telemetry.Report.n_sweep_resumed = 0
+      ->
+      let law what a b =
+        if a <> b then
+          raise (Violation (Printf.sprintf "event slots: %s (%d <> %d)" what a b))
+      in
+      (* an integer-valued float sum is exact below 2^53 *)
+      law "issue.slots_filled sum = slots.filled" (int_of_float slots.sum)
+        (count "slots.filled");
+      let issues = count "events.issue" in
+      law "issue.slots_filled total = events.issue" slots.total issues;
+      law "events.issue = issue.threads_merged total" issues merged.total;
+      law "events.fetch_stall = events.cache_miss.l1i"
+        (count "events.fetch_stall")
+        (count "events.cache_miss.l1i")
+    | _ -> ()
   end
 
 (* --- select_batched = select_reference probe -------------------------- *)

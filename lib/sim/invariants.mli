@@ -41,9 +41,15 @@ val check_metrics : Metrics.t -> unit
 val check_attribution : Vliw_telemetry.Counters.snapshot -> unit
 (** Exact-sum stall attribution: wasted slots
     ([slots.offered - slots.filled]) must equal the sum of the
-    [waste.*] categories. No-op on snapshots without attribution
+    [waste.*] categories, and switch bubbles must be conserved. When the
+    [issue.slots_filled] histogram is present and no cell was restored
+    from a checkpoint ([sweep.resumed_cells] = 0), the event slots must
+    also agree with attribution: the histogram's sum equals
+    [slots.filled]; its total equals [events.issue], which equals the
+    [issue.threads_merged] total; and [events.fetch_stall] equals
+    [events.cache_miss.l1i]. No-op on snapshots without attribution
     counters (no ["slots.offered"]).
-    @raise Violation on a broken sum. *)
+    @raise Violation on a broken law. *)
 
 val check_select :
   ?machine:Vliw_isa.Machine.t ->

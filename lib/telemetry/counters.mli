@@ -1,9 +1,11 @@
 (** Named monotonic counters and fixed-bucket histograms.
 
     Handles are resolved by name once ({!counter}/{!histogram}) and then
-    updated without lookup. Snapshots are immutable, name-sorted, and
-    mergeable: every sweep cell snapshots its own registry and the
-    aggregation sums them, so telemetry needs no cross-domain sharing.
+    updated without lookup; the simulator's event counters are a fixed
+    slot block named only at snapshot time ({!events}). Snapshots are
+    immutable, name-sorted, and mergeable: every sweep cell snapshots
+    its own registry and the aggregation sums them, so telemetry needs
+    no cross-domain sharing.
     Histogram quantiles (p50/p95/p99) interpolate linearly inside the
     bucket the rank lands in — the bucketed analogue of
     {!Vliw_util.Stats.percentile}. *)
@@ -32,6 +34,9 @@ val histogram : t -> string -> bounds:float array -> histogram
     original bounds win. *)
 
 val observe : histogram -> float -> unit
+
+val observe_int : histogram -> int -> unit
+(** [observe h i] for an integer sample, without allocating. *)
 
 (** {1 Snapshots} *)
 
@@ -71,9 +76,40 @@ val flat : snapshot -> (string * string) list
 val to_csv : snapshot -> string list * string list list
 (** {!flat} as a CSV header and rows ([counter,value]). *)
 
-(** {1 Event counting} *)
+(** {1 Event counters}
 
-val sink : t -> Sink.t
-(** A sink that counts every event under its {!Event.counter_key} and
-    feeds the [issue.slots_filled] / [issue.threads_merged]
-    histograms. *)
+    The simulator counts its events ({!Event.t}) in a fixed block of
+    integer slots, one per event kind refined by reject reason or cache
+    level, plus the [issue.slots_filled] / [issue.threads_merged]
+    histograms. The core bumps a slot directly, so counting needs no
+    sink, no [Event.t] value and no string: a counters-only run
+    allocates nothing per cycle. Sinks ({!Sink}) are for recording
+    events only. A slot is named when a snapshot is taken and appears in
+    it only once bumped. *)
+
+type events
+(** The slot block of one registry. *)
+
+val events : t -> events
+(** The registry's slot block, created (with both issue histograms) on
+    first use; later calls return the same block. *)
+
+val event_names : string array
+(** The nine event counter names, e.g. ["events.merge_reject.conflict"]. *)
+
+val event_name : Event.t -> string
+(** The counter an event is counted under: one of {!event_names}. *)
+
+val fetch_stall : events -> unit
+
+val merge_rejects : events -> Event.reject_reason -> int -> unit
+(** [merge_rejects e reason n] counts [n] rejects for [reason]. *)
+
+val issue : events -> threads_merged:int -> slots_filled:int -> unit
+(** Counts the issue and records both issue histograms. *)
+
+val cache_miss : events -> Event.cache_level -> unit
+
+val bmt_switch : events -> unit
+
+val scheme_switch : events -> unit

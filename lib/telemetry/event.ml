@@ -25,16 +25,6 @@ let name = function
   | Bmt_switch _ -> "bmt_switch"
   | Scheme_switch _ -> "scheme_switch"
 
-(* Counter key of an event: the event name refined by its discriminating
-   payload, so a counting sink needs no per-event special cases. *)
-let counter_key = function
-  | Fetch_stall _ -> "events.fetch_stall"
-  | Merge_reject { reason; _ } -> "events.merge_reject." ^ reason_to_string reason
-  | Issue _ -> "events.issue"
-  | Cache_miss { level; _ } -> "events.cache_miss." ^ level_to_string level
-  | Bmt_switch _ -> "events.bmt_switch"
-  | Scheme_switch _ -> "events.scheme_switch"
-
 let args = function
   | Fetch_stall { thread; penalty } ->
     [ ("thread", string_of_int thread); ("penalty", string_of_int penalty) ]

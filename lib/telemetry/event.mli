@@ -5,7 +5,12 @@
     waste, merge rejects explain horizontal waste, and the issue event
     records what the merge network achieved each cycle. [thread] fields
     are hardware-context indices (the lane identity in trace exports),
-    not software-thread ids. *)
+    not software-thread ids.
+
+    The core builds an event only for a recording sink ({!Sink});
+    counting goes through {!Counters.events} slots, whose names
+    ({!Counters.event_name}) refine the kind by reject reason or cache
+    level. *)
 
 type reject_reason =
   | Conflict  (** Cluster (CSMT) or pinned-slot (fixed-slot SMT) collision. *)
@@ -35,10 +40,6 @@ val name : t -> string
 val reason_to_string : reject_reason -> string
 
 val level_to_string : cache_level -> string
-
-val counter_key : t -> string
-(** Stable counter name of the event refined by its discriminating
-    payload (e.g. ["events.merge_reject.conflict"]). *)
 
 val args : t -> (string * string) list
 (** Payload as ordered key/value strings (trace-export annotations). *)

@@ -8,12 +8,3 @@ let emit t ~cycle event =
   match t with Null -> () | Fn f -> f ~cycle event
 
 let fn f = Fn f
-
-let both a b =
-  match (a, b) with
-  | Null, s | s, Null -> s
-  | Fn f, Fn g ->
-    Fn
-      (fun ~cycle event ->
-        f ~cycle event;
-        g ~cycle event)

@@ -1,4 +1,8 @@
-(** Event sinks: where instrumented code sends its events.
+(** Event sinks: where instrumented code sends the events it records
+    (a {!Recorder}, a Chrome trace, a test's probe). Sinks are for
+    recording only: the simulator counts its events in
+    {!Counters.events} slots, without building an event or going
+    through a sink.
 
     The disabled path must cost nothing: {!null} is an immediate
     constructor, so both {!enabled} and {!emit} reduce to a single tag
@@ -20,5 +24,3 @@ val emit : t -> cycle:int -> Event.t -> unit
 
 val fn : (cycle:int -> Event.t -> unit) -> t
 
-val both : t -> t -> t
-(** Fan out to two sinks (in order); {!null} is the identity. *)

@@ -1,5 +1,6 @@
 (* The run ledger under several writers: forked processes appending to
-   one ledger, an append after a torn tail, random interleavings of
+   one ledger, an append after a torn tail, a writer killed with
+   SIGKILL mid-append, random interleavings of
    append / gc / merge against the increasing-id invariant the tail read
    relies on, and two processes replacing one file through
    [Atomic_io.write_file]. *)
@@ -117,6 +118,66 @@ let test_torn_tail () =
         [ "first"; "second"; "after-tear" ]
         (List.map (fun (r : L.run) -> r.label) (L.load ~dir)))
 
+(* --- kill -9 mid-append -------------------------------------------------- *)
+
+(* A child appends records 1, 2, ... (ipc = index) and reports each
+   completed append with one byte on a pipe; after a seeded random delay
+   it is SIGKILLed, possibly inside an append. The ledger must load as
+   r1..rk with every record intact, lose at most the append in flight,
+   and hand the next append r(k+1). *)
+let test_kill_mid_append () =
+  List.iter
+    (fun seed ->
+      with_temp_dir (fun dir ->
+          let st = Random.State.make [| seed |] in
+          let delay = 0.005 +. Random.State.float st 0.045 in
+          let rd, wr = Unix.pipe () in
+          match Unix.fork () with
+          | 0 ->
+            Unix.close rd;
+            let tick = Bytes.make 1 'x' in
+            let rec loop i =
+              ignore
+                (L.append ~dir
+                   (mk_run ~ipc:(float_of_int i) ~label:(Printf.sprintf "c%d" i) ()));
+              ignore (Unix.write wr tick 0 1);
+              loop (i + 1)
+            in
+            (try loop 1 with _ -> ());
+            Unix._exit 1
+          | pid ->
+            Unix.close wr;
+            Unix.sleepf delay;
+            Unix.kill pid Sys.sigkill;
+            (match Unix.waitpid [] pid with
+            | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
+            | _ -> Alcotest.fail "the writer did not die of SIGKILL");
+            let acked =
+              In_channel.input_all (Unix.in_channel_of_descr rd) |> String.length
+            in
+            Unix.close rd;
+            let runs = L.load ~dir in
+            let k = List.length runs in
+            let what = Printf.sprintf "seed %d: " seed in
+            Alcotest.(check (list string))
+              (what ^ "ids r1..rk")
+              (List.init k (fun i -> Printf.sprintf "r%d" (i + 1)))
+              (List.map (fun (r : L.run) -> r.id) runs);
+            Alcotest.(check (list (pair string (float 0.0))))
+              (what ^ "every record intact")
+              (List.init k (fun i ->
+                   (Printf.sprintf "c%d" (i + 1), float_of_int (i + 1))))
+              (List.map (fun (r : L.run) -> (r.label, L.mean_ipc r)) runs);
+            Alcotest.(check bool)
+              (Printf.sprintf "%sat most the killed append lost (%d acked, %d kept)"
+                 what acked k)
+              true
+              (k = acked || k = acked + 1);
+            Alcotest.(check string) (what ^ "next id")
+              (Printf.sprintf "r%d" (k + 1))
+              (L.append ~dir (mk_run ~label:"after-kill" ())).L.id))
+    [ 1; 2; 3; 4; 5 ]
+
 (* --- id invariant under append / gc / merge ---------------------------- *)
 
 type op =
@@ -208,6 +269,7 @@ let () =
           Alcotest.test_case "concurrent appends from 4 processes" `Quick
             test_concurrent_appends;
           Alcotest.test_case "append after a torn tail" `Quick test_torn_tail;
+          Alcotest.test_case "kill -9 mid-append" `Quick test_kill_mid_append;
           QCheck_alcotest.to_alcotest test_id_invariant;
           Alcotest.test_case "one git revision per process" `Quick test_git_rev_once;
           Alcotest.test_case "write_file from two processes" `Quick

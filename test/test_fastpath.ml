@@ -243,9 +243,11 @@ let test_no_routing_per_cycle () =
 
 (* --- zero-allocation steady state ----------------------------------- *)
 
-(* The step loop must not touch the minor heap once warm while nothing
-   observes it, under every issue policy (they share the loop): the
-   measured minor-word delta over N steps must equal the delta of the
+(* The step loop must not touch the minor heap once warm, under every
+   issue policy (they share the loop), both while nothing observes it
+   and with a counter registry attached (event slots, issue histograms
+   and exact-sum attribution, but no recording sink): the measured
+   minor-word delta over N steps must equal the delta of the
    measurement harness alone (0 steps). Warmup covers cold-start work —
    signatures are already computed at Program.generate time, but cache
    tags, predictor counters and the Batch lanes deserve settling. *)
@@ -253,7 +255,7 @@ let test_zero_alloc_steady_state () =
   let scheme = (M.Catalog.find_exn "2SC3").scheme in
   let mix = Vliw_workloads.Mixes.find_exn "LLHH" in
   List.iter
-    (fun policy ->
+    (fun (policy, counted) ->
       let config = Vliw_sim.Config.make ~policy scheme in
       let rng = Vliw_util.Rng.create 7L in
       let programs =
@@ -274,7 +276,12 @@ let test_zero_alloc_steady_state () =
              programs)
       in
       let mem = Vliw_mem.Mem_system.create config.Vliw_sim.Config.machine in
-      let core = Vliw_sim.Core.create config mem in
+      let core =
+        if counted then
+          Vliw_sim.Core.create ~counters:(Vliw_telemetry.Counters.create ())
+            config mem
+        else Vliw_sim.Core.create config mem
+      in
       let n = Vliw_sim.Config.contexts config in
       Vliw_sim.Core.install core
         (Array.init n (fun i ->
@@ -293,11 +300,14 @@ let test_zero_alloc_steady_state () =
       let with_steps = delta 10_000 in
       if with_steps <> harness_only then
         Alcotest.failf
-          "%s: steady state allocated %.0f minor words over 10k cycles \
+          "%s%s: steady state allocated %.0f minor words over 10k cycles \
            (harness baseline %.0f)"
           (Vliw_sim.Policy.to_string policy)
+          (if counted then " with counters" else "")
           (with_steps -. harness_only) harness_only)
-    [ Vliw_sim.Policy.Merged; Vliw_sim.Policy.Imt; Vliw_sim.Policy.default_bmt ]
+    (List.concat_map
+       (fun policy -> [ (policy, false); (policy, true) ])
+       [ Vliw_sim.Policy.Merged; Vliw_sim.Policy.Imt; Vliw_sim.Policy.default_bmt ])
 
 let suite =
   ( "fastpath",

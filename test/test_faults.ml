@@ -555,7 +555,36 @@ let test_attribution_check () =
     | () -> false
     | exception Vliw_sim.Invariants.Violation _ -> true);
   (* a snapshot without attribution counters is a no-op *)
-  Vliw_sim.Invariants.check_attribution Counters.empty
+  Vliw_sim.Invariants.check_attribution Counters.empty;
+  (* the event-slot laws: a real run's registry passes, and one bumped
+     event counter breaks it, unless a restored cell is merged in *)
+  let reg = Counters.create () in
+  ignore
+    (Vliw_sim.Multitask.run
+       (Vliw_sim.Config.make (Vliw_merge.Catalog.find_exn "2SC3").scheme)
+       ~seed:7L ~schedule:Vliw_sim.Multitask.quick_schedule ~counters:reg
+       (Vliw_workloads.Mixes.find_exn "LLHH").members);
+  let snap = Counters.snapshot reg in
+  Vliw_sim.Invariants.check_attribution snap;
+  let bump name (s : Counters.snapshot) =
+    {
+      s with
+      counters =
+        List.map (fun (k, v) -> if k = name then (k, v + 1) else (k, v)) s.counters;
+    }
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " + 1 caught") true
+        (match Vliw_sim.Invariants.check_attribution (bump name snap) with
+        | () -> false
+        | exception Vliw_sim.Invariants.Violation _ -> true))
+    [ "events.issue"; "events.fetch_stall" ];
+  let restored = Counters.create () in
+  Counters.incr (Counters.counter restored Report.n_sweep_resumed);
+  Vliw_sim.Invariants.check_attribution
+    (Counters.merge (bump "events.issue" snap) (Counters.snapshot restored))
 
 let test_select_probe () =
   List.iter

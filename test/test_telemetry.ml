@@ -90,12 +90,7 @@ let test_sinks () =
   Alcotest.(check bool) "fn enabled" true (T.Sink.enabled counting);
   T.Sink.emit T.Sink.null ~cycle:0 (issue ~threads:[ 0 ] ~ops:1);
   T.Sink.emit counting ~cycle:0 (issue ~threads:[ 0 ] ~ops:1);
-  Alcotest.(check int) "null swallows, fn counts" 1 !hits;
-  let both = T.Sink.both counting (T.Sink.fn (fun ~cycle:_ _ -> incr hits)) in
-  T.Sink.emit both ~cycle:1 (issue ~threads:[ 1 ] ~ops:2);
-  Alcotest.(check int) "both fans out" 3 !hits;
-  Alcotest.(check bool) "both with null collapses" true
-    (T.Sink.both counting T.Sink.null == counting)
+  Alcotest.(check int) "null swallows, fn counts" 1 !hits
 
 let test_event_keys () =
   let cases =
@@ -114,15 +109,22 @@ let test_event_keys () =
         "events.cache_miss.l1d" );
       ( T.Event.Bmt_switch { from_thread = 0; to_thread = 1 },
         "events.bmt_switch" );
+      ( T.Event.Scheme_switch
+          { from_scheme = "2SC3"; to_scheme = "3SSS"; penalty = 4 },
+        "events.scheme_switch" );
     ]
   in
   List.iter
     (fun (ev, key) ->
-      Alcotest.(check string) key key (T.Event.counter_key ev);
+      Alcotest.(check string) key key (T.Counters.event_name ev);
       Alcotest.(check bool)
         (key ^ " args render") true
         (List.for_all (fun (k, v) -> k <> "" && v <> "") (T.Event.args ev)))
-    cases
+    cases;
+  Alcotest.(check (list string))
+    "one name table, one slot per kind"
+    (List.sort compare (List.map snd cases))
+    (List.sort compare (Array.to_list T.Counters.event_names))
 
 (* --- Simulator integration ------------------------------------------- *)
 
@@ -194,6 +196,160 @@ let test_events_match_metrics () =
   in
   Alcotest.(check int) "sum of Issue slots = ops" metrics.Vliw_sim.Metrics.ops !ops;
   Alcotest.(check bool) "issue events occurred" true (!issues > 0)
+
+(* --- Event counter slots ----------------------------------------------- *)
+
+(* Every field of a snapshot, floats in exact hex, as one string. *)
+let snapshot_text (s : T.Counters.snapshot) =
+  let floats a =
+    String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a))
+  in
+  String.concat "\n"
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.counters
+    @ List.map
+        (fun (k, (h : T.Counters.hist_snapshot)) ->
+          Printf.sprintf "%s bounds=%s counts=%s total=%d sum=%h min=%h max=%h"
+            k (floats h.bounds)
+            (String.concat "," (Array.to_list (Array.map string_of_int h.counts)))
+            h.total h.sum h.vmin h.vmax)
+        s.histograms)
+
+(* The full registry of a quick 2SC3/MMHH run — counters, event slots
+   and both issue histograms — pinned per policy. The digests were
+   taken from the by-name counting sink that the slots replace. *)
+let test_snapshot_golden () =
+  List.iter
+    (fun (label, policy, digest) ->
+      let config =
+        Vliw_sim.Config.make ~policy (Vliw_merge.Catalog.find_exn "2SC3").scheme
+      in
+      let counters = T.Counters.create () in
+      ignore
+        (Vliw_sim.Multitask.run config
+           ~schedule:Vliw_sim.Multitask.quick_schedule ~counters
+           (Vliw_workloads.Mixes.find_exn "MMHH").members);
+      Alcotest.(check string)
+        (label ^ " snapshot digest")
+        digest
+        (Digest.to_hex
+           (Digest.string (snapshot_text (T.Counters.snapshot counters)))))
+    [
+      ("merged", Vliw_sim.Policy.Merged, "e20d24eff8a8af51040ddaf9bdf21e06");
+      ("imt", Vliw_sim.Policy.Imt, "16ab4808f0ee717357b0b5c8758909e9");
+      ( "bmt4",
+        Vliw_sim.Policy.Bmt { switch_penalty = 4 },
+        "0116b9145054e2e91cf717248c7c772a" );
+    ]
+
+(* Per-name tallies of the events a sink records. *)
+let tallying_sink () =
+  let tally = Hashtbl.create 16 in
+  let sink =
+    T.Sink.fn (fun ~cycle:_ ev ->
+        let k = T.Counters.event_name ev in
+        Hashtbl.replace tally k
+          (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
+  in
+  (tally, sink)
+
+let event_counts (s : T.Counters.snapshot) =
+  List.filter
+    (fun (k, _) -> Array.mem k T.Counters.event_names)
+    s.counters
+
+(* The slot path and the event path agree: with counters and a recording
+   sink both attached, the recorded events tallied by name equal the
+   snapshot's [events.*] counters. *)
+let test_slots_match_recorded_events =
+  let schemes = [| "1S"; "C4"; "3CCC"; "3SSS"; "2SC3" |] in
+  let mixes = [| "LLHH"; "MMHH"; "HHHH"; "LLLL" |] in
+  let policies =
+    [|
+      Vliw_sim.Policy.Merged;
+      Vliw_sim.Policy.Imt;
+      Vliw_sim.Policy.Bmt { switch_penalty = 0 };
+      Vliw_sim.Policy.Bmt { switch_penalty = 4 };
+    |]
+  in
+  QCheck.Test.make ~count:12
+    ~name:"event slots = recorded event tallies (scheme x mix x policy)"
+    QCheck.(
+      triple
+        (int_bound (Array.length schemes - 1))
+        (int_bound (Array.length mixes - 1))
+        (int_bound (Array.length policies - 1)))
+    (fun (si, mi, pi) ->
+      let config =
+        Vliw_sim.Config.make ~policy:policies.(pi)
+          (Vliw_merge.Catalog.find_exn schemes.(si)).scheme
+      in
+      let counters = T.Counters.create () in
+      let tally, telemetry = tallying_sink () in
+      ignore
+        (Vliw_sim.Multitask.run config
+           ~schedule:Vliw_sim.Multitask.quick_schedule ~telemetry ~counters
+           (Vliw_workloads.Mixes.find_exn mixes.(mi)).members);
+      let recorded =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []
+        |> List.sort compare
+      in
+      recorded <> [] && recorded = event_counts (T.Counters.snapshot counters))
+
+(* Replacing the recording sink mid-run must not touch counting: the
+   event slots keep up with the core's own statistics over the whole
+   run, and the new sink sees exactly the cycles after the swap. *)
+let test_set_sink_keeps_counting () =
+  let config = Vliw_sim.Config.make (Vliw_merge.Catalog.find_exn "2SC3").scheme in
+  let rng = Vliw_util.Rng.create 11L in
+  let threads =
+    List.mapi
+      (fun id p ->
+        let program =
+          Vliw_compiler.Program.generate ~seed:(Vliw_util.Rng.next_int64 rng)
+            config.Vliw_sim.Config.machine p
+        in
+        Vliw_sim.Thread_state.create ~id ~seed:(Vliw_util.Rng.next_int64 rng)
+          program)
+      (Vliw_workloads.Mixes.find_exn "MMHH").members
+  in
+  let counters = T.Counters.create () in
+  let mem = Vliw_mem.Mem_system.create config.Vliw_sim.Config.machine in
+  let core = Vliw_sim.Core.create ~counters config mem in
+  Vliw_sim.Core.install core
+    (Array.init (Vliw_sim.Config.contexts config) (fun i ->
+         List.nth_opt threads i));
+  let n = 3000 and m = 500 in
+  for _ = 1 to n do
+    Vliw_sim.Core.step core
+  done;
+  let issues_before = T.Counters.count (T.Counters.snapshot counters) "events.issue" in
+  let recorder = T.Recorder.create ~capacity:(m * 16) () in
+  Vliw_sim.Core.set_sink core (T.Recorder.sink recorder);
+  for _ = 1 to m do
+    Vliw_sim.Core.step core
+  done;
+  let snap = T.Counters.snapshot counters in
+  let issues = T.Counters.count snap "events.issue" in
+  let slots = List.assoc "issue.slots_filled" snap.histograms in
+  let hist = Vliw_sim.Core.issue_hist core in
+  Alcotest.(check int) "events.issue = issuing cycles over N + M" (n + m - hist.(0))
+    issues;
+  Alcotest.(check int) "events.issue = slots_filled histogram total" issues
+    slots.total;
+  Alcotest.(check (float 0.0)) "histogram sum = slots.filled"
+    (float_of_int (T.Counters.count snap "slots.filled"))
+    slots.sum;
+  Alcotest.(check int) "nothing dropped" 0 (T.Recorder.dropped recorder);
+  let entries = T.Recorder.to_list recorder in
+  Alcotest.(check bool) "only the last M cycles recorded" true
+    (entries <> []
+    && List.for_all (fun (e : T.Recorder.entry) -> e.cycle >= n) entries);
+  Alcotest.(check int) "recorded issues = slot delta over M" (issues - issues_before)
+    (List.length
+       (List.filter
+          (fun (e : T.Recorder.entry) ->
+            match e.event with T.Event.Issue _ -> true | _ -> false)
+          entries))
 
 (* The acceptance property: telemetry is observation-only. The (mix x
    scheme) IPC grid must be bit-identical with per-cell counters
@@ -477,6 +633,11 @@ let suite =
         test_attribution_exact_sum;
       Alcotest.test_case "issue events match metrics" `Quick
         test_events_match_metrics;
+      Alcotest.test_case "counter snapshot golden digests" `Quick
+        test_snapshot_golden;
+      QCheck_alcotest.to_alcotest test_slots_match_recorded_events;
+      Alcotest.test_case "set_sink keeps event counting" `Quick
+        test_set_sink_keeps_counting;
       QCheck_alcotest.to_alcotest test_telemetry_observation_only;
       Alcotest.test_case "chrome trace of a recorder" `Quick
         test_chrome_trace_of_recorder;
