@@ -54,16 +54,16 @@ let select_reference m ?(routing = Conflict.Flexible) scheme ?(rotation = 0)
    lane per cluster), and the scheme tree is evaluated with word-parallel
    bitwise/integer ops over those lanes. No per-thread closures, no
    per-node option allocation, no list construction: the traversal is
-   top-level recursion over the immutable scheme tree, intermediate
-   packets live in depth-indexed accumulator registers, and the outcome
-   is three thread bitmasks plus the union-order buffer. [eval] therefore
+   top-level recursion over the immutable scheme tree that returns the
+   index of the lane holding a subtree's packet, and the outcome is three
+   thread bitmasks plus the union-order buffer. [eval] therefore
    allocates nothing — the simulator's steady-state loop can run it every
    cycle and stay off the minor heap.
 
    The conflict decisions are the signature arithmetic of
    {!Conflict.csmt_compatible}, {!Conflict.smt_compatible} and
-   {!Conflict.smt_compatible_fixed}, applied to the register lanes
-   instead of packets; the traversal mirrors the oracle's [eval] (same
+   {!Conflict.smt_compatible_fixed}, applied to the lanes instead of
+   packets; the traversal mirrors the oracle's [eval] (same
    accumulate-then-check fold, same reject bookkeeping), so
    [select_batched] agrees bit-for-bit with [select_reference] —
    property-tested. *)
@@ -80,20 +80,18 @@ module Batch = struct
        reads packed counts, fixed-slot SMT reads pinned masks. *)
     need_counts : bool;
     need_pins : bool;
-    (* Port lanes, indexed by hardware thread; [i * clusters + c] in the
-       flattened per-cluster arrays. *)
     mutable live : int;  (* bitmask of ports holding a candidate *)
-    p_threads : int array;
-    p_mask : int array;
-    p_counts : int array;
-    p_pins : int array;
-    (* Accumulator registers, one per tree depth: the merge node at
-       depth [d] accumulates in register [d] while its children
-       evaluate into register [d+1]. *)
-    r_threads : int array;
-    r_mask : int array;
-    r_counts : int array;
-    r_pins : int array;
+    (* Lanes [0, n) are the ports, indexed by hardware thread; lane
+       [n + d] is the accumulator register of the merge nodes at depth
+       [d]. Per-cluster lanes are flattened as [lane * clusters + c]. A
+       subtree's packet is named by its lane: a leaf is its port lane,
+       a merge node's accumulator is its first producing child's lane
+       until a union writes register [n + d]. Nothing is ever copied. *)
+    l_threads : int array;
+    l_mask : int array;
+    l_counts : int array;
+    l_pins : int array;
+    rot : int array;  (* [rotation * n + i]: scheme input i's hardware port *)
     order : int array;  (* accepted leaves in union order *)
     mutable order_len : int;
     mutable out_issued : int;  (* outcome thread bitmasks *)
@@ -105,7 +103,7 @@ module Batch = struct
     let n = Scheme.n_threads scheme in
     let clusters = machine.Vliw_isa.Machine.clusters in
     let smt_blocks = Scheme.block_count Scheme_kind.Smt scheme in
-    let depths = Scheme.levels scheme + 1 in
+    let lanes = n + Scheme.levels scheme + 1 in
     {
       machine;
       routing;
@@ -115,14 +113,11 @@ module Batch = struct
       need_counts = smt_blocks > 0 && routing = Conflict.Flexible;
       need_pins = smt_blocks > 0 && routing = Conflict.Fixed_slots;
       live = 0;
-      p_threads = Array.make n 0;
-      p_mask = Array.make n 0;
-      p_counts = Array.make (n * clusters) 0;
-      p_pins = Array.make (n * clusters) 0;
-      r_threads = Array.make depths 0;
-      r_mask = Array.make depths 0;
-      r_counts = Array.make (depths * clusters) 0;
-      r_pins = Array.make (depths * clusters) 0;
+      l_threads = Array.make lanes 0;
+      l_mask = Array.make lanes 0;
+      l_counts = Array.make (lanes * clusters) 0;
+      l_pins = Array.make (lanes * clusters) 0;
+      rot = Array.init (n * n) (fun k -> ((k / n) + (k mod n)) mod n);
       order = Array.make n 0;
       order_len = 0;
       out_issued = 0;
@@ -134,139 +129,126 @@ module Batch = struct
 
   let clear t = t.live <- 0
 
-  let set_port t i (sg : Vliw_isa.Instr.signature) =
+  let load_lanes t i threads mask (counts : int array) (pins : int array) =
     t.live <- t.live lor (1 lsl i);
-    t.p_threads.(i) <- 1 lsl i;
-    t.p_mask.(i) <- sg.sg_mask;
+    t.l_threads.(i) <- threads;
+    t.l_mask.(i) <- mask;
+    let base = i * t.clusters in
     if t.need_counts then
-      Array.blit sg.sg_counts 0 t.p_counts (i * t.clusters) t.clusters;
+      for c = 0 to t.clusters - 1 do
+        t.l_counts.(base + c) <- counts.(c)
+      done;
     if t.need_pins then
-      Array.blit sg.sg_pins 0 t.p_pins (i * t.clusters) t.clusters
+      for c = 0 to t.clusters - 1 do
+        t.l_pins.(base + c) <- pins.(c)
+      done
+
+  let set_port t i (sg : Vliw_isa.Instr.signature) =
+    load_lanes t i (1 lsl i) sg.sg_mask sg.sg_counts sg.sg_pins
 
   let set_port_packet t i (p : Packet.t) =
-    t.live <- t.live lor (1 lsl i);
-    t.p_threads.(i) <- p.threads;
-    t.p_mask.(i) <- p.mask;
-    if t.need_counts then
-      Array.blit p.counts 0 t.p_counts (i * t.clusters) t.clusters;
-    if t.need_pins then
-      Array.blit p.pins 0 t.p_pins (i * t.clusters) t.clusters
+    load_lanes t i p.threads p.mask p.counts p.pins
 
   (* Conflict decisions as integer codes (0 compatible, 1 cluster
-     conflict, 2 slot capacity) between registers [d] and [s] — the same
+     conflict, 2 slot capacity) between lanes [a] and [b] — the same
      arithmetic as the {!Conflict} checks, minus the option allocation. *)
   let rec flexible_fits t a b c =
     c >= t.clusters
     || (Vliw_isa.Instr.packed_fits t.machine
-          (t.r_counts.(a + c) + t.r_counts.(b + c))
+          (t.l_counts.(a + c) + t.l_counts.(b + c))
        && flexible_fits t a b (c + 1))
 
   let rec fixed_code t a b shared c =
     if c >= t.clusters then 0
     else if shared land (1 lsl c) = 0 then fixed_code t a b shared (c + 1)
     else begin
-      let pa = t.r_pins.(a + c) and pb = t.r_pins.(b + c) in
+      let pa = t.l_pins.(a + c) and pb = t.l_pins.(b + c) in
       if pa <> -1 && pb <> -1 then
         if pa land pb = 0 then fixed_code t a b shared (c + 1) else 1
       else 2
     end
 
-  let check_code t kind d s =
+  let check_code t kind a b =
     match ((kind : Scheme_kind.t), t.routing) with
-    | Scheme_kind.Csmt, _ -> if t.r_mask.(d) land t.r_mask.(s) = 0 then 0 else 1
+    | Scheme_kind.Csmt, _ -> if t.l_mask.(a) land t.l_mask.(b) = 0 then 0 else 1
     | Smt, Conflict.Flexible ->
-      if flexible_fits t (d * t.clusters) (s * t.clusters) 0 then 0 else 2
+      if flexible_fits t (a * t.clusters) (b * t.clusters) 0 then 0 else 2
     | Smt, Conflict.Fixed_slots ->
-      fixed_code t (d * t.clusters) (s * t.clusters)
-        (t.r_mask.(d) land t.r_mask.(s))
+      fixed_code t (a * t.clusters) (b * t.clusters)
+        (t.l_mask.(a) land t.l_mask.(b))
         0
 
-  let load_port t d i =
-    t.r_threads.(d) <- t.p_threads.(i);
-    t.r_mask.(d) <- t.p_mask.(i);
+  (* Lane [dst] := lane [a] ∪ lane [b]; [dst] may be [a]. *)
+  let union t dst a b =
+    t.l_threads.(dst) <- t.l_threads.(a) lor t.l_threads.(b);
+    t.l_mask.(dst) <- t.l_mask.(a) lor t.l_mask.(b);
+    let k = t.clusters in
     if t.need_counts then
-      Array.blit t.p_counts (i * t.clusters) t.r_counts (d * t.clusters)
-        t.clusters;
+      for c = 0 to k - 1 do
+        t.l_counts.((dst * k) + c) <-
+          t.l_counts.((a * k) + c) + t.l_counts.((b * k) + c)
+      done;
     if t.need_pins then
-      Array.blit t.p_pins (i * t.clusters) t.r_pins (d * t.clusters) t.clusters
-
-  let copy_reg t d s =
-    t.r_threads.(d) <- t.r_threads.(s);
-    t.r_mask.(d) <- t.r_mask.(s);
-    if t.need_counts then
-      Array.blit t.r_counts (s * t.clusters) t.r_counts (d * t.clusters)
-        t.clusters;
-    if t.need_pins then
-      Array.blit t.r_pins (s * t.clusters) t.r_pins (d * t.clusters) t.clusters
-
-  let union_into t d s =
-    t.r_threads.(d) <- t.r_threads.(d) lor t.r_threads.(s);
-    t.r_mask.(d) <- t.r_mask.(d) lor t.r_mask.(s);
-    if t.need_counts then begin
-      let a = d * t.clusters and b = s * t.clusters in
-      for c = 0 to t.clusters - 1 do
-        t.r_counts.(a + c) <- t.r_counts.(a + c) + t.r_counts.(b + c)
+      for c = 0 to k - 1 do
+        let pa = t.l_pins.((a * k) + c) and pb = t.l_pins.((b * k) + c) in
+        t.l_pins.((dst * k) + c) <- (if pa = -1 || pb = -1 then -1 else pa lor pb)
       done
-    end;
-    if t.need_pins then begin
-      let a = d * t.clusters and b = s * t.clusters in
-      for c = 0 to t.clusters - 1 do
-        let pa = t.r_pins.(a + c) and pb = t.r_pins.(b + c) in
-        t.r_pins.(a + c) <- (if pa = -1 || pb = -1 then -1 else pa lor pb)
-      done
-    end
 
-  (* The oracle's tree fold on register lanes: the node evaluates into
-     register [d] and reports whether it produced a value. An accepted
-     leaf appends its port to [order]; a rejected subtree truncates back
-     to the mark taken before it ran (its leaves are contiguous at the
-     tail) and books its threads under the failure cause. [order] thus
-     ends as the in-order traversal of accepted leaves: the union order,
-     from which the merged packet can be rebuilt bit-identically. *)
-  let rec eval_node t d rotation node =
+  (* The oracle's tree fold on lanes: a node returns the lane holding its
+     packet, or -1 when it produced none. A merge node at depth [d]
+     evaluates children at depth [d] until one produces (that lane is
+     the accumulator as is), then evaluates the rest at depth [d+1] and
+     unions accepted ones into register [n + d]; children at depth [d+1]
+     write only registers above [n + d], so the accumulator survives
+     them. An accepted leaf appends its port to [order]; a rejected
+     subtree truncates back to the mark taken before it ran (its leaves
+     are contiguous at the tail) and books its threads under the failure
+     cause. [order] thus ends as the in-order traversal of accepted
+     leaves: the union order, from which the merged packet can be
+     rebuilt bit-identically. *)
+  let rec eval_node t d base node =
     match (node : Scheme.t) with
     | Scheme.Thread i ->
-      let hw = (i + rotation) mod t.n in
-      if t.live land (1 lsl hw) = 0 then false
+      let hw = t.rot.(base + i) in
+      if t.live land (1 lsl hw) = 0 then -1
       else begin
-        load_port t d hw;
         t.order.(t.order_len) <- hw;
         t.order_len <- t.order_len + 1;
-        true
+        hw
       end
     | Scheme.Merge { kind; impl = _; inputs } ->
-      eval_inputs t d rotation kind false inputs
+      eval_inputs t d base kind (-1) inputs
 
-  and eval_inputs t d rotation kind has_acc = function
-    | [] -> has_acc
+  and eval_inputs t d base kind acc = function
+    | [] -> acc
+    | input :: rest when acc < 0 ->
+      eval_inputs t d base kind (eval_node t d base input) rest
     | input :: rest ->
       let mark = t.order_len in
-      let has_acc =
-        if not (eval_node t (d + 1) rotation input) then has_acc
-        else if not has_acc then begin
-          copy_reg t d (d + 1);
-          true
-        end
-        else begin
-          (match check_code t kind d (d + 1) with
-          | 0 -> union_into t d (d + 1)
+      let b = eval_node t (d + 1) base input in
+      let acc =
+        if b < 0 then acc
+        else
+          match check_code t kind acc b with
+          | 0 ->
+            union t (t.n + d) acc b;
+            t.n + d
           | code ->
             t.order_len <- mark;
-            if code = 1 then
-              t.out_conflict <- t.out_conflict lor t.r_threads.(d + 1)
-            else t.out_capacity <- t.out_capacity lor t.r_threads.(d + 1));
-          true
-        end
+            if code = 1 then t.out_conflict <- t.out_conflict lor t.l_threads.(b)
+            else t.out_capacity <- t.out_capacity lor t.l_threads.(b);
+            acc
       in
-      eval_inputs t d rotation kind has_acc rest
+      eval_inputs t d base kind acc rest
 
   let eval t ~rotation =
-    let rotation = ((rotation mod t.n) + t.n) mod t.n in
+    if rotation < 0 || rotation >= t.n then
+      invalid_arg "Engine.Batch.eval: rotation out of range";
     t.order_len <- 0;
     t.out_conflict <- 0;
     t.out_capacity <- 0;
-    t.out_issued <-
-      (if eval_node t 0 rotation t.scheme then t.r_threads.(0) else 0)
+    let lane = eval_node t 0 (rotation * t.n) t.scheme in
+    t.out_issued <- (if lane < 0 then 0 else t.l_threads.(lane))
 
   let issued t = t.out_issued
 
@@ -289,7 +271,7 @@ let select_batched m ?(routing = Conflict.Flexible) scheme ?(rotation = 0) avail
         | None -> ()
         | Some p -> Batch.set_port_packet b i p)
     avail;
-  Batch.eval b ~rotation;
+  Batch.eval b ~rotation:(((rotation mod b.Batch.n) + b.Batch.n) mod b.Batch.n);
   let packet =
     match Batch.order_len b with
     | 0 -> None

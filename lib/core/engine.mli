@@ -78,9 +78,12 @@ module Batch : sig
       the general/oracle entry point. *)
 
   val eval : t -> rotation:int -> unit
-  (** Evaluate the scheme over the loaded ports. Allocation-free; the
+  (** Evaluate the scheme over the loaded ports, scheme input [i] reading
+      port [(i + rotation) mod n]; [rotation] must already lie in
+      [\[0, n)] ({!Merge_network.rotation} does). Allocation-free; the
       outcome is read back through the accessors below and stays valid
-      until the next [eval]. *)
+      until the next [eval].
+      @raise Invalid_argument when [rotation] is out of range. *)
 
   val issued : t -> int
   (** Thread bitmask issued by the last {!eval}. *)

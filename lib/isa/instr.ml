@@ -3,6 +3,8 @@ type signature = {
   sg_counts : int array;
   sg_pins : int array;
   sg_ops : int;
+  sg_mem : int;
+  sg_branch : bool;
 }
 
 type t = {
@@ -29,31 +31,13 @@ let ops_in t c = t.ops.(c)
 
 let is_empty t = Array.for_all (fun ops -> ops = []) t.ops
 
-let has_branch_slow t =
+let has_branch t =
   Array.exists (List.exists (fun (op : Op.t) -> op.klass = Op.Branch)) t.ops
 
 let mem_ops t =
   Array.fold_left
     (fun acc ops -> acc @ List.filter Op.is_mem ops)
     [] t.ops
-
-(* Top-level recursion (rather than nested closures over [f]) keeps the
-   per-retirement iteration allocation-free. *)
-let rec iter_mem_list f = function
-  | [] -> ()
-  | (op : Op.t) :: rest ->
-    if Op.is_mem op then f op;
-    iter_mem_list f rest
-
-let iter_mem_ops f t =
-  for c = 0 to Array.length t.ops - 1 do
-    iter_mem_list f t.ops.(c)
-  done
-
-let rec count_mem_list acc = function
-  | [] -> acc
-  | (op : Op.t) :: rest ->
-    count_mem_list (if Op.is_mem op then acc + 1 else acc) rest
 
 let class_counts ops ~mem ~mul ~branch ~alu =
   let count (op : Op.t) =
@@ -96,18 +80,6 @@ let pack_counts ops =
   lor (!branch lsl count_shift_branch)
   lor ((!mem + !mul + !branch + !alu) lsl count_shift_total)
 
-let rec sum_mem_fields counts i acc =
-  if i < 0 then acc
-  else sum_mem_fields counts (i - 1) (acc + (counts.(i) land count_field))
-
-let rec sum_mem_lists ops i acc =
-  if i < 0 then acc else sum_mem_lists ops (i - 1) (count_mem_list acc ops.(i))
-
-let mem_op_count t =
-  match t.sg with
-  | Some (_, sg) -> sum_mem_fields sg.sg_counts (Array.length sg.sg_counts - 1) 0
-  | None -> sum_mem_lists t.ops (Array.length t.ops - 1) 0
-
 let packed_fits (m : Machine.t) packed =
   packed land count_field <= m.n_lsu
   && (packed lsr count_shift_mul) land count_field <= m.n_mul
@@ -149,14 +121,18 @@ let compute_signature (m : Machine.t) t =
   let counts = Array.make n 0 in
   let pins = Array.make n 0 in
   let mask = ref 0 in
-  let total = ref 0 in
+  let total = ref 0 and mem = ref 0 and branch = ref false in
   for c = 0 to n - 1 do
     let ops = t.ops.(c) in
     if ops <> [] then begin
+      let packed = pack_counts ops in
       mask := !mask lor (1 lsl c);
-      counts.(c) <- pack_counts ops;
+      counts.(c) <- packed;
       pins.(c) <- pinned_mask m ops;
-      total := !total + List.length ops
+      total := !total + List.length ops;
+      mem := !mem + (packed land count_field);
+      if (packed lsr count_shift_branch) land count_field <> 0 then
+        branch := true
     end
   done;
   {
@@ -164,6 +140,8 @@ let compute_signature (m : Machine.t) t =
     sg_counts = counts;
     sg_pins = pins;
     sg_ops = !total;
+    sg_mem = !mem;
+    sg_branch = !branch;
   }
 
 (* Memoized per instruction. The compiler precomputes signatures in the
@@ -178,20 +156,6 @@ let signature (m : Machine.t) t =
     let sg = compute_signature m t in
     t.sg <- Some (m, sg);
     sg
-
-(* Top-level recursion instead of [Array.exists]: the closure it takes
-   (and the stdlib's internal loop) are minor-heap blocks, and this runs
-   once per retirement inside the zero-allocation steady-state loop. *)
-let rec counts_have_branch counts i =
-  i >= 0
-  && ((counts.(i) lsr count_shift_branch) land count_field <> 0
-     || counts_have_branch counts (i - 1))
-
-let has_branch t =
-  match t.sg with
-  | Some (_, sg) ->
-    counts_have_branch sg.sg_counts (Array.length sg.sg_counts - 1)
-  | None -> has_branch_slow t
 
 let well_formed (m : Machine.t) t =
   Array.length t.ops = m.clusters && Array.for_all (fits_cluster m) t.ops

@@ -16,6 +16,8 @@ type signature = {
           ({!pinned_mask}); [0] for empty clusters, [-1] when the
           cluster's operations cannot be placed. *)
   sg_ops : int;  (** Total operation count. *)
+  sg_mem : int;  (** Loads and stores: the sum of the packed mem fields. *)
+  sg_branch : bool;  (** Whether any cluster holds a branch. *)
 }
 (** The merge engine's precomputed, immutable view of an instruction:
     everything the per-cycle conflict checks need, as integers. *)
@@ -44,17 +46,10 @@ val ops_in : t -> int -> Op.t list
 val is_empty : t -> bool
 
 val has_branch : t -> bool
+(** Walks the operation lists; the simulator reads [sg_branch]. *)
 
 val mem_ops : t -> Op.t list
 (** All loads and stores, in cluster order. *)
-
-val iter_mem_ops : (Op.t -> unit) -> t -> unit
-(** Allocation-free iteration over all loads and stores, in cluster
-    order. *)
-
-val mem_op_count : t -> int
-(** Number of loads and stores; read from the packed signature counts
-    when a signature is cached, so the retire path pays no traversal. *)
 
 val class_counts : Op.t list -> mem:int ref -> mul:int ref -> branch:int ref -> alu:int ref -> unit
 (** Accumulate per-class counts of an operation list. *)

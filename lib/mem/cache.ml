@@ -41,8 +41,10 @@ let locate t addr =
 
 (* Index of the way holding [tag], or -1. Top-level recursion with an
    int sentinel keeps the per-access lookup allocation-free (a nested
-   [let rec] would build a closure per call). *)
-let rec find_way tags tag limit idx =
+   [let rec] would build a closure per call), and the annotations make
+   the tag test an integer compare rather than a polymorphic [compare]
+   call into the runtime. *)
+let rec find_way (tags : int array) (tag : int) limit idx =
   if idx >= limit then -1
   else if tags.(idx) = tag then idx
   else find_way tags tag limit (idx + 1)

@@ -162,12 +162,15 @@ let rec dstall_of t ~hw (th : Thread_state.t) remaining acc =
       (if t.config.stall_on_dmiss then acc + s else acc)
   end
 
+(* Retire [instr] and return its operation count. Every fact retirement
+   needs comes from one read of the precomputed signature. *)
 let retire t ~hw (th : Thread_state.t) (instr : Isa.Instr.t) =
+  let sg = Isa.Instr.signature t.config.Config.machine instr in
   th.instrs_retired <- th.instrs_retired + 1;
-  th.ops_retired <- th.ops_retired + Isa.Instr.op_count instr;
-  let dstall = dstall_of t ~hw th (Isa.Instr.mem_op_count instr) 0 in
+  th.ops_retired <- th.ops_retired + sg.sg_ops;
+  let dstall = dstall_of t ~hw th sg.sg_mem 0 in
   let bstall =
-    if Isa.Instr.has_branch instr then begin
+    if sg.sg_branch then begin
       let taken = Thread_state.next_taken th in
       let target =
         Vliw_compiler.Program.exit_target_idx th.program.blocks.(th.block) th.pc
@@ -190,19 +193,19 @@ let retire t ~hw (th : Thread_state.t) (instr : Isa.Instr.t) =
   th.stall_src <-
     (if dstall >= bstall && dstall > 0 then Thread_state.Mem_stall
      else if bstall > 0 then Thread_state.Branch_stall
-     else Thread_state.Ready)
+     else Thread_state.Ready);
+  sg.sg_ops
 
 let rec popcount acc m =
   if m = 0 then acc else popcount (acc + 1) (m land (m - 1))
 
 (* Round-robin search of the live mask for the first port at or after
-   [start]; -1 when no thread offers a candidate. *)
-let rec first_live t start i =
-  if i >= t.n then -1
-  else begin
-    let hw = (start + i) mod t.n in
-    if t.live land (1 lsl hw) <> 0 then hw else first_live t start (i + 1)
-  end
+   [hw] (in [0, n)), probing [left] ports; -1 when no thread offers a
+   candidate. The wrap is a compare, not a division. *)
+let rec first_live t hw left =
+  if left = 0 then -1
+  else if t.live land (1 lsl hw) <> 0 then hw
+  else first_live t (if hw + 1 = t.n then 0 else hw + 1) (left - 1)
 
 (* The issue policy turns the live mask into the issued thread bitmask,
    leaving the cycle's conflict and capacity rejects in [t.conflict] and
@@ -230,14 +233,15 @@ let decide t =
       end
     | Policy.Imt ->
       (* One thread per cycle, round-robin with stalled-thread skipping. *)
-      let hw = first_live t (t.cycle mod t.n) 0 in
+      let hw = first_live t (t.cycle mod t.n) t.n in
       if hw < 0 then 0 else 1 lsl hw
     | Policy.Bmt { switch_penalty } ->
       if t.cycle < t.switch_stall_until then 0
       else if t.live land (1 lsl t.bmt_current) <> 0 then 1 lsl t.bmt_current
       else begin
         (* The running thread blocked: switch to the next ready one. *)
-        let hw = first_live t ((t.bmt_current + 1) mod t.n) 0 in
+        let next = t.bmt_current + 1 in
+        let hw = first_live t (if next = t.n then 0 else next) t.n in
         if hw < 0 then 0
         else begin
           (match t.events with
@@ -416,11 +420,8 @@ let rec retire_issued t issued hw issued_ops n_issued =
     match t.contexts.(hw) with
     | None -> assert false
     | Some th ->
-      let instr = th.pending in
-      retire t ~hw th instr;
-      retire_issued t issued (hw + 1)
-        (issued_ops + Isa.Instr.op_count instr)
-        (n_issued + 1)
+      let ops = retire t ~hw th th.pending in
+      retire_issued t issued (hw + 1) (issued_ops + ops) (n_issued + 1)
   end
 
 (* Everything after the policy decision. Observation comes last, after

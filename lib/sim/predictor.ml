@@ -23,7 +23,11 @@ let predict_and_update t ~addr ~taken =
       (* Instructions are 64 bytes apart; drop the offset bits. *)
       let idx = (addr lsr 6) land (Array.length counters - 1) in
       let c = counters.(idx) in
-      counters.(idx) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+      (* Int comparisons: the polymorphic [min]/[max] are runtime calls. *)
+      counters.(idx) <-
+        (if taken then (if c < 3 then c + 1 else 3)
+         else if c > 0 then c - 1
+         else 0);
       c >= 2
   in
   let correct = prediction = taken in

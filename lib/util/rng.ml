@@ -113,10 +113,12 @@ let bool t =
   t.zlo land 1 = 1
 
 (* Open-coded [float t 1.0 < p]: the uniform draw stays in registers
-   instead of crossing a function boundary as a boxed float. *)
+   instead of crossing a function boundary as a boxed float. Scaling the
+   53-bit draw by 2^-53 is exact, so the multiply equals [float]'s
+   division bit for bit. *)
 let bernoulli t p =
   next t;
-  float_of_int ((t.zhi lsl 21) lor (t.zlo lsr 11)) /. 9007199254740992.0 < p
+  float_of_int ((t.zhi lsl 21) lor (t.zlo lsr 11)) *. 0x1p-53 < p
 
 let geometric t p =
   assert (p > 0.0 && p <= 1.0);

@@ -91,6 +91,51 @@ let prop_access_then_probe =
       ignore (Cache.access c addr);
       Cache.probe c addr)
 
+(* A naive model: per set, the resident line tags in most-recently-used
+   order, at most [ways] long. *)
+let model_run ~sets ~ways ~line addrs =
+  let lru = Array.make sets [] in
+  List.map
+    (fun addr ->
+      let l = addr / line in
+      let set = l mod sets and tag = l / sets in
+      let hit = List.mem tag lru.(set) in
+      let rest = List.filter (( <> ) tag) lru.(set) in
+      lru.(set) <- List.filteri (fun i _ -> i < ways) (tag :: rest);
+      hit)
+    addrs
+
+(* The cache against the model over random geometries, power-of-two set
+   counts (shift-and-mask split) and others (division), with address
+   streams dense enough in few lines to hit, evict and re-hit. *)
+let prop_matches_lru_model =
+  let gen =
+    Q.Gen.(
+      let* line = map (fun k -> 1 lsl k) (int_range 2 7) in
+      let* ways = int_range 1 8 in
+      let* sets = oneof [ map (fun k -> 1 lsl k) (int_range 0 5); int_range 1 40 ] in
+      let* lines = int_range 1 (4 * sets * ways) in
+      let* addrs =
+        list_size (int_range 1 400)
+          (map2 (fun l off -> (l * line) + off) (int_bound (lines - 1)) (int_bound (line - 1)))
+      in
+      return (line, ways, sets, addrs))
+  in
+  let print (line, ways, sets, addrs) =
+    Printf.sprintf "line=%d ways=%d sets=%d addrs=[%s]" line ways sets
+      (String.concat ";" (List.map string_of_int addrs))
+  in
+  Q.Test.make ~name:"access = per-set LRU list model" ~count:500
+    (Q.make ~print gen)
+    (fun (line, ways, sets, addrs) ->
+      let c = Cache.create (geom ~size:(sets * ways * line) ~ways ~line) in
+      let hits = List.map (Cache.access c) addrs in
+      let expected = model_run ~sets ~ways ~line addrs in
+      Cache.n_sets c = sets
+      && hits = expected
+      && Cache.accesses c = List.length addrs
+      && Cache.misses c = List.length (List.filter not expected))
+
 let suite =
   ( "cache",
     [
@@ -104,4 +149,5 @@ let suite =
       Alcotest.test_case "geometry" `Quick test_geometry;
       Tgen.to_alcotest prop_miss_rate_bounded;
       Tgen.to_alcotest prop_access_then_probe;
+      Tgen.to_alcotest prop_matches_lru_model;
     ] )

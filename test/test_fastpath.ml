@@ -209,8 +209,39 @@ let prop_signature_counts_consistent =
     (fun instr ->
       let sg = Isa.Instr.signature m instr in
       sg.sg_ops = Isa.Instr.op_count instr
-      && Isa.Instr.mem_op_count instr = List.length (Isa.Instr.mem_ops instr)
+      && sg.sg_mem = List.length (Isa.Instr.mem_ops instr)
+      && sg.sg_branch = Isa.Instr.has_branch instr
       && sg.sg_mask = Isa.Instr.cluster_mask instr)
+
+(* The fields retirement reads, over every instruction of compiled
+   programs: the default machine and a narrow machine whose fixed slots
+   leave little room (one LSU, one multiplier, the branch on slot 2). *)
+let test_signature_fields_on_programs () =
+  let narrow = Isa.Machine.make ~clusters:2 ~issue_width:3 ~n_mul:1 () in
+  List.iter
+    (fun machine ->
+      List.iteri
+        (fun k profile ->
+          let prog =
+            Vliw_compiler.Program.generate ~seed:(Int64.of_int (k + 1)) machine
+              profile
+          in
+          Array.iter
+            (fun (b : Vliw_compiler.Program.block) ->
+              Array.iter
+                (fun instr ->
+                  let sg = Isa.Instr.signature machine instr in
+                  Alcotest.(check int) "sg_ops" (Isa.Instr.op_count instr)
+                    sg.sg_ops;
+                  Alcotest.(check int) "sg_mem"
+                    (List.length (Isa.Instr.mem_ops instr))
+                    sg.sg_mem;
+                  Alcotest.(check bool) "sg_branch"
+                    (Isa.Instr.has_branch instr) sg.sg_branch)
+                b.instrs)
+            prog.blocks)
+        Vliw_workloads.Benchmarks.all)
+    [ m; narrow ]
 
 (* --- routing stays off the per-cycle path --------------------------- *)
 
@@ -316,6 +347,8 @@ let suite =
         test_batched_equals_reference_exhaustive;
       Alcotest.test_case "signature of empty instr" `Quick test_signature_empty;
       Alcotest.test_case "signature interning" `Quick test_signature_shared_id;
+      Alcotest.test_case "signature fields on compiled programs" `Quick
+        test_signature_fields_on_programs;
       Alcotest.test_case "no routing per cycle" `Quick test_no_routing_per_cycle;
       Alcotest.test_case "zero-alloc steady state" `Quick
         test_zero_alloc_steady_state;

@@ -100,7 +100,34 @@ module Ref64 = struct
     /. 9007199254740992.0 *. bound
 
   let bool t = Int64.logand (next t) 1L = 1L
+
+  let bernoulli t p =
+    Int64.to_float (Int64.shift_right_logical (next t) 11)
+    /. 9007199254740992.0 < p
 end
+
+(* [bernoulli] against the Int64 formulation, over p values that sit on
+   the 2^-53 grid of possible draws (0, 1, dyadic fractions and their
+   neighbours one ulp away) and a few that do not. *)
+let test_bernoulli_matches_int64_reference () =
+  let ps =
+    [ 0.0; 1.0; 0.5; 0.25; 0.75; 0x1p-53; 0x1p-52; 1.0 -. 0x1p-53;
+      Float.succ 0.5; Float.pred 0.5; 0x1p-10; 0.1; 0.3; 0.999 ]
+  in
+  let draws = ref 0 in
+  List.iter
+    (fun seed ->
+      let a = Rng.create seed and b = Ref64.create seed in
+      for _ = 1 to 8_000 do
+        List.iter
+          (fun p ->
+            incr draws;
+            if Rng.bernoulli a p <> Ref64.bernoulli b p then
+              Alcotest.failf "seed %Ld, p %h: draw %d differs" seed p !draws)
+          ps
+      done)
+    [ 0L; 42L; Int64.min_int ];
+  Alcotest.(check bool) "at least 1e5 draws" true (!draws >= 100_000)
 
 let test_matches_int64_reference () =
   List.iter
@@ -166,6 +193,8 @@ let suite =
       Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
       Alcotest.test_case "choose_weighted respects zero" `Quick test_choose_weighted;
       Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
+      Alcotest.test_case "bernoulli matches Int64 SplitMix64" `Quick
+        test_bernoulli_matches_int64_reference;
       Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
       Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
       Tgen.to_alcotest prop_int_bound;
