@@ -80,17 +80,23 @@ let list_experiments () =
     E.Registry.all;
   print_string (Vliw_util.Text_table.render table)
 
-let progress_reporter ?(quiet = false) () =
-  (* Sweep progress on stderr when it is a terminal; stdout stays clean
-     and deterministic either way. CI logs (not a tty) and --quiet runs
-     see nothing. *)
-  if (not quiet) && Unix.isatty Unix.stderr then
+let progress_meter ?(quiet = false) on_event =
+  (* The sweep progress meter: an [on_event] consumer that redraws one
+     stderr line per Cell_finished, when stderr is a terminal, then
+     forwards the event. Local, distributed and resumed sweeps all
+     emit the same stream. stdout stays clean and deterministic either
+     way; CI logs (not a tty) and --quiet runs see nothing. *)
+  if quiet || not (Unix.isatty Unix.stderr) then on_event
+  else
     Some
-      (fun (p : E.Sweep.progress) ->
-        Printf.eprintf "\r[sweep %d/%d] %s/%s %.2fs%s%!" p.completed p.total
-          p.last.mix p.last.scheme p.last.elapsed_s
-          (if p.completed = p.total then "\n" else ""))
-  else None
+      (fun ev ->
+        (match ev with
+        | E.Sweep.Cell_finished { cell; completed; total; _ } ->
+          Printf.eprintf "\r[sweep %d/%d] %s/%s %.2fs%s%!" completed total
+            cell.mix cell.scheme cell.elapsed_s
+            (if completed = total then "\n" else "")
+        | _ -> ());
+        Option.iter (fun f -> f ev) on_event)
 
 let quiet_arg =
   Arg.(
@@ -269,7 +275,9 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
   let on_event, close_log = event_logger ~quiet log_json in
   (* Every sweep of the command reports here, so a degraded cell in any
      table is named on stderr and fails the exit status. *)
-  let on_event, degraded_warning = E.Sweep.watch_degraded on_event in
+  let on_event, degraded_warning =
+    E.Sweep.watch_degraded (progress_meter ~quiet on_event)
+  in
   let t0 = Unix.gettimeofday () in
   let note msg = Printf.eprintf "note: %s\n%!" msg in
   (* --workers N swaps the shared sweep's execution engine for the
@@ -330,10 +338,8 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
     else Some (E.Replicates.derive_seeds ~seed replicates)
   in
   let ctx =
-    E.Registry.make_ctx ~scale ~seed ~jobs
-      ?progress:(progress_reporter ~quiet ())
-      ~telemetry ~max_retries ?checkpoint ~resume ~log:note ~on_event
-      ?replicate_seeds ?replicate_exec ?grid_exec ()
+    E.Registry.make_ctx ~scale ~seed ~jobs ~telemetry ~max_retries ?checkpoint
+      ~resume ~log:note ~on_event ?replicate_seeds ?replicate_exec ?grid_exec ()
   in
   (* Ledger export of the last experiment that defined one (e.g.
      "adaptive", whose grid is not the shared fig10 sweep). Under "all"
@@ -778,11 +784,12 @@ let trace_cmd =
 (* --- profile -------------------------------------------------------- *)
 
 let run_profile scale seed jobs quiet trace_out csv_dir name =
-  let ctx =
-    E.Registry.make_ctx ~scale ~seed ~jobs
-      ?progress:(progress_reporter ~quiet ())
-      ~telemetry:true ()
+  (* As in `exp`: a degraded cell is named on stderr and fails the exit
+     status. *)
+  let on_event, degraded_warning =
+    E.Sweep.watch_degraded (progress_meter ~quiet None)
   in
+  let ctx = E.Registry.make_ctx ~scale ~seed ~jobs ~telemetry:true ~on_event () in
   let entry =
     match E.Registry.find name with
     | Some entry -> entry
@@ -798,6 +805,8 @@ let run_profile scale seed jobs quiet trace_out csv_dir name =
       Some i.E.Registry.li_cells
     | _ -> sweep_telemetry ctx
   in
+  let degraded = degraded_warning () in
+  Option.iter prerr_string degraded;
   match cells with
   | None ->
     prerr_endline
@@ -827,7 +836,7 @@ let run_profile scale seed jobs quiet trace_out csv_dir name =
       (fun path -> write_or_print (Some path) (E.Sweep.chrome_trace cells))
       trace_out;
     export_csv csv_dir (name ^ ".telemetry.csv") (E.Sweep.telemetry_csv cells);
-    0
+    if degraded = None then 0 else 1
 
 let profile_cmd =
   let name_arg =
@@ -1694,6 +1703,7 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
     else E.Replicates.derive_seeds ~seed replicates
   in
   let on_event, close_log = event_logger ~quiet log_json in
+  let on_event = progress_meter ~quiet on_event in
   let tracer =
     match trace_out with
     | None -> None
@@ -2181,32 +2191,31 @@ let run_check scale seed jobs quiet =
   (* Every registered experiment with enforcement on: each simulation's
      metrics record passes through [Invariants.check_metrics] (Multitask
      hook) and each telemetry cell through [check_attribution]. One ctx:
-     the shared fig10 grid is forced once and reused. *)
-  let ctx =
-    E.Registry.make_ctx ~scale ~seed ~jobs
-      ?progress:(progress_reporter ~quiet ())
-      ~telemetry:true ()
+     the shared fig10 grid is forced once and reused. A sweep contains a
+     failing cell (a [Violation] included) as a degraded cell rather than
+     raising, so [catching] cannot see it: the ctx's event watch does. *)
+  let on_event, degraded_warning =
+    E.Sweep.watch_degraded (progress_meter ~quiet None)
   in
+  let ctx = E.Registry.make_ctx ~scale ~seed ~jobs ~telemetry:true ~on_event () in
   List.iter
     (fun entry ->
       report
         ("experiment: " ^ E.Registry.id entry)
         (catching (fun () -> ignore (E.Registry.run_entry ctx entry))))
     E.Registry.standard;
+  report "sweep: no degraded cells"
+    (match degraded_warning () with
+    | None -> Ok ()
+    | Some w ->
+      (* one line: the warning's per-cell lines, after its header *)
+      let cells = List.tl (String.split_on_char '\n' w) in
+      Error
+        (String.concat "; "
+           (List.filter (( <> ) "") (List.map String.trim cells))));
   (match sweep_telemetry ctx with
   | None -> ()
   | Some cells ->
-    report "sweep: no degraded cells"
-      (match E.Sweep.degraded cells with
-      | [] -> Ok ()
-      | ds ->
-        Error
-          (String.concat "; "
-             (List.map
-                (fun (c : E.Sweep.cell) ->
-                  Printf.sprintf "%s/%s: %s" c.mix c.scheme
-                    (Option.value ~default:"unknown error" c.error))
-                ds)));
     report "sweep: exact stall attribution"
       (catching (fun () ->
            Vliw_sim.Invariants.check_attribution (E.Sweep.merged_telemetry cells))));

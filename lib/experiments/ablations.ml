@@ -29,7 +29,7 @@ type row = { variant : string; ipc_by_scheme : (string * float) list }
 
 (* One row per mix; one column per (variant, scheme), each applying its
    variant's knobs to the scheme's configuration. *)
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event ?(schemes = [ "3CCC"; "2SC3"; "3SSS" ])
     ?(mixes = [ "LLLL"; "LLHH"; "HHHH" ]) () =
   let schedule = Common.schedule_of_scale scale in
@@ -55,7 +55,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
   let grid =
     Sweep.run ~scale ~seed ~rows
       ~columns:(List.concat_map (fun v -> List.map (column v) schemes) variants)
-      ?jobs ?progress ?max_retries ?on_event ()
+      ?jobs ?max_retries ?on_event ()
   in
   List.map
     (fun v ->

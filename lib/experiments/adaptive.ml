@@ -66,10 +66,10 @@ type data = {
   policy : string;  (* the "adaptive" column's policy descriptor *)
 }
 
-let run ?scale ?seed ?jobs ?progress ?max_retries ?cell_timeout_s ?checkpoint
+let run ?scale ?seed ?jobs ?max_retries ?cell_timeout_s ?checkpoint
     ?resume ?log ?on_event () =
   let scheme_names, mix_names, cells =
-    Sweep.run_cells ?scale ?seed ~columns:(columns ()) ?jobs ?progress
+    Sweep.run_cells ?scale ?seed ~columns:(columns ()) ?jobs
       ~telemetry:true ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log
       ?on_event ()
   in

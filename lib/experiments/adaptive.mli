@@ -41,7 +41,6 @@ val run :
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?jobs:int ->
-  ?progress:(Sweep.progress -> unit) ->
   ?max_retries:int ->
   ?cell_timeout_s:float ->
   ?checkpoint:string ->

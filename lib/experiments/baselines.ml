@@ -14,7 +14,7 @@ let columns () =
     Sweep.column "SMT 3SSS" (scheme "3SSS");
   ]
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event ?(mixes = Vliw_workloads.Mixes.names) () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
@@ -26,7 +26,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
   in
   let columns = columns () in
   let _, _, cells =
-    Sweep.run_metrics ~scale ~seed ~rows ~columns ?jobs ?progress ?max_retries ?on_event
+    Sweep.run_metrics ~scale ~seed ~rows ~columns ?jobs ?max_retries ?on_event
       ()
   in
   let n = List.length columns in

@@ -11,7 +11,7 @@ type data = {
 (* Two sweeps, each with a block-scheduled and a trace-scheduled row per
    workload: every benchmark alone on perfect memory under one
    single-thread column, then the LLHH mix under the scheme ladder. *)
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event ?(trace_len = 4) () =
   let schedule = Common.schedule_of_scale scale in
   let both ?perfect_mem name profiles =
@@ -22,7 +22,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
       [ ("/block", `Block); ("/trace", `Trace trace_len) ]
   in
   let sweep rows scheme_names =
-    (Sweep.run ~scale ~seed ~rows ~scheme_names ?jobs ?progress ?max_retries ?on_event ())
+    (Sweep.run ~scale ~seed ~rows ~scheme_names ?jobs ?max_retries ?on_event ())
       .ipc
   in
   let benches = Vliw_workloads.Benchmarks.all in

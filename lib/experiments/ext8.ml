@@ -51,7 +51,7 @@ let doubled_mixes () =
       (mix.name ^ "x2", mix.members @ mix.members))
     Vliw_workloads.Mixes.all
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
@@ -64,7 +64,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
   let grid =
     Sweep.run ~scale ~seed ~rows
       ~columns:(List.map (fun (e : entry) -> Sweep.column e.name e.scheme) schemes)
-      ?jobs ?progress ?max_retries ?on_event ()
+      ?jobs ?max_retries ?on_event ()
   in
   List.map
     (fun (e : entry) ->

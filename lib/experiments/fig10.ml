@@ -20,10 +20,10 @@ let of_cells ~scheme_names ~mix_names cells =
   let grid = Sweep.grid_of_cells ~scheme_names ~mix_names cells in
   { grid; groups = legend_groups; cells }
 
-let run ?scale ?seed ?jobs ?progress ?telemetry ?max_retries ?cell_timeout_s
+let run ?scale ?seed ?jobs ?telemetry ?max_retries ?cell_timeout_s
     ?checkpoint ?resume ?log ?on_event () =
   let scheme_names', mix_names, cells =
-    Sweep.run_cells ?scale ?seed ~scheme_names ?jobs ?progress ?telemetry
+    Sweep.run_cells ?scale ?seed ~scheme_names ?jobs ?telemetry
       ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ()
   in
   let grid = Sweep.grid_of_cells ~scheme_names:scheme_names' ~mix_names cells in

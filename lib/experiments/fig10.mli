@@ -27,7 +27,6 @@ val run :
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?jobs:int ->
-  ?progress:(Sweep.progress -> unit) ->
   ?telemetry:bool ->
   ?max_retries:int ->
   ?cell_timeout_s:float ->
@@ -41,10 +40,9 @@ val run :
     [checkpoint], [resume], [log]) and the [on_event] progress stream
     are passed to {!Sweep.run_cells} verbatim; see its documentation. *)
 
-val group_ipc : data -> string -> float array
-(** Per-mix IPC of a group (average over members). *)
-
 val group_average : data -> string -> float
+(** Mean over mixes of a group's per-mix IPC (itself the average over
+    the group's members). *)
 
 val group_spread : data -> string -> float
 (** Maximum relative IPC difference between group members on any mix —

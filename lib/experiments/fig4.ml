@@ -1,8 +1,8 @@
 type data = { single : float; two_thread : float; four_thread : float }
 
-let run ?scale ?seed ?jobs ?progress ?max_retries ?on_event () =
+let run ?scale ?seed ?jobs ?max_retries ?on_event () =
   let grid =
-    Sweep.run ?scale ?seed ~scheme_names:[ "ST"; "1S"; "3SSS" ] ?jobs ?progress
+    Sweep.run ?scale ?seed ~scheme_names:[ "ST"; "1S"; "3SSS" ] ?jobs
       ?max_retries ?on_event ()
   in
   {

@@ -13,9 +13,9 @@ let of_grid (grid : Common.grid) =
   in
   { per_mix; average }
 
-let run ?scale ?seed ?jobs ?progress () =
+let run ?scale ?seed ?jobs () =
   of_grid
-    (Sweep.run ?scale ?seed ~scheme_names:[ "3SSS"; "3CCC" ] ?jobs ?progress ())
+    (Sweep.run ?scale ?seed ~scheme_names:[ "3SSS"; "3CCC" ] ?jobs ())
 
 let render d =
   let chart =

@@ -11,7 +11,6 @@ val run :
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?jobs:int ->
-  ?progress:(Sweep.progress -> unit) ->
   unit ->
   data
 

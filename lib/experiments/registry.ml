@@ -19,7 +19,6 @@ type ctx = {
   scale : Common.scale;
   seed : int64;
   jobs : int;  (* worker domains for sweep cells; 0 = auto, 1 = serial *)
-  progress : (Sweep.progress -> unit) option;
   telemetry : bool;  (* attach per-cell counter registries to the sweep *)
   max_retries : int;  (* per-cell retry budget before a cell degrades *)
   checkpoint : string option;  (* journal path for the shared fig10 sweep *)
@@ -45,14 +44,13 @@ type ctx = {
    owns fault tolerance and checkpointing; bit-identical cells give a
    bit-identical artifact. *)
 let make_ctx ?(scale = Common.Default) ?(seed = Common.default_seed) ?(jobs = 1)
-    ?progress ?(telemetry = false) ?(max_retries = 0) ?checkpoint
+    ?(telemetry = false) ?(max_retries = 0) ?checkpoint
     ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event
     ?replicate_seeds ?replicate_exec ?grid_exec () =
   {
     scale;
     seed;
     jobs;
-    progress;
     telemetry;
     max_retries;
     checkpoint;
@@ -71,7 +69,7 @@ let make_ctx ?(scale = Common.Default) ?(seed = Common.default_seed) ?(jobs = 1)
            Fig10.of_cells ~scheme_names ~mix_names cells)
       | None ->
         lazy
-          (Fig10.run ~scale ~seed ~jobs ?progress ~telemetry ~max_retries
+          (Fig10.run ~scale ~seed ~jobs ~telemetry ~max_retries
              ?checkpoint ~resume ~log ?on_event ()));
   }
 
@@ -125,7 +123,7 @@ let run_entry_full ctx (E e) =
 (* A simulating study at the ctx's scale and seed with its engine knobs,
    still to be applied to the study's own arguments. *)
 let study ctx (run : 'a Sweep.study) =
-  run ~scale:ctx.scale ~seed:ctx.seed ~jobs:ctx.jobs ?progress:ctx.progress
+  run ~scale:ctx.scale ~seed:ctx.seed ~jobs:ctx.jobs
     ~max_retries:ctx.max_retries ?on_event:ctx.on_event
 
 let entry ?(expensive = false) ?csv ?info id title run render =
@@ -212,7 +210,7 @@ let all : t list =
         })
       (fun ctx ->
         Adaptive.run ~scale:ctx.scale ~seed:ctx.seed ~jobs:ctx.jobs
-          ?progress:ctx.progress ~max_retries:ctx.max_retries
+          ~max_retries:ctx.max_retries
           ?checkpoint:(Option.map (fun p -> p ^ ".adaptive") ctx.checkpoint)
           ~resume:ctx.resume ~log:ctx.log ?on_event:ctx.on_event ())
       Adaptive.render;

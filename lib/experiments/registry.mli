@@ -7,7 +7,6 @@ type ctx = {
   scale : Common.scale;
   seed : int64;
   jobs : int;  (** Worker domains for sweep cells; 0 = auto. *)
-  progress : (Sweep.progress -> unit) option;
   telemetry : bool;
       (** Attach per-cell counter registries to the shared sweep
           (observation-only; results are unchanged). *)
@@ -21,8 +20,9 @@ type ctx = {
       (** Restore journaled fig10 cells instead of re-simulating. *)
   log : string -> unit;  (** Diagnostic sink (journal warnings etc.). *)
   on_event : (Sweep.event -> unit) option;
-      (** Structured progress stream, forwarded to the shared fig10
-          sweep (see {!Sweep.event} for domain-safety requirements). *)
+      (** The progress stream, forwarded to every sweep the ctx runs
+          except replicates' (see {!Sweep.event} for domain-safety
+          requirements). *)
   replicate_seeds : int64 list option;
       (** Seed list override for the replicates experiment ([None] =
           the scale's default list; see {!Replicates.derive_seeds} for
@@ -39,7 +39,6 @@ val make_ctx :
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?jobs:int ->
-  ?progress:(Sweep.progress -> unit) ->
   ?telemetry:bool ->
   ?max_retries:int ->
   ?checkpoint:string ->

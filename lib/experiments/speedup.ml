@@ -15,7 +15,7 @@ let thread_ipcs ~n (_, metrics) =
     |> List.map (fun (pt : Vliw_sim.Metrics.per_thread) ->
            float_of_int pt.ops /. float_of_int (max 1 m.cycles))
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event ?(mix = "LLHH") ?(schemes = [ "1S"; "3CCC"; "2SC3"; "3SSS" ]) () =
   let mixed =
     Sweep.row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
@@ -23,7 +23,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
   in
   let sweep ?scheme_names ?columns rows =
     let _, _, cells =
-      Sweep.run_metrics ~scale ~seed ~rows ?scheme_names ?columns ?jobs ?progress
+      Sweep.run_metrics ~scale ~seed ~rows ?scheme_names ?columns ?jobs
         ?max_retries ?on_event ()
     in
     Array.to_list cells

@@ -40,8 +40,6 @@ type cell = {
   error : string option;  (* Some _ iff the cell is degraded *)
 }
 
-type progress = { completed : int; total : int; last : cell }
-
 (* Live structured progress stream. Cell_started / Cell_retried /
    Cell_degraded fire inside worker domains; Sweep_started,
    Cell_finished (serialized through the pool's on_result) and
@@ -74,7 +72,6 @@ type 'a study =
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?jobs:int ->
-  ?progress:(progress -> unit) ->
   ?max_retries:int ->
   ?on_event:(event -> unit) ->
   'a
@@ -198,9 +195,6 @@ let inject_failure : (row:int -> col:int -> bool) option ref = ref None
 let degraded cells =
   Array.to_list cells |> List.filter (fun c -> c.error <> None)
 
-let total_retries cells =
-  Array.fold_left (fun acc c -> acc + max 0 (c.attempts - 1)) 0 cells
-
 (* FNV-1a over the mix name, scrambled through one SplitMix64 step, so
    every row's simulation seed is statistically independent of the
    master seed and of the other rows. *)
@@ -241,30 +235,23 @@ let prepare_row ?(scale = Common.Default) ?(seed = Common.default_seed)
     (Vliw_workloads.Mixes.find_exn mix_name).members
 
 (* The one place a cell is simulated (retries get a fresh controller). *)
-let simulate ?tapes ?counters row column =
+let simulate ?counters row column =
   let config =
     column.col_config (Vliw_sim.Config.make ~machine:row.machine column.col_scheme)
   in
   let controller = Option.map (fun mk -> mk ()) column.col_controller in
   Vliw_sim.Multitask.run_programs config ~perfect_mem:row.perfect_mem
-    ~seed:row.seed ~schedule:row.schedule ?counters ?controller ?tapes
+    ~seed:row.seed ~schedule:row.schedule ?counters ?controller
     row.programs
 
-let simulate_prepared ?tapes row column =
-  Vliw_sim.Metrics.ipc (simulate ?tapes row column)
-
-(* Columns of one row share its seed, so they can also share its draw
-   streams: the first column records every draw, the rest replay it. *)
-let simulate_prepared_columns row columns =
-  let tapes = Vliw_sim.Tape.create_set () in
-  List.map (simulate_prepared ~tapes row) columns
+let simulate_prepared row column = Vliw_sim.Metrics.ipc (simulate row column)
 
 let snapshot_with extra base =
   { Counters.counters = List.sort compare (extra @ base); histograms = [] }
 
 let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1) ?(lockstep = false)
-    ?progress ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
+    ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1)
+    ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
     ?checkpoint ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event ()
     =
   let emit ev = match on_event with Some f -> f ev | None -> () in
@@ -342,7 +329,7 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
      exception, or a blown per-cell timeout. The timeout is enforced
      after the fact (a domain cannot be preempted mid-simulation): the
      attempt's result is discarded and the cell retried or degraded. *)
-  let attempt_once ?tapes ~i ~j (row : row) column =
+  let attempt_once ~i ~j (row : row) column =
     (match !inject_failure with
     | Some f when f ~row:i ~col:j ->
       failwith (Printf.sprintf "injected fault in cell (%d, %d)" i j)
@@ -350,10 +337,8 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     let t0 = Unix.gettimeofday () in
     let counters = if telemetry then Some (Counters.create ()) else None in
     (* [simulate] makes a fresh controller per attempt, so a retried cell
-       replays from scratch. (A shared tape is safe across retries:
-       replayed draws are position-keyed, so a fresh thread re-reads the
-       same recorded values.) *)
-    let metrics = simulate ?tapes ?counters row column in
+       replays from scratch. *)
+    let metrics = simulate ?counters row column in
     Option.iter
       (fun c ->
         if Vliw_sim.Invariants.enforced () then
@@ -366,10 +351,10 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     | _ -> ());
     (metrics, counters, t0, elapsed)
   in
-  let simulate_cell ?tapes ~i ~j (row : row) (column : column) ~worker =
+  let simulate_cell ~i ~j (row : row) (column : column) ~worker =
     emit (Cell_started { mix = row.name; scheme = column.col_name; worker });
     let rec go ~attempt ~timeouts =
-      match attempt_once ?tapes ~i ~j row column with
+      match attempt_once ~i ~j row column with
       | metrics, counters, t0, elapsed ->
         Option.iter
           (fun c ->
@@ -435,37 +420,22 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     in
     unsimulated ~ipc:record.ipc ~worker ?telemetry record.mix record.scheme
   in
-  (* Every task yields an array of cells: one cell per task normally, one
-     whole row per task under [lockstep], where the row's columns share
-     a draw-tape set (see [simulate_prepared_columns]) — so the grid
-     parallelizes over rows instead of cells, and sibling columns reuse
-     the first column's recorded draws. Cells are bit-identical either
-     way (property-tested at jobs 1 and 4). *)
-  let cell_of ?tapes ~i ~j row ~worker =
-    let column = cols.(j) in
-    match resumed ~mix:row.name ~scheme:column.col_name with
-    | Some record -> restore_cell ~record ~worker
-    | None -> simulate_cell ?tapes ~i ~j row column ~worker
-  in
+  (* One pool task per cell, mix-major. *)
   let n_schemes = Array.length cols in
   let tasks =
-    if lockstep then
-      Array.of_list
-        (List.mapi
-           (fun i row ~worker ->
-             let tapes = Vliw_sim.Tape.create_set () in
-             Array.init n_schemes (fun j -> cell_of ~tapes ~i ~j row ~worker))
-           rows)
-    else
-      Array.of_list
-        (List.concat
-           (List.mapi
-              (fun i row ->
-                List.init n_schemes (fun j ~worker -> [| cell_of ~i ~j row ~worker |]))
-              rows))
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun i row ->
+              List.init n_schemes (fun j ~worker ->
+                  let column = cols.(j) in
+                  match resumed ~mix:row.name ~scheme:column.col_name with
+                  | Some record -> restore_cell ~record ~worker
+                  | None -> simulate_cell ~i ~j row column ~worker))
+            rows))
   in
   (* Runs inside the pool's serialized result callback: journal the
-     fresh cell (atomic rewrite), then report progress. A journal write
+     fresh cell (atomic rewrite) before its [Cell_finished]. A journal write
      failure (unwritable path, full disk) aborts the sweep with the
      real error rather than silently dropping checkpoints. *)
   let journal_cell (cell : cell) =
@@ -491,40 +461,34 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   (* Worker count the pool actually uses (capped at the task count), for
      the start event and the ETA heuristic. *)
   let effective_jobs = Vliw_util.Pool.effective_jobs ~jobs (Array.length tasks) in
-  let total_cells = n_schemes * List.length rows in
+  let total_cells = Array.length tasks in
   let on_result =
     let completed = ref 0 in
     let elapsed_sum = ref 0.0 and timed = ref 0 in
     Some
-      (fun _i (res : ((cell * Vliw_sim.Metrics.t option) array, exn) result) ->
+      (fun _i (res : (cell * Vliw_sim.Metrics.t option, exn) result) ->
         match res with
-        | Error _ -> () (* repackaged as degraded cells below *)
-        | Ok task_cells ->
-          Array.iter
-            (fun (cell, _) ->
-              journal_cell cell;
-              incr completed;
-              if cell.attempts > 0 && cell.error = None then begin
-                (* Restored and degraded cells carry no useful timing;
-                   ETA calibrates on genuinely simulated cells only. *)
-                elapsed_sum := !elapsed_sum +. cell.elapsed_s;
-                incr timed
-              end;
-              (if on_event <> None then
-                 let eta_s =
-                   if !timed = 0 then Float.nan
-                   else
-                     !elapsed_sum /. float_of_int !timed
-                     *. float_of_int (total_cells - !completed)
-                     /. float_of_int effective_jobs
-                 in
-                 emit
-                   (Cell_finished
-                      { cell; completed = !completed; total = total_cells; eta_s }));
-              match progress with
-              | None -> ()
-              | Some f -> f { completed = !completed; total = total_cells; last = cell })
-            task_cells)
+        | Error _ -> () (* repackaged as a degraded cell below *)
+        | Ok (cell, _) ->
+          journal_cell cell;
+          incr completed;
+          if cell.attempts > 0 && cell.error = None then begin
+            (* Restored and degraded cells carry no useful timing; ETA
+               calibrates on genuinely simulated cells only. *)
+            elapsed_sum := !elapsed_sum +. cell.elapsed_s;
+            incr timed
+          end;
+          if on_event <> None then
+            let eta_s =
+              if !timed = 0 then Float.nan
+              else
+                !elapsed_sum /. float_of_int !timed
+                *. float_of_int (total_cells - !completed)
+                /. float_of_int effective_jobs
+            in
+            emit
+              (Cell_finished
+                 { cell; completed = !completed; total = total_cells; eta_s }))
   in
   emit
     (Sweep_started
@@ -538,29 +502,17 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
      exception here means the harness itself broke (e.g. the journal
      write raised). [run_results] still isolates it to its task. *)
   let results = Vliw_util.Pool.run_results ~jobs ?on_result tasks in
-  let degraded_cell e (row : row) (column : column) =
-    let error = Printexc.to_string e in
-    emit
-      (Cell_degraded
-         { mix = row.name; scheme = column.col_name; attempts = 0; error });
-    unsimulated ~started_s:0.0 ~error row.name column.col_name
-  in
   let cells =
-    Array.concat
-      (Array.to_list
-         (Array.mapi
-            (fun idx -> function
-              | Ok task_cells -> task_cells
-              | Error e ->
-                if lockstep then
-                  Array.map (degraded_cell e (List.nth rows idx)) cols
-                else
-                  [|
-                    degraded_cell e
-                      (List.nth rows (idx / n_schemes))
-                      cols.(idx mod n_schemes);
-                  |])
-            results))
+    Array.mapi
+      (fun idx -> function
+        | Ok cell -> cell
+        | Error e ->
+          let mix = (List.nth rows (idx / n_schemes)).name
+          and scheme = cols.(idx mod n_schemes).col_name
+          and error = Printexc.to_string e in
+          emit (Cell_degraded { mix; scheme; attempts = 0; error });
+          unsimulated ~started_s:0.0 ~error mix scheme)
+      results
   in
   emit
     (Sweep_finished
@@ -575,12 +527,12 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   (scheme_names, mix_names, cells)
 
 let run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
-    ?lockstep ?progress ?telemetry ?max_retries ?cell_timeout_s ?checkpoint
-    ?resume ?log ?on_event () =
+    ?telemetry ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event
+    () =
   let scheme_names, mix_names, cells =
     run_metrics ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
-      ?lockstep ?progress ?telemetry ?max_retries ?cell_timeout_s ?checkpoint
-      ?resume ?log ?on_event ()
+      ?telemetry ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log
+      ?on_event ()
   in
   (scheme_names, mix_names, Array.map fst cells)
 
@@ -594,13 +546,11 @@ let grid_of_cells ~scheme_names ~mix_names cells =
   in
   Common.make_grid ~scheme_names ~mix_names ~ipc
 
-let run ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs ?lockstep
-    ?progress ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event
-    () =
+let run ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
+    ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event () =
   let scheme_names, mix_names, cells =
     run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
-      ?lockstep ?progress ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log
-      ?on_event ()
+      ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ()
   in
   grid_of_cells ~scheme_names ~mix_names cells
 

@@ -103,10 +103,13 @@ type cell = {
           so a resumed sweep retries them. *)
 }
 
-type progress = { completed : int; total : int; last : cell }
-
-(** Live structured progress stream, richer than [progress]: lifecycle
-    events for the whole sweep and for every cell attempt. A consumer
+(** The live progress stream: lifecycle events for the whole sweep and
+    for every cell attempt. Every cell yields exactly one
+    [Cell_finished] — simulated, restored from a checkpoint or degraded
+    alike — with [completed] counting 1..[total] in delivery order, so
+    a progress meter is just a consumer of this stream. (A task that
+    breaks the harness itself degrades after the pool returns, with a
+    [Cell_degraded] but no [Cell_finished].) A consumer
     passed as [on_event] {b must be domain-safe}: [Cell_started],
     [Cell_retried] and [Cell_degraded] fire inside worker domains, while
     [Sweep_started], [Cell_finished] (serialized through the pool's
@@ -144,7 +147,6 @@ type 'a study =
   ?scale:Common.scale ->
   ?seed:int64 ->
   ?jobs:int ->
-  ?progress:(progress -> unit) ->
   ?max_retries:int ->
   ?on_event:(event -> unit) ->
   'a
@@ -188,9 +190,6 @@ val inject_failure : (row:int -> col:int -> bool) option ref
 val degraded : cell array -> cell list
 (** The degraded cells of a sweep, in mix-major order. *)
 
-val total_retries : cell array -> int
-(** Total failed attempts across all cells (Σ max(0, attempts - 1)). *)
-
 val row_seed : seed:int64 -> string -> int64
 (** The simulation seed of a mix row, a pure function of the master
     seed and the mix name. *)
@@ -203,7 +202,6 @@ val prepare_row : ?scale:Common.scale -> ?seed:int64 -> string -> row
     against it. Raises like {!Vliw_workloads.Mixes.find_exn}. *)
 
 val simulate :
-  ?tapes:Vliw_sim.Tape.set ->
   ?counters:Vliw_telemetry.Counters.t ->
   row ->
   column ->
@@ -211,18 +209,13 @@ val simulate :
 (** The one cell simulation every path runs: the column's edited
     configuration on the row's machine, a fresh controller, the row's
     seed, schedule, memory and programs. No events or retries. Safe in
-    a {!Vliw_util.Pool} worker. [tapes] shares the row's draw streams
-    with sibling simulations ({!Vliw_sim.Tape}); [counters] attaches a
-    telemetry registry; neither changes the result. *)
+    a {!Vliw_util.Pool} worker. [counters] attaches a telemetry
+    registry without changing the result. Every column of a row draws
+    the same addresses and branch outcomes, because they come from the
+    row's seed alone. *)
 
-val simulate_prepared : ?tapes:Vliw_sim.Tape.set -> row -> column -> float
+val simulate_prepared : row -> column -> float
 (** IPC of {!simulate}, as in the {!run_cells} cell (property-tested). *)
-
-val simulate_prepared_columns : row -> column list -> float list
-(** Several columns of one row in lockstep: all columns replay one
-    shared draw-tape set, so the workload's stochastic streams are
-    generated once and reused. Each IPC is bit-identical to an
-    independent {!simulate_prepared} call (property-tested). *)
 
 val run :
   ?scale:Common.scale ->
@@ -232,8 +225,6 @@ val run :
   ?mix_names:string list ->
   ?rows:row list ->
   ?jobs:int ->
-  ?lockstep:bool ->
-  ?progress:(progress -> unit) ->
   ?max_retries:int ->
   ?cell_timeout_s:float ->
   ?checkpoint:string ->
@@ -244,8 +235,8 @@ val run :
   Common.grid
 (** IPC of every (row, column) cell as a grid. Defaults: all 4-thread
     schemes of the catalog, all Table 2 mixes, [jobs = 1]. [jobs <= 0]
-    uses one worker per core. [progress] is called after every cell,
-    serialized across workers. See {!run_cells} for the other knobs. *)
+    uses one worker per core. [on_event] receives the sweep's {!event}
+    stream. See {!run_cells} for the other knobs. *)
 
 val run_cells :
   ?scale:Common.scale ->
@@ -255,8 +246,6 @@ val run_cells :
   ?mix_names:string list ->
   ?rows:row list ->
   ?jobs:int ->
-  ?lockstep:bool ->
-  ?progress:(progress -> unit) ->
   ?telemetry:bool ->
   ?max_retries:int ->
   ?cell_timeout_s:float ->
@@ -271,14 +260,7 @@ val run_cells :
     names. [telemetry] (default [false]) attaches a fresh counter
     registry to each cell's simulation and snapshots it into
     {!cell.telemetry}; counting is observation-only, so IPC results are
-    unchanged.
-
-    [lockstep] (default [false]) runs each mix row as one pool task
-    whose scheme columns share a draw-tape set
-    ({!simulate_prepared_columns}): the row's stochastic streams are
-    generated once and replayed by every sibling column. Parallelism is
-    then over rows rather than cells; results are bit-identical to the
-    independent mode at any [jobs] (property-tested).
+    unchanged. Each cell is one pool task.
 
     [columns] generalizes [scheme_names] (the two are mutually
     exclusive): each {!column} names one grid column, carrying its
@@ -323,8 +305,6 @@ val run_metrics :
   ?mix_names:string list ->
   ?rows:row list ->
   ?jobs:int ->
-  ?lockstep:bool ->
-  ?progress:(progress -> unit) ->
   ?telemetry:bool ->
   ?max_retries:int ->
   ?cell_timeout_s:float ->

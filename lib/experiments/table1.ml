@@ -6,7 +6,7 @@ type row = {
 
 (* Two rows per benchmark, real then perfect memory, sharing one
    compiled program; one single-thread column. *)
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
@@ -17,7 +17,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
       Vliw_workloads.Benchmarks.all
   in
   let grid =
-    Sweep.run ~scale ~seed ~rows ~scheme_names:[ "ST" ] ?jobs ?progress
+    Sweep.run ~scale ~seed ~rows ~scheme_names:[ "ST" ] ?jobs
       ?max_retries ?on_event ()
   in
   List.mapi

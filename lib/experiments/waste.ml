@@ -6,7 +6,7 @@ type row = {
   merge_degree : float;
 }
 
-let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
+let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
     ?max_retries ?on_event ?(mix = "LLHH") ?(schemes = [ "ST"; "1S"; "3CCC"; "2SC3"; "3SSS" ])
     () =
   let row =
@@ -19,7 +19,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs ?progress
         (List.map
            (fun name -> Sweep.column name (Vliw_merge.Scheme_name.parse_exn name))
            schemes)
-      ?jobs ?progress ?max_retries ?on_event ()
+      ?jobs ?max_retries ?on_event ()
   in
   List.mapi
     (fun j scheme ->

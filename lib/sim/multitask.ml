@@ -2,9 +2,6 @@ module Rng = Vliw_util.Rng
 
 type schedule = { timeslice : int; target_instrs : int; max_cycles : int }
 
-let paper_schedule =
-  { timeslice = 1_000_000; target_instrs = 100_000_000; max_cycles = max_int }
-
 let default_schedule =
   { timeslice = 50_000; target_instrs = 400_000; max_cycles = 1_500_000 }
 
@@ -24,8 +21,8 @@ let resident_set rng n_contexts threads =
   end
 
 let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
-    ?(schedule = default_schedule) ?telemetry ?counters ?controller ?tapes
-    programs =
+    ?(schedule = default_schedule) ?telemetry ?counters ?controller programs
+    =
   let rng = Rng.create seed in
   let os_rng = Rng.split rng in
   let threads =
@@ -35,12 +32,6 @@ let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
            Thread_state.create ~id ~seed:(Rng.next_int64 rng) program)
          programs)
   in
-  (* Tapes are attached after creation, so the seed-derivation chain
-     above is untouched: a taped run replays exactly the draws an
-     untaped run would make (bit-equality is property-tested). *)
-  (match tapes with
-  | None -> ()
-  | Some set -> Array.iter (Thread_state.attach_tape set) threads);
   let mem = Vliw_mem.Mem_system.create ~perfect:perfect_mem config.Config.machine in
   let core = Core.create ?telemetry ?counters config mem in
   let n_contexts = Config.contexts config in
@@ -155,7 +146,7 @@ let compile ?mode ?(stream = `Mix) ~seed machine profiles =
     profiles
 
 let run config ?perfect_mem ?(seed = 0x5EEDL) ?schedule ?mode ?telemetry
-    ?counters ?controller ?tapes profiles =
+    ?counters ?controller profiles =
   run_programs config ?perfect_mem ~seed ?schedule ?telemetry ?counters
-    ?controller ?tapes
+    ?controller
     (compile ?mode ~seed config.Config.machine profiles)

@@ -14,13 +14,6 @@ type schedule = {
   max_cycles : int;  (** Hard cycle budget (safety stop). *)
 }
 
-val paper_schedule : schedule
-(** The paper's parameters (1M-cycle timeslice, 100M instructions) —
-    expensive; provided for completeness. *)
-
-val default_schedule : schedule
-(** Scaled-down parameters used by the experiment harness. *)
-
 val quick_schedule : schedule
 (** Very small runs for unit tests and smoke benches. *)
 
@@ -44,7 +37,6 @@ val run :
   ?telemetry:Vliw_telemetry.Sink.t ->
   ?counters:Vliw_telemetry.Counters.t ->
   ?controller:Controller.t ->
-  ?tapes:Tape.set ->
   Vliw_compiler.Profile.t list ->
   Metrics.t
 (** [run config profiles] builds one program and one thread per profile
@@ -64,11 +56,12 @@ val run :
     switches, so results are bit-identical to omitting [controller]
     (property-tested).
 
-    [tapes] routes every thread's stochastic draws through a shared
-    {!Tape.set} (attached after thread creation, so seed derivation is
-    unchanged): runs that differ only in scheme replay identical
-    workload draws and share the generation work. A taped run is
-    bit-identical to an untaped one (property-tested). *)
+    Each thread's address and branch draws come from generators seeded
+    off [seed] alone, so runs that differ only in scheme see identical
+    workload draws. [schedule] defaults to the scaled-down harness
+    parameters (50k-cycle timeslice, 400k instructions, 1.5M-cycle
+    budget); the paper's own (1M-cycle timeslice, 100M instructions)
+    are far too expensive to sweep. *)
 
 val run_programs :
   Config.t ->
@@ -78,7 +71,6 @@ val run_programs :
   ?telemetry:Vliw_telemetry.Sink.t ->
   ?counters:Vliw_telemetry.Counters.t ->
   ?controller:Controller.t ->
-  ?tapes:Tape.set ->
   Vliw_compiler.Program.t list ->
   Metrics.t
 (** Like {!run} but with pre-generated programs, so the (deterministic but

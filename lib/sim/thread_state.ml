@@ -13,9 +13,6 @@ type t = {
   mutable pending : Vliw_isa.Instr.t;
       (* physically [no_instr] when nothing is fetched; a sentinel
          instead of an option so fetch/retire never allocate *)
-  mutable tape : Tape.t option;
-  mutable addr_k : int;  (* draws consumed from the tape, by kind *)
-  mutable taken_k : int;
   mutable instrs_retired : int;
   mutable ops_retired : int;
   mutable stall_src : stall_src;
@@ -43,34 +40,15 @@ let create ~id ~seed (program : Program.t) =
     pc = 0;
     resume_at = 0;
     pending = no_instr;
-    tape = None;
-    addr_k = 0;
-    taken_k = 0;
     instrs_retired = 0;
     ops_retired = 0;
     stall_src = Ready;
   }
 
-let attach_tape set t =
-  t.tape <-
-    Some
-      (Tape.adopt set ~id:t.id ~addr_stream:t.addr_stream ~ctrl_rng:t.ctrl_rng)
-
-let next_addr t =
-  match t.tape with
-  | None -> Vliw_mem.Addr_stream.next t.addr_stream
-  | Some tape ->
-    let k = t.addr_k in
-    t.addr_k <- k + 1;
-    Tape.addr tape k
+let next_addr t = Vliw_mem.Addr_stream.next t.addr_stream
 
 let next_taken t =
-  match t.tape with
-  | None -> Vliw_util.Rng.bernoulli t.ctrl_rng t.program.profile.taken_prob
-  | Some tape ->
-    let k = t.taken_k in
-    t.taken_k <- k + 1;
-    Tape.taken tape k t.program.profile.taken_prob
+  Vliw_util.Rng.bernoulli t.ctrl_rng t.program.profile.taken_prob
 
 let current_instr t = t.program.blocks.(t.block).instrs.(t.pc)
 

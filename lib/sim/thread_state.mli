@@ -22,11 +22,6 @@ type t = {
           {!no_instr} when nothing is fetched. A sentinel instead of an
           option so the steady-state fetch/retire path never
           allocates. *)
-  mutable tape : Tape.t option;
-      (** Draw tape shared with lockstep siblings; [None] runs the
-          generators directly (see {!Tape}). *)
-  mutable addr_k : int;  (** Tape cursor: address draws consumed. *)
-  mutable taken_k : int;  (** Tape cursor: branch-outcome draws consumed. *)
   mutable instrs_retired : int;
   mutable ops_retired : int;
   mutable stall_src : stall_src;
@@ -40,18 +35,14 @@ val create : id:int -> seed:int64 -> Vliw_compiler.Program.t -> t
 (** Fresh thread at the program entry; the address stream gets a region
     disjoint from every other thread id. *)
 
-val attach_tape : Tape.set -> t -> unit
-(** Route this thread's stochastic draws through the set's tape for its
-    id (adopting the thread's own generators if the tape is new). Call
-    before the first simulated cycle. *)
-
 val next_addr : t -> int
-(** The next data address: the tape's next recorded draw when one is
-    attached, else straight from the address stream. *)
+(** The next data address, straight from the thread's address stream. *)
 
 val next_taken : t -> bool
-(** The next branch outcome at the program's taken probability; tape
-    replay as for {!next_addr}. *)
+(** The next branch outcome, drawn from [ctrl_rng] at the program's
+    taken probability. The k-th draw of either stream depends only on
+    the thread's seed, never on issue timing, so every scheme simulated
+    from one seed sees the same sequence of addresses and outcomes. *)
 
 val current_instr : t -> Vliw_isa.Instr.t
 

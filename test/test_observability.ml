@@ -376,7 +376,7 @@ let test_html_report_self_contained () =
 
 (* --- Sweep events ----------------------------------------------------- *)
 
-let collect_events ~jobs ?lockstep ?telemetry () =
+let collect_events ~jobs ?telemetry ?checkpoint ?resume () =
   let m = Mutex.create () in
   let events = ref [] in
   let on_event ev =
@@ -386,7 +386,7 @@ let collect_events ~jobs ?lockstep ?telemetry () =
   in
   let names_and_cells =
     E.Sweep.run_cells ~scale:E.Common.Quick ~scheme_names:[ "1S"; "2SC3" ]
-      ~mix_names:[ "LLHH" ] ~jobs ?lockstep ?telemetry ~on_event ()
+      ~mix_names:[ "LLHH" ] ~jobs ?telemetry ?checkpoint ?resume ~on_event ()
   in
   (names_and_cells, List.rev !events)
 
@@ -394,6 +394,23 @@ let started_jobs events =
   match events with
   | E.Sweep.Sweep_started { jobs; _ } :: _ -> jobs
   | _ -> Alcotest.fail "first event must be Sweep_started"
+
+(* The contract a progress meter relies on: one Cell_finished per cell,
+   [completed] counting 1..total in delivery order, [total] fixed. *)
+let check_finished_contract what ~total events =
+  let finished =
+    List.filter_map
+      (function
+        | E.Sweep.Cell_finished { completed; total; _ } -> Some (completed, total)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list int))
+    (what ^ ": completed is 1..total")
+    (List.init total succ) (List.map fst finished);
+  List.iter
+    (fun (_, t) -> Alcotest.(check int) (what ^ ": total stable") total t)
+    finished
 
 let test_sweep_event_stream () =
   let (_, _, cells), events = collect_events ~jobs:2 () in
@@ -418,16 +435,15 @@ let test_sweep_event_stream () =
   let finished =
     List.filter_map
       (function
-        | E.Sweep.Cell_finished { completed; total; eta_s; _ } ->
-          Some (completed, total, eta_s)
+        | E.Sweep.Cell_finished { cell; eta_s; _ } -> Some (cell, eta_s)
         | _ -> None)
       events
   in
-  Alcotest.(check (list int)) "completed counts monotone" [ 1; 2 ]
-    (List.map (fun (c, _, _) -> c) finished);
+  check_finished_contract "plain sweep" ~total:2 events;
   List.iter
-    (fun (_, total, eta_s) ->
-      Alcotest.(check int) "total stable" 2 total;
+    (fun ((cell : E.Sweep.cell), eta_s) ->
+      Alcotest.(check bool) "cell wall clock non-negative" true
+        (cell.elapsed_s >= 0.0);
       Alcotest.(check bool) "eta calibrated and non-negative" true
         ((not (Float.is_nan eta_s)) && eta_s >= 0.0))
     finished;
@@ -444,11 +460,29 @@ let test_sweep_event_stream () =
       | Error e -> Alcotest.fail ("event JSON unparseable: " ^ e))
     events;
   (* The start event reports the workers the pool really uses: requests
-     beyond the task count are capped, and a lockstep task is a row. *)
+     beyond the task count are capped. *)
   Alcotest.(check int) "jobs capped at the cell count" 2
     (started_jobs (snd (collect_events ~jobs:4 ())));
-  Alcotest.(check int) "lockstep: one row is one task" 1
-    (started_jobs (snd (collect_events ~jobs:2 ~lockstep:true ())))
+  (* A degraded cell and a restored cell each still finish exactly once:
+     the first sweep degrades (LLHH, 2SC3), so its journal holds only
+     (LLHH, 1S); the resumed sweep restores that cell and simulates the
+     other. *)
+  let checkpoint = Filename.concat (tmp_dir ()) "events.ckpt" in
+  let (_, _, cells), events =
+    E.Sweep.inject_failure := Some (fun ~row:_ ~col -> col = 1);
+    Fun.protect
+      ~finally:(fun () -> E.Sweep.inject_failure := None)
+      (fun () -> collect_events ~jobs:2 ~checkpoint ())
+  in
+  Alcotest.(check int) "one degraded cell" 1
+    (List.length (E.Sweep.degraded cells));
+  check_finished_contract "degraded sweep" ~total:2 events;
+  let (_, _, cells), events =
+    collect_events ~jobs:2 ~checkpoint ~resume:true ()
+  in
+  Alcotest.(check (list int)) "one cell restored, one simulated" [ 0; 1 ]
+    (Array.to_list (Array.map (fun (c : E.Sweep.cell) -> c.attempts) cells));
+  check_finished_contract "resumed sweep" ~total:2 events
 
 let test_sweep_retry_events () =
   let attempts = Atomic.make 0 in

@@ -73,58 +73,6 @@ let test_sweep_jobs_deterministic =
       in
       grid_equal (run 1) (run 4))
 
-(* Lockstep mode (scheme columns of a row sharing one draw-tape set)
-   is an execution strategy, not a model change: it must reproduce the
-   independent-mode grid bit-for-bit at any jobs count. *)
-let test_sweep_lockstep_deterministic =
-  QCheck.Test.make ~count:4
-    ~name:"sweep: lockstep equals independent at jobs 1 and 4"
-    QCheck.(triple (int_bound 1000) (int_bound 3) (int_bound 3))
-    (fun (seed, si, mi) ->
-      let run ~jobs ~lockstep =
-        E.Sweep.run ~scale:E.Common.Quick ~seed:(Int64.of_int seed)
-          ~scheme_names:scheme_subsets.(si) ~mix_names:mix_subsets.(mi) ~jobs
-          ~lockstep ()
-      in
-      let independent = run ~jobs:1 ~lockstep:false in
-      grid_equal independent (run ~jobs:1 ~lockstep:true)
-      && grid_equal independent (run ~jobs:4 ~lockstep:true))
-
-let test_prepared_columns_lockstep () =
-  let pr = E.Sweep.prepare_row ~scale:E.Common.Quick ~seed:99L "LLHH" in
-  let columns =
-    List.map
-      (fun name -> E.Sweep.static_column (Vliw_merge.Catalog.find_exn name))
-      [ "1S"; "3CCC"; "3SSS"; "2SC3" ]
-  in
-  let independent = List.map (E.Sweep.simulate_prepared pr) columns in
-  let lockstep = E.Sweep.simulate_prepared_columns pr columns in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bit-identical ipc (%h vs %h)" a b)
-        true (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)))
-    independent lockstep
-
-let test_sweep_progress_and_timing () =
-  let events = ref [] in
-  let grid =
-    E.Sweep.run ~scale:E.Common.Quick ~jobs:2
-      ~scheme_names:[ "1S"; "3SSS" ] ~mix_names:[ "LLHH" ]
-      ~progress:(fun p -> events := p :: !events)
-      ()
-  in
-  Alcotest.(check int) "one row" 1 (Array.length grid.E.Common.ipc);
-  Alcotest.(check int) "one progress event per cell" 2 (List.length !events);
-  List.iter
-    (fun (p : E.Sweep.progress) ->
-      Alcotest.(check int) "total is cell count" 2 p.total;
-      Alcotest.(check bool) "completed within range" true
-        (p.completed >= 1 && p.completed <= 2);
-      Alcotest.(check bool) "wall-clock non-negative" true
-        (p.last.elapsed_s >= 0.0))
-    !events
-
 let test_sweep_row_seed_stable () =
   (* Row seeds depend only on (master seed, mix name). *)
   Alcotest.(check int64)
@@ -251,16 +199,18 @@ let test_registry_runs_and_csv_roundtrip () =
 let test_registry_fig10_shared () =
   (* fig6/fig11/fig12/claims must all reuse the ctx's lazy fig10 grid:
      forcing it once and running the dependents must not re-run it. We
-     detect sharing via progress events, which only sweeps emit. *)
+     detect sharing via Cell_finished events, which only sweeps emit. *)
   let events = ref 0 in
   let ctx =
     E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:1
-      ~progress:(fun _ -> incr events)
+      ~on_event:(function
+        | E.Sweep.Cell_finished _ -> incr events
+        | _ -> ())
       ()
   in
   let _ = E.Registry.run_entry ctx (E.Registry.find_exn "fig10") in
   let after_fig10 = !events in
-  Alcotest.(check bool) "fig10 sweep emitted progress" true (after_fig10 > 0);
+  Alcotest.(check bool) "fig10 sweep finished cells" true (after_fig10 > 0);
   let _ = E.Registry.run_entry ctx (E.Registry.find_exn "fig6") in
   let _ = E.Registry.run_entry ctx (E.Registry.find_exn "fig11") in
   let _ = E.Registry.run_entry ctx (E.Registry.find_exn "claims") in
@@ -274,11 +224,6 @@ let suite =
       Alcotest.test_case "pool propagates exceptions" `Quick test_pool_exception;
       Alcotest.test_case "pool on_result" `Quick test_pool_on_result_serialized;
       QCheck_alcotest.to_alcotest test_sweep_jobs_deterministic;
-      QCheck_alcotest.to_alcotest test_sweep_lockstep_deterministic;
-      Alcotest.test_case "prepared columns lockstep" `Quick
-        test_prepared_columns_lockstep;
-      Alcotest.test_case "sweep progress + timing" `Quick
-        test_sweep_progress_and_timing;
       Alcotest.test_case "sweep row seeds" `Quick test_sweep_row_seed_stable;
       Alcotest.test_case "grid scheme index" `Quick test_grid_scheme_index;
       Alcotest.test_case "registry shape" `Quick test_registry_shape;
