@@ -70,9 +70,8 @@ let select_reference m ?(routing = Conflict.Flexible) scheme ?(rotation = 0)
 
 module Batch = struct
   type t = {
-    machine : Vliw_isa.Machine.t;
     routing : Conflict.routing_mode;
-    scheme : Scheme.t;
+    scheme : Scheme.t;  (* canonical: what the walk evaluates *)
     n : int;
     clusters : int;
     (* Lane maintenance is gated by what the scheme's checks read: a
@@ -80,7 +79,10 @@ module Batch = struct
        reads packed counts, fixed-slot SMT reads pinned masks. *)
     need_counts : bool;
     need_pins : bool;
+    bias : int;  (* guard-bit capacity check: Instr.fits_bias machine *)
+    guard : int;
     mutable live : int;  (* bitmask of ports holding a candidate *)
+    mutable last : int;  (* port loaded last: the live one when only one is *)
     (* Lanes [0, n) are the ports, indexed by hardware thread; lane
        [n + d] is the accumulator register of the merge nodes at depth
        [d]. Per-cluster lanes are flattened as [lane * clusters + c]. A
@@ -100,19 +102,22 @@ module Batch = struct
   }
 
   let create (machine : Vliw_isa.Machine.t) ~routing scheme =
+    let scheme = Scheme.canonical scheme in
     let n = Scheme.n_threads scheme in
     let clusters = machine.Vliw_isa.Machine.clusters in
     let smt_blocks = Scheme.block_count Scheme_kind.Smt scheme in
     let lanes = n + Scheme.levels scheme + 1 in
     {
-      machine;
       routing;
       scheme;
       n;
       clusters;
       need_counts = smt_blocks > 0 && routing = Conflict.Flexible;
       need_pins = smt_blocks > 0 && routing = Conflict.Fixed_slots;
+      bias = Vliw_isa.Instr.fits_bias machine;
+      guard = Vliw_isa.Instr.fits_guard;
       live = 0;
+      last = 0;
       l_threads = Array.make lanes 0;
       l_mask = Array.make lanes 0;
       l_counts = Array.make (lanes * clusters) 0;
@@ -125,12 +130,11 @@ module Batch = struct
       out_capacity = 0;
     }
 
-  let scheme t = t.scheme
-
   let clear t = t.live <- 0
 
   let load_lanes t i threads mask (counts : int array) (pins : int array) =
     t.live <- t.live lor (1 lsl i);
+    t.last <- i;
     t.l_threads.(i) <- threads;
     t.l_mask.(i) <- mask;
     let base = i * t.clusters in
@@ -151,11 +155,12 @@ module Batch = struct
 
   (* Conflict decisions as integer codes (0 compatible, 1 cluster
      conflict, 2 slot capacity) between lanes [a] and [b] — the same
-     arithmetic as the {!Conflict} checks, minus the option allocation. *)
+     decisions as the {!Conflict} checks, minus the option allocation.
+     The flexible capacity check is {!Vliw_isa.Instr.packed_fits} in its
+     guard-bit form: one add and one AND per cluster. *)
   let rec flexible_fits t a b c =
     c >= t.clusters
-    || (Vliw_isa.Instr.packed_fits t.machine
-          (t.l_counts.(a + c) + t.l_counts.(b + c))
+    || ((t.l_counts.(a + c) + t.l_counts.(b + c) + t.bias) land t.guard = 0
        && flexible_fits t a b (c + 1))
 
   let rec fixed_code t a b shared c =
@@ -241,14 +246,27 @@ module Batch = struct
       in
       eval_inputs t d base kind acc rest
 
+  (* With at most one live port the walk has nothing to check: the lone
+     candidate (if any) reaches the root whole, under any rotation. *)
   let eval t ~rotation =
     if rotation < 0 || rotation >= t.n then
       invalid_arg "Engine.Batch.eval: rotation out of range";
-    t.order_len <- 0;
     t.out_conflict <- 0;
     t.out_capacity <- 0;
-    let lane = eval_node t 0 (rotation * t.n) t.scheme in
-    t.out_issued <- (if lane < 0 then 0 else t.l_threads.(lane))
+    if t.live = 0 then begin
+      t.order_len <- 0;
+      t.out_issued <- 0
+    end
+    else if t.live land (t.live - 1) = 0 then begin
+      t.order.(0) <- t.last;
+      t.order_len <- 1;
+      t.out_issued <- t.l_threads.(t.last)
+    end
+    else begin
+      t.order_len <- 0;
+      let lane = eval_node t 0 (rotation * t.n) t.scheme in
+      t.out_issued <- (if lane < 0 then 0 else t.l_threads.(lane))
+    end
 
   let issued t = t.out_issued
 

@@ -55,15 +55,17 @@ val select_reference :
     allocation. {!Batch.eval} allocates nothing, so the simulator's
     steady-state loop runs it every cycle and stays off the minor heap.
     Decisions agree bit-for-bit with {!select_reference}
-    (property-tested). Single-domain: each simulator core owns its
-    own. *)
+    (property-tested), although the two walk different trees: a Batch
+    evaluates {!Scheme.canonical}[ scheme], the oracle the literal
+    tree, so the property also proves the flattening exact. A cycle
+    with at most one live port skips the walk in closed form: the lone
+    candidate issues whole, with no rejects. Single-domain: each
+    simulator core owns its own. *)
 module Batch : sig
   type t
 
   val create :
     Vliw_isa.Machine.t -> routing:Conflict.routing_mode -> Scheme.t -> t
-
-  val scheme : t -> Scheme.t
 
   val clear : t -> unit
   (** Mark every port empty. *)

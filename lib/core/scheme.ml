@@ -54,6 +54,17 @@ let validate t =
   if sorted <> expected then Error "thread ids must be 0..n-1, each exactly once"
   else structure t
 
+(* Children first, so a spliced first input is already flat. *)
+let rec canonical = function
+  | Thread _ as t -> t
+  | Merge { kind; impl = _; inputs } ->
+    let inputs =
+      match List.map canonical inputs with
+      | Merge { kind = k; inputs = first; _ } :: rest when k = kind -> first @ rest
+      | inputs -> inputs
+    in
+    Merge { kind; impl = Serial; inputs }
+
 let rec levels = function
   | Thread _ -> 0
   | Merge { inputs; _ } ->

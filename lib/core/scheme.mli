@@ -52,6 +52,21 @@ val validate : t -> (unit, string) result
     nodes with at least two inputs, and parallel implementation only on
     CSMT nodes. *)
 
+val canonical : t -> t
+(** The decision-equivalent normal form: every merge that is the first
+    input of a same-kind parent is spliced into it ([C(C(a,b),x)]
+    becomes [C(a,b,x)], recursively), and every [impl] becomes
+    [Serial]. Exact for every input and both routings: a node's first
+    input is evaluated while the accumulator is empty, so it is taken
+    whole and never itself checked; its own inputs are then checked one
+    by one against the same growing accumulator, by the same kind of
+    check, in the same order — exactly what the flattened node does.
+    [impl] never changes a decision (the paper's serial and parallel
+    blocks differ only in delay and area). So 3CCC and C4, 3SCC and
+    2SC3, 3CCS and 2C3S have one canonical form each; 3CSC does not
+    collapse (its first input is an SMT block). Preserves
+    {!leaf_ids}, {!n_threads} and {!validate}; idempotent. *)
+
 val levels : t -> int
 (** Depth in merge blocks along the longest path (the leading digit of
     the paper's scheme names). *)

@@ -3,10 +3,11 @@
    cell ([simulate]). Cells are independent and run on [Pool] domains.
    The result is bit-identical for any [jobs]: rows are compiled in the
    parent domain with a fixed RNG derivation before any cell runs, and
-   a cell is a pure function of its row and column — which is also why
-   retrying a failed cell, or restoring it from a checkpoint journal
-   (raw IPC bits), cannot change a result. sweep.mli documents seeding,
-   fault tolerance and resume. *)
+   a cell is a pure function of its row and its column's canonical
+   configuration — which is also why retrying a failed cell, restoring
+   it from a checkpoint journal (raw IPC bits) or sharing one
+   simulation across the columns of a class cannot change a result.
+   sweep.mli documents seeding, sharing, fault tolerance and resume. *)
 
 module Counters = Vliw_telemetry.Counters
 module Report = Vliw_telemetry.Report
@@ -246,8 +247,38 @@ let simulate ?counters row column =
 
 let simulate_prepared row column = Vliw_sim.Metrics.ipc (simulate row column)
 
-let snapshot_with extra base =
-  { Counters.counters = List.sort compare (extra @ base); histograms = [] }
+let snapshot_with extra (base : Counters.snapshot) =
+  { base with counters = List.sort compare (extra @ base.counters) }
+
+(* The sharing key of a column on a row: its effective configuration
+   with the scheme made canonical. Columns with equal keys make the
+   same merge decision every cycle, so they simulate bit-identically.
+   A controller column is stateful and never shares; a column whose
+   configuration does not even build shares nothing either (its own
+   simulation fails and degrades the cell as before). *)
+let share_key (row : row) column =
+  match column.col_controller with
+  | Some _ -> None
+  | None -> (
+    match
+      column.col_config (Vliw_sim.Config.make ~machine:row.machine column.col_scheme)
+    with
+    | config ->
+      Some { config with scheme = Vliw_merge.Scheme.canonical config.scheme }
+    | exception _ -> None)
+
+(* Column indices grouped into sharing classes: each class in column
+   order, the classes ordered by their first member (the representative). *)
+let classes row cols =
+  let keys = Array.map (share_key row) cols in
+  let rec group = function
+    | [] -> []
+    | j :: rest when keys.(j) = None -> [ j ] :: group rest
+    | j :: rest ->
+      let same, others = List.partition (fun k -> keys.(k) = keys.(j)) rest in
+      (j :: same) :: group others
+  in
+  group (List.init (Array.length cols) Fun.id)
 
 let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1)
@@ -325,46 +356,52 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     ( { mix; scheme; ipc; elapsed_s = 0.0; started_s; worker; telemetry; attempts; error },
       None )
   in
-  (* One simulation attempt; raises on an injected fault, a simulator
-     exception, or a blown per-cell timeout. The timeout is enforced
-     after the fact (a domain cannot be preempted mid-simulation): the
-     attempt's result is discarded and the cell retried or degraded. *)
-  let attempt_once ~i ~j (row : row) column =
+  (* One simulation: its metrics and, with telemetry, the snapshot of the
+     simulation's own counters (no sweep bookkeeping). [simulate] makes
+     a fresh controller per call, so a retried cell replays from
+     scratch. *)
+  let simulation row column () =
+    let counters = if telemetry then Some (Counters.create ()) else None in
+    let metrics = simulate ?counters row column in
+    let snapshot = Option.map Counters.snapshot counters in
+    Option.iter
+      (fun s ->
+        if Vliw_sim.Invariants.enforced () then
+          Vliw_sim.Invariants.check_attribution s)
+      snapshot;
+    (metrics, snapshot)
+  in
+  (* One attempt at a cell: [run] simulates, or hands back the outcome
+     its class's representative simulated. Raises on an injected fault,
+     a simulator exception, or a blown per-cell timeout. The timeout is
+     enforced after the fact (a domain cannot be preempted
+     mid-simulation): the attempt's result is discarded and the cell
+     retried or degraded. *)
+  let attempt_once ~i ~j run =
     (match !inject_failure with
     | Some f when f ~row:i ~col:j ->
       failwith (Printf.sprintf "injected fault in cell (%d, %d)" i j)
     | _ -> ());
     let t0 = Unix.gettimeofday () in
-    let counters = if telemetry then Some (Counters.create ()) else None in
-    (* [simulate] makes a fresh controller per attempt, so a retried cell
-       replays from scratch. *)
-    let metrics = simulate ?counters row column in
-    Option.iter
-      (fun c ->
-        if Vliw_sim.Invariants.enforced () then
-          Vliw_sim.Invariants.check_attribution (Counters.snapshot c))
-      counters;
+    let outcome = run () in
     let elapsed = Unix.gettimeofday () -. t0 in
     (match cell_timeout_s with
     | Some limit_s when elapsed > limit_s ->
       raise (Cell_timeout { elapsed_s = elapsed; limit_s })
     | _ -> ());
-    (metrics, counters, t0, elapsed)
+    (outcome, t0, elapsed)
   in
-  let simulate_cell ~i ~j (row : row) (column : column) ~worker =
+  (* A cell with its retries: the cell, and the outcome of its
+     successful attempt. *)
+  let run_cell ~i ~j (row : row) (column : column) ~worker run =
     emit (Cell_started { mix = row.name; scheme = column.col_name; worker });
     let rec go ~attempt ~timeouts =
-      match attempt_once ~i ~j row column with
-      | metrics, counters, t0, elapsed ->
-        Option.iter
-          (fun c ->
-            if attempt > 1 then
-              Counters.add
-                (Counters.counter c Report.n_sweep_retries)
-                (attempt - 1);
-            if timeouts > 0 then
-              Counters.add (Counters.counter c Report.n_sweep_timeouts) timeouts)
-          counters;
+      match attempt_once ~i ~j run with
+      | ((metrics, snapshot) as outcome), t0, elapsed ->
+        let bookkeeping =
+          (if attempt > 1 then [ (Report.n_sweep_retries, attempt - 1) ] else [])
+          @ if timeouts > 0 then [ (Report.n_sweep_timeouts, timeouts) ] else []
+        in
         ( {
             mix = row.name;
             scheme = column.col_name;
@@ -372,11 +409,11 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
             elapsed_s = elapsed;
             started_s = t0 -. epoch;
             worker;
-            telemetry = Option.map Counters.snapshot counters;
+            telemetry = Option.map (snapshot_with bookkeeping) snapshot;
             attempts = attempt;
             error = None;
           },
-          Some metrics )
+          Some outcome )
       | exception e ->
         let timeouts =
           match e with Cell_timeout _ -> timeouts + 1 | _ -> timeouts
@@ -400,7 +437,7 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
                    :: (Report.n_sweep_retries, attempt - 1)
                    :: (if timeouts > 0 then [ (Report.n_sweep_timeouts, timeouts) ]
                        else []))
-                   [])
+                   Counters.empty)
             else None
           in
           unsimulated ~worker ?telemetry ~attempts:attempt ~error row.name
@@ -415,25 +452,44 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
         Some
           (snapshot_with
              [ (Report.n_sweep_resumed, 1) ]
-             (Option.value ~default:[] record.counters))
+             { Counters.empty with
+               counters = Option.value ~default:[] record.counters })
       else None
     in
     unsimulated ~ipc:record.ipc ~worker ?telemetry record.mix record.scheme
   in
-  (* One pool task per cell, mix-major. *)
+  (* One pool task per sharing class of a row, mix-major: the class's
+     cells in column order. The first member not restored from the
+     journal simulates; every later one reuses its outcome, unless it
+     degraded, in which case the next one simulates itself. *)
   let n_schemes = Array.length cols in
-  let tasks =
+  let units =
     Array.of_list
       (List.concat
          (List.mapi
             (fun i row ->
-              List.init n_schemes (fun j ~worker ->
-                  let column = cols.(j) in
-                  match resumed ~mix:row.name ~scheme:column.col_name with
-                  | Some record -> restore_cell ~record ~worker
-                  | None -> simulate_cell ~i ~j row column ~worker))
+              List.map (fun members -> (i, row, members)) (classes row cols))
             rows))
   in
+  let class_task (i, (row : row), members) ~worker =
+    let shared = ref None in
+    List.map
+      (fun j ->
+        let column = cols.(j) in
+        match resumed ~mix:row.name ~scheme:column.col_name with
+        | Some record -> restore_cell ~record ~worker
+        | None ->
+          let run =
+            match !shared with
+            | Some outcome -> fun () -> outcome
+            | None -> simulation row column
+          in
+          let cell, outcome = run_cell ~i ~j row column ~worker run in
+          if Option.is_none !shared then shared := outcome;
+          (cell, Option.map fst outcome))
+      members
+  in
+  let tasks = Array.map class_task units in
   (* Runs inside the pool's serialized result callback: journal the
      fresh cell (atomic rewrite) before its [Cell_finished]. A journal write
      failure (unwritable path, full disk) aborts the sweep with the
@@ -461,34 +517,37 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   (* Worker count the pool actually uses (capped at the task count), for
      the start event and the ETA heuristic. *)
   let effective_jobs = Vliw_util.Pool.effective_jobs ~jobs (Array.length tasks) in
-  let total_cells = Array.length tasks in
+  let total_cells = List.length rows * n_schemes in
   let on_result =
     let completed = ref 0 in
     let elapsed_sum = ref 0.0 and timed = ref 0 in
     Some
-      (fun _i (res : (cell * Vliw_sim.Metrics.t option, exn) result) ->
+      (fun _i (res : ((cell * Vliw_sim.Metrics.t option) list, exn) result) ->
         match res with
-        | Error _ -> () (* repackaged as a degraded cell below *)
-        | Ok (cell, _) ->
-          journal_cell cell;
-          incr completed;
-          if cell.attempts > 0 && cell.error = None then begin
-            (* Restored and degraded cells carry no useful timing; ETA
-               calibrates on genuinely simulated cells only. *)
-            elapsed_sum := !elapsed_sum +. cell.elapsed_s;
-            incr timed
-          end;
-          if on_event <> None then
-            let eta_s =
-              if !timed = 0 then Float.nan
-              else
-                !elapsed_sum /. float_of_int !timed
-                *. float_of_int (total_cells - !completed)
-                /. float_of_int effective_jobs
-            in
-            emit
-              (Cell_finished
-                 { cell; completed = !completed; total = total_cells; eta_s }))
+        | Error _ -> () (* repackaged as degraded cells below *)
+        | Ok cells ->
+          List.iter
+            (fun (cell, _) ->
+              journal_cell cell;
+              incr completed;
+              if cell.attempts > 0 && cell.error = None then begin
+                (* Restored and degraded cells carry no useful timing;
+                   ETA calibrates on attempted cells only. *)
+                elapsed_sum := !elapsed_sum +. cell.elapsed_s;
+                incr timed
+              end;
+              if on_event <> None then
+                let eta_s =
+                  if !timed = 0 then Float.nan
+                  else
+                    !elapsed_sum /. float_of_int !timed
+                    *. float_of_int (total_cells - !completed)
+                    /. float_of_int effective_jobs
+                in
+                emit
+                  (Cell_finished
+                     { cell; completed = !completed; total = total_cells; eta_s }))
+            cells)
   in
   emit
     (Sweep_started
@@ -498,22 +557,27 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
          scale = Common.scale_name scale;
          seed;
        });
-  (* [simulate_cell] already contains every expected failure, so a task
+  (* [run_cell] already contains every expected failure, so a task
      exception here means the harness itself broke (e.g. the journal
      write raised). [run_results] still isolates it to its task. *)
   let results = Vliw_util.Pool.run_results ~jobs ?on_result tasks in
-  let cells =
-    Array.mapi
-      (fun idx -> function
-        | Ok cell -> cell
-        | Error e ->
-          let mix = (List.nth rows (idx / n_schemes)).name
-          and scheme = cols.(idx mod n_schemes).col_name
-          and error = Printexc.to_string e in
-          emit (Cell_degraded { mix; scheme; attempts = 0; error });
-          unsimulated ~started_s:0.0 ~error mix scheme)
-      results
-  in
+  let cells = Array.make total_cells None in
+  Array.iteri
+    (fun t res ->
+      let i, (row : row), members = units.(t) in
+      let place j cell = cells.((i * n_schemes) + j) <- Some cell in
+      match res with
+      | Ok class_cells -> List.iter2 place members class_cells
+      | Error e ->
+        let error = Printexc.to_string e in
+        List.iter
+          (fun j ->
+            let scheme = cols.(j).col_name in
+            emit (Cell_degraded { mix = row.name; scheme; attempts = 0; error });
+            place j (unsimulated ~started_s:0.0 ~error row.name scheme))
+          members)
+    results;
+  let cells = Array.map Option.get cells in
   emit
     (Sweep_finished
        {

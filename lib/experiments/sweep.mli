@@ -9,8 +9,24 @@
     derived simulation seed ({!row_seed}); other rows carry the seed
     their experiment gives them. All columns of a row share its seed,
     so schemes are compared on identical workloads and the
-    parallel/serial scheme equivalences (3CCC = C4, 2SC3 = 3SCC) stay
-    bit-exact in simulation.
+    parallel/serial scheme equivalences (3CCC = C4, 2SC3 = 3SCC,
+    3CCS = 2C3S, CSMT8 = C8) stay bit-exact in simulation.
+
+    Sharing: a cell is a pure function of its row and its column's
+    {!share_key} (the effective configuration with the scheme made
+    {!Vliw_merge.Scheme.canonical}), so the columns of a row with equal
+    keys — a {e class} — are simulated once, by one pool task. Every
+    cell is still reported: the class's cells finish together, the
+    representative (its first column) first and its followers right
+    after it, each with its own [Cell_started] and [Cell_finished]
+    (so [completed] still counts 1..total), its own checkpoint record,
+    its own [attempts] and an [elapsed_s] of about zero. A follower's
+    telemetry is the representative's simulation snapshot plus the
+    follower's own [sweep.*] bookkeeping, never the representative's
+    retries. {!inject_failure} is consulted per (row, col), so a
+    follower whose hook fires fails alone; if the representative
+    degrades, the next member simulates itself. On resume, a class is
+    simulated unless every member is restored.
 
     Fault tolerance (opt-in): a cell whose simulation raises — or trips
     {!inject_failure}, or exceeds [cell_timeout_s] — is retried up to
@@ -136,8 +152,9 @@ type event =
       total : int;
       eta_s : float;
           (** Estimated seconds to sweep completion, calibrated from the
-              mean elapsed time of genuinely simulated cells (restored
-              and degraded cells don't count) divided across the
+              mean elapsed time of attempted cells, shared followers
+              included at their ≈ 0 s (restored and degraded cells
+              don't count), divided across the
               effective worker count; [nan] until one timed cell has
               completed. *)
     }
@@ -214,6 +231,12 @@ val simulate :
     the same addresses and branch outcomes, because they come from the
     row's seed alone. *)
 
+val share_key : row -> column -> Vliw_sim.Config.t option
+(** The sharing key of a column on a row: [col_config (Config.make
+    ~machine:row.machine col_scheme)] with its scheme made canonical.
+    [None] (never shared) for a controller column, whose simulation is
+    stateful, and for a configuration that does not build. *)
+
 val simulate_prepared : row -> column -> float
 (** IPC of {!simulate}, as in the {!run_cells} cell (property-tested). *)
 
@@ -260,7 +283,7 @@ val run_cells :
     names. [telemetry] (default [false]) attaches a fresh counter
     registry to each cell's simulation and snapshots it into
     {!cell.telemetry}; counting is observation-only, so IPC results are
-    unchanged. Each cell is one pool task.
+    unchanged. Each sharing class of a row is one pool task.
 
     [columns] generalizes [scheme_names] (the two are mutually
     exclusive): each {!column} names one grid column, carrying its

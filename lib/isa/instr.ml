@@ -86,6 +86,28 @@ let packed_fits (m : Machine.t) packed =
   && (packed lsr count_shift_branch) land count_field <= m.n_branch
   && packed lsr count_shift_total <= m.issue_width
 
+(* Guard-bit form of [packed_fits]: the bias lifts every field by
+   0x3FFF minus its limit, so a field over its limit sets its bit 14
+   and the word fits iff no guard bit is set. Exact while every field
+   and limit is below 2^14: a biased field stays below 2^15 and never
+   carries into its neighbour. *)
+let fits_guard =
+  List.fold_left
+    (fun acc shift -> acc lor (0x4000 lsl shift))
+    0
+    [ 0; count_shift_mul; count_shift_branch; count_shift_total ]
+
+let fits_bias (m : Machine.t) =
+  List.fold_left
+    (fun acc (limit, shift) -> acc lor ((0x3FFF - limit) lsl shift))
+    0
+    [
+      (m.n_lsu, 0);
+      (m.n_mul, count_shift_mul);
+      (m.n_branch, count_shift_branch);
+      (m.issue_width, count_shift_total);
+    ]
+
 (* Same greedy discipline as the routing block applied to one thread's
    operations in isolation: fixed-slot classes claim their dedicated
    slots in list order, ALU/copy operations fill any free slot. Returns

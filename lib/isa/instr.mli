@@ -79,6 +79,14 @@ val packed_fits : Machine.t -> int -> bool
     constraints — the packed equivalent of {!fits_cluster}, also valid
     for the sum of several packed words. *)
 
+val fits_bias : Machine.t -> int
+(** Per-machine bias of the guard-bit capacity check: a packed word
+    [w] whose fields are all below [2^14] satisfies {!packed_fits}
+    iff [(w + fits_bias m) land fits_guard = 0]. *)
+
+val fits_guard : int
+(** Bit 14 of every packed field. *)
+
 val pinned_mask : Machine.t -> Op.t list -> int
 (** Bitmask of the issue slots the operations claim under the greedy
     fixed-slot layout (the same discipline as the routing block), or

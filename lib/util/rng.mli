@@ -11,10 +11,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Distinct seeds give
     independent-looking streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] draws from [t] and returns a new generator whose stream is
     statistically independent of [t]'s subsequent output. *)
@@ -25,34 +21,17 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] (inclusive). *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val geometric : t -> float -> int
-(** [geometric t p] counts Bernoulli([p]) failures before the first
-    success; mean [(1-p)/p]. [p] must be in (0, 1]. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp with the given mean. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal variate via Box–Muller. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val choose_weighted : t -> ('a * float) array -> 'a
-(** [choose_weighted t items] picks proportionally to the (non-negative,
-    not all zero) weights. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -152,6 +152,14 @@ let test_batched_equals_reference_exhaustive () =
         None;
         Some (instr_of [ []; [ Isa.Op.Mul; Isa.Op.Alu ]; []; [] ]);
       |];
+      (* one live port, and none: the closed form skips the walk *)
+      [|
+        None;
+        None;
+        Some (instr_of [ [ Isa.Op.Load; Isa.Op.Alu ]; [ Isa.Op.Mul ]; []; [] ]);
+        None;
+      |];
+      [| None; None; None; None |];
       (* nop-only packets merge with anything *)
       [|
         Some (Isa.Instr.make ~clusters:4 ~addr:0);
@@ -186,6 +194,85 @@ let test_batched_equals_reference_exhaustive () =
         avails)
     four_thread_space;
   Alcotest.(check bool) "covered the space" true (!checked > 1000)
+
+(* The oracle itself cannot tell a scheme from its canonical form: the
+   flattening Batch evaluates is exact on the literal tree walk too. *)
+let prop_reference_canonical =
+  Q.Test.make ~name:"select_reference s = select_reference (canonical s)"
+    ~count:300
+    (Q.pair (Tgen.scheme_arb 6) (Tgen.avail_arb 6))
+    (fun (scheme, instrs) ->
+      let avail = packets_of instrs in
+      let canonical = M.Scheme.canonical scheme in
+      List.for_all
+        (fun routing ->
+          List.for_all
+            (fun rotation ->
+              same_selection
+                (M.Engine.select_reference m ~routing scheme ~rotation avail)
+                (M.Engine.select_reference m ~routing canonical ~rotation avail))
+            [ 0; 1; 2; 3; 4; 5 ])
+        routing_modes)
+
+(* --- guard-bit capacity check --------------------------------------- *)
+
+(* Every machine shape the suite builds. *)
+let machines =
+  [
+    m;
+    Isa.Machine.make ~clusters:4 ~issue_width:2 ~n_lsu:1 ~n_mul:1 ~n_branch:0 ();
+    Isa.Machine.make ~clusters:2 ~issue_width:3 ~n_mul:1 ();
+    Isa.Machine.make ~n_mul:0 ();
+    Isa.Machine.make ~clusters:2 ();
+    Isa.Machine.make ~clusters:2 ~issue_width:8 ~n_mul:3 ();
+  ]
+
+let pack mem mul branch total =
+  mem lor (mul lsl 15) lor (branch lsl 30) lor (total lsl 45)
+
+let guard_fits machine w =
+  (w + Isa.Instr.fits_bias machine) land Isa.Instr.fits_guard = 0
+
+(* Exhaustive over small field values (where every limit sits), plus
+   each field at its extremes below 2^14 with the others anywhere. *)
+let test_guard_bits_exhaustive () =
+  let edge = [ 0; 1; 2; 3; 4; 5; 8; 9; 0x1000; 0x3FFE; 0x3FFF ] in
+  List.iter
+    (fun machine ->
+      let check w =
+        if guard_fits machine w <> Isa.Instr.packed_fits machine w then
+          Alcotest.failf "%s: word %x" (Format.asprintf "%a" Isa.Machine.pp machine) w
+      in
+      for mem = 0 to 11 do
+        for mul = 0 to 11 do
+          for branch = 0 to 11 do
+            for total = 0 to 11 do
+              check (pack mem mul branch total)
+            done
+          done
+        done
+      done;
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              List.iter
+                (fun c -> List.iter (fun d -> check (pack a b c d)) edge)
+                edge)
+            edge)
+        edge)
+    machines
+
+let prop_guard_bits =
+  let field = Q.Gen.int_bound 0x3FFF in
+  Q.Test.make ~name:"guard-bit fit = packed_fits (fields below 2^14)"
+    ~count:2000
+    (Q.make Q.Gen.(quad field field field field))
+    (fun (a, b, c, d) ->
+      let w = pack a b c d in
+      List.for_all
+        (fun machine -> guard_fits machine w = Isa.Instr.packed_fits machine w)
+        machines)
 
 (* --- signatures ----------------------------------------------------- *)
 
@@ -355,5 +442,9 @@ let suite =
       Tgen.to_alcotest prop_batched_equals_reference;
       Tgen.to_alcotest prop_batched_equals_reference_random_trees;
       Tgen.to_alcotest prop_batch_reuse_matches;
+      Tgen.to_alcotest prop_reference_canonical;
+      Alcotest.test_case "guard-bit fit, exhaustive" `Quick
+        test_guard_bits_exhaustive;
+      Tgen.to_alcotest prop_guard_bits;
       Tgen.to_alcotest prop_signature_counts_consistent;
     ] )

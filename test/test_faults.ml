@@ -444,6 +444,192 @@ let test_cell_timeout () =
           (Counters.count snap Report.n_sweep_timeouts))
     cells
 
+(* --- Sharing: one simulation per canonical class --------------------- *)
+
+let catalog_scheme name = (Vliw_merge.Catalog.find_exn name).scheme
+
+(* The kernel-level equivalence the sharing rests on, checked without
+   the sweep: each pair simulates to equal metrics on its own. *)
+let test_unshared_equivalents () =
+  let row4 = E.Sweep.prepare_row ~scale:E.Common.Quick "LLHH" in
+  let row8 =
+    let members = (Vliw_workloads.Mixes.find_exn "LLHH").members in
+    E.Sweep.row ~stream:`Doubled
+      ~schedule:(E.Common.schedule_of_scale E.Common.Quick)
+      ~compile_seed:3L ~seed:4L "LLHHx2" (members @ members)
+  in
+  let ext8 name =
+    (List.find
+       (fun (e : E.Ext8.entry) -> e.name = name)
+       E.Ext8.schemes)
+      .scheme
+  in
+  List.iter
+    (fun (row, (a, sa), (b, sb)) ->
+      let metrics name scheme = E.Sweep.simulate row (E.Sweep.column name scheme) in
+      Alcotest.(check bool) (a ^ " = " ^ b) true (metrics a sa = metrics b sb))
+    [
+      (row4, ("C4", catalog_scheme "C4"), ("3CCC", catalog_scheme "3CCC"));
+      (row4, ("2SC3", catalog_scheme "2SC3"), ("3SCC", catalog_scheme "3SCC"));
+      (row4, ("2C3S", catalog_scheme "2C3S"), ("3CCS", catalog_scheme "3CCS"));
+      (row8, ("C8", ext8 "C8"), ("CSMT8", ext8 "CSMT8"));
+    ]
+
+let test_share_keys () =
+  let row = E.Sweep.prepare_row ~scale:E.Common.Quick "LLHH" in
+  let key name = E.Sweep.share_key row (E.Sweep.static_column (Vliw_merge.Catalog.find_exn name)) in
+  let check_same same a b =
+    Alcotest.(check bool) (Printf.sprintf "%s %s %s" a (if same then "~" else "!~") b)
+      same (key a = key b)
+  in
+  check_same true "C4" "3CCC";
+  check_same true "2SC3" "3SCC";
+  check_same true "2C3S" "3CCS";
+  check_same false "2SC3" "3CSC";
+  check_same false "2CC" "C4";
+  let c4 = catalog_scheme "C4" in
+  let unrotated =
+    E.Sweep.column "C4-fixed-priority" c4
+      ~config:(fun c -> { c with Vliw_sim.Config.rotate_priority = false })
+  in
+  Alcotest.(check bool) "a config edit is part of the key" false
+    (E.Sweep.share_key row unrotated = key "3CCC");
+  let adaptive =
+    { (E.Sweep.column "adaptive" c4) with
+      col_controller = Some (fun () -> failwith "never built by share_key") }
+  in
+  Alcotest.(check bool) "a controller column never shares" true
+    (E.Sweep.share_key row adaptive = None)
+
+let shared_pair = [ "C4"; "3CCC" ]
+
+let run_pair ?(jobs = 1) ?max_retries ?checkpoint ?resume ?on_event () =
+  let _, _, cells =
+    E.Sweep.run_cells ~scale:E.Common.Quick ~scheme_names:shared_pair
+      ~mix_names:small_mixes ~jobs ~telemetry:true ?max_retries ?checkpoint
+      ?resume ?on_event ()
+  in
+  cells
+
+let ipc_bits (c : E.Sweep.cell) = Int64.bits_of_float c.ipc
+
+let test_shared_class_contract () =
+  List.iter
+    (fun jobs ->
+      let m = Mutex.create () and events = ref [] in
+      let on_event ev = Mutex.protect m (fun () -> events := ev :: !events) in
+      let cells = run_pair ~jobs ~on_event () in
+      let tag = Printf.sprintf "jobs=%d" jobs in
+      for i = 0 to 1 do
+        let rep = cells.(2 * i) and follower = cells.((2 * i) + 1) in
+        Alcotest.(check int64) (tag ^ " same IPC bits") (ipc_bits rep) (ipc_bits follower);
+        Alcotest.(check bool) (tag ^ " same snapshot") true
+          (rep.telemetry = follower.telemetry && rep.telemetry <> None);
+        Alcotest.(check int) (tag ^ " follower attempts") 1 follower.attempts;
+        (* The follower did not simulate: its attempt only reads the
+           representative's outcome. *)
+        Alcotest.(check bool) (tag ^ " follower reuses the simulation") true
+          (follower.elapsed_s < rep.elapsed_s)
+      done;
+      let finished =
+        List.filter_map
+          (function
+            | E.Sweep.Cell_finished { cell; completed; total; _ } ->
+              Some (cell.mix ^ "/" ^ cell.scheme, completed, total)
+            | _ -> None)
+          (List.rev !events)
+      in
+      Alcotest.(check (list int)) (tag ^ " completed 1..4") [ 1; 2; 3; 4 ]
+        (List.map (fun (_, k, _) -> k) finished);
+      (* Each follower finishes right after its representative. *)
+      let names = List.map (fun (c, _, _) -> c) finished in
+      Alcotest.(check (list string)) (tag ^ " one Cell_finished per cell")
+        [ "LLHH/3CCC"; "LLHH/C4"; "MMMM/3CCC"; "MMMM/C4" ]
+        (List.sort compare names);
+      List.iteri
+        (fun k name ->
+          if String.ends_with ~suffix:"/3CCC" name then
+            Alcotest.(check string) (tag ^ " follower after representative")
+              (String.sub name 0 4 ^ "/C4")
+              (List.nth names (k - 1)))
+        names;
+      Alcotest.(check int) (tag ^ " one Cell_started per cell") 4
+        (List.length
+           (List.filter (function E.Sweep.Cell_started _ -> true | _ -> false) !events)))
+    [ 1; 2 ];
+  (* A follower's own retries are its own; it never inherits the
+     representative's. *)
+  let fails = Atomic.make 0 in
+  let cells =
+    with_injection
+      (fun ~row ~col -> row = 0 && col = 0 && Atomic.fetch_and_add fails 1 < 1)
+      (fun () -> run_pair ~max_retries:1 ())
+  in
+  let count (c : E.Sweep.cell) name =
+    Counters.count (Option.get c.telemetry) name
+  in
+  Alcotest.(check int) "representative retried" 2 cells.(0).attempts;
+  Alcotest.(check int) "representative's retry counted" 1
+    (count cells.(0) Report.n_sweep_retries);
+  Alcotest.(check int) "follower took one attempt" 1 cells.(1).attempts;
+  Alcotest.(check int) "follower carries no retries" 0
+    (count cells.(1) Report.n_sweep_retries);
+  Alcotest.(check bool) "follower snapshot = simulation snapshot" true
+    (cells.(1).telemetry = (run_pair ()).(1).telemetry)
+
+let test_shared_class_faults () =
+  let clean = run_pair () in
+  let degraded_at col =
+    with_injection (fun ~row ~col:c -> row = 0 && c = col) (fun () -> run_pair ())
+  in
+  List.iter
+    (fun (col, who) ->
+      let cells = degraded_at col in
+      Array.iteri
+        (fun k (c : E.Sweep.cell) ->
+          if k = col then
+            Alcotest.(check bool) (who ^ " degraded") true (c.error <> None)
+          else begin
+            Alcotest.(check bool) (Printf.sprintf "%s injected: cell %d fine" who k) true
+              (c.error = None);
+            Alcotest.(check int64) (Printf.sprintf "%s injected: cell %d bits" who k)
+              (ipc_bits clean.(k)) (ipc_bits c)
+          end)
+        cells)
+    [ (1, "follower"); (0, "representative") ]
+
+let test_shared_class_resume () =
+  let fresh = run_pair () in
+  List.iter
+    (fun (keep, what) ->
+      let path = temp_path () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          ignore (run_pair ~checkpoint:path ());
+          (match E.Checkpoint.load ~path with
+          | Error msg -> Alcotest.failf "journal load failed: %s" msg
+          | Ok t ->
+            E.Checkpoint.save ~path
+              {
+                t with
+                E.Checkpoint.records =
+                  List.filter
+                    (fun (r : E.Checkpoint.record) -> r.scheme = keep)
+                    t.E.Checkpoint.records;
+              });
+          let resumed = run_pair ~checkpoint:path ~resume:true () in
+          Alcotest.(check (list int64)) ("journal holds only the " ^ what)
+            (Array.to_list (Array.map ipc_bits fresh))
+            (Array.to_list (Array.map ipc_bits resumed));
+          Array.iter
+            (fun (c : E.Sweep.cell) ->
+              Alcotest.(check int) (what ^ " kept: restored iff journaled")
+                (if c.scheme = keep then 0 else 1)
+                c.attempts)
+            resumed))
+    [ ("3CCC", "follower"); ("C4", "representative") ]
+
 (* --- Resume: interrupted-then-resumed = fresh ------------------------- *)
 
 let prop_resume_bit_identical =
@@ -629,6 +815,15 @@ let suite =
       Alcotest.test_case "injected faults keep results bit-identical" `Quick
         test_injected_faults_do_not_change_results;
       Alcotest.test_case "cell timeout" `Quick test_cell_timeout;
+      Alcotest.test_case "unshared equivalent schemes simulate equal" `Quick
+        test_unshared_equivalents;
+      Alcotest.test_case "sharing keys" `Quick test_share_keys;
+      Alcotest.test_case "shared class: every cell reported" `Quick
+        test_shared_class_contract;
+      Alcotest.test_case "shared class: faults stay per cell" `Quick
+        test_shared_class_faults;
+      Alcotest.test_case "shared class: half-journaled resume" `Quick
+        test_shared_class_resume;
       Tgen.to_alcotest prop_resume_bit_identical;
       Alcotest.test_case "resume ignores mismatched journal" `Quick
         test_resume_ignores_mismatched_journal;

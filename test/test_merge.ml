@@ -183,6 +183,76 @@ let test_scheme_equal () =
   Alcotest.(check bool) "equal" true (M.Scheme.equal a b);
   Alcotest.(check bool) "not equal" false (M.Scheme.equal a c)
 
+(* --- Scheme.canonical --- *)
+
+let prop_canonical_preserves =
+  Q.Test.make ~name:"canonical: idempotent, keeps leaves and validity"
+    ~count:500
+    Q.(pair (int_range 2 8) int)
+    (fun (n, seed) ->
+      let s = Q.Gen.generate1 ~rand:(Random.State.make [| seed |]) (Tgen.scheme_gen n) in
+      let c = M.Scheme.canonical s in
+      M.Scheme.equal (M.Scheme.canonical c) c
+      && M.Scheme.leaf_ids c = M.Scheme.leaf_ids s
+      && M.Scheme.n_threads c = M.Scheme.n_threads s
+      && M.Scheme.validate c = M.Scheme.validate s)
+
+(* The flattening classes the sweep shares simulations across, and the
+   near misses it must not merge. *)
+let test_canonical_classes () =
+  let scheme name =
+    match M.Catalog.find name with
+    | Some e -> e.scheme
+    | None ->
+      (List.find
+         (fun (e : Vliw_experiments.Ext8.entry) -> e.name = name)
+         Vliw_experiments.Ext8.schemes)
+        .scheme
+  in
+  let same a b = M.Scheme.equal (M.Scheme.canonical (scheme a)) (M.Scheme.canonical (scheme b)) in
+  List.iter
+    (fun (a, b) -> Alcotest.(check bool) (a ^ " = " ^ b) true (same a b))
+    [ ("C4", "3CCC"); ("2SC3", "3SCC"); ("2C3S", "3CCS"); ("C8", "CSMT8") ];
+  List.iter
+    (fun (a, b) -> Alcotest.(check bool) (a ^ " <> " ^ b) false (same a b))
+    [ ("2SC3", "3CSC"); ("2CC", "C4"); ("3CSS", "3SCS"); ("3SSS", "2SS") ];
+  Alcotest.(check string) "2SC3 canonical" "C(S(T0,T1),T2,T3)"
+    (M.Scheme.to_string (M.Scheme.canonical (scheme "2SC3")))
+
+(* The generator reaches both CSMT implementations on either side of a
+   flattened same-kind edge, and SMT spines too. *)
+let test_generator_spines () =
+  let rand = Random.State.make [| 7 |] in
+  let seen = Hashtbl.create 8 in
+  let rec edges = function
+    | M.Scheme.Thread _ -> ()
+    | M.Scheme.Merge { kind; impl; inputs } ->
+      (match inputs with
+      | M.Scheme.Merge { kind = k; impl = i; _ } :: _ when k = kind ->
+        Hashtbl.replace seen (kind, impl, i) ()
+      | _ -> ());
+      List.iter edges inputs
+  in
+  for _ = 1 to 300 do
+    edges (Q.Gen.generate1 ~rand (Tgen.scheme_gen 6))
+  done;
+  let open M.Scheme in
+  List.iter
+    (fun ((kind, parent, child) as key) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s spine %s over %s"
+           (if kind = M.Scheme_kind.Smt then "SMT" else "CSMT")
+           (if parent = Serial then "serial" else "parallel")
+           (if child = Serial then "serial" else "parallel"))
+        true (Hashtbl.mem seen key))
+    [
+      (M.Scheme_kind.Smt, Serial, Serial);
+      (M.Scheme_kind.Csmt, Serial, Serial);
+      (M.Scheme_kind.Csmt, Serial, Parallel);
+      (M.Scheme_kind.Csmt, Parallel, Serial);
+      (M.Scheme_kind.Csmt, Parallel, Parallel);
+    ]
+
 (* --- Catalog --- *)
 
 let test_catalog_complete () =
@@ -253,6 +323,10 @@ let suite =
       Alcotest.test_case "scheme validate" `Quick test_scheme_validate;
       Alcotest.test_case "scheme to_string" `Quick test_scheme_to_string;
       Alcotest.test_case "scheme equal" `Quick test_scheme_equal;
+      Tgen.to_alcotest prop_canonical_preserves;
+      Alcotest.test_case "canonical classes" `Quick test_canonical_classes;
+      Alcotest.test_case "generator emits same-kind spines" `Quick
+        test_generator_spines;
       Alcotest.test_case "catalog complete" `Quick test_catalog_complete;
       Alcotest.test_case "catalog structure" `Quick test_catalog_names_match_structure;
       Alcotest.test_case "catalog find" `Quick test_catalog_find;

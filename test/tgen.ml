@@ -72,11 +72,13 @@ let avail_arb n =
     (avail_gen n)
 
 (* Random well-formed schemes over n threads, mixing kinds, shapes and
-   parallel CSMT nodes. *)
+   parallel CSMT nodes. Half the merges take a same-kind left child (a
+   left spine, with either CSMT implementation at every level), the
+   shape {!Vliw_merge.Scheme.canonical} flattens. *)
 let scheme_gen n =
   let open Q.Gen in
   let module S = Vliw_merge.Scheme in
-  let rec build leaves =
+  let rec build ?family leaves =
     match leaves with
     | [] -> assert false
     | [ x ] -> pure x
@@ -84,9 +86,18 @@ let scheme_gen n =
       let* split = int_range 1 (List.length leaves - 1) in
       let left = List.filteri (fun i _ -> i < split) leaves in
       let right = List.filteri (fun i _ -> i >= split) leaves in
-      let* l = build left in
+      let* kind =
+        match family with
+        | Some `Smt -> pure `Smt
+        | Some `Csmt -> oneofl [ `Csmt; `Cpar ]
+        | None -> oneofl [ `Smt; `Csmt; `Cpar ]
+      in
+      let* spine = bool in
+      let* l =
+        if spine then build ~family:(if kind = `Smt then `Smt else `Csmt) left
+        else build left
+      in
       let* r = build right in
-      let* kind = oneofl [ `Smt; `Csmt; `Cpar ] in
       (match kind with
       | `Smt -> pure (S.smt l r)
       | `Csmt -> pure (S.csmt l r)
