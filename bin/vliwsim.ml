@@ -210,21 +210,6 @@ let log_json_arg =
            per line so $(b,tail -f) follows a live sweep. $(b,-) \
            writes to stderr (suppressed by $(b,--quiet)).")
 
-let ledger_cells cells =
-  Array.map
-    (fun (c : E.Sweep.cell) ->
-      {
-        Ledger.mix = c.mix;
-        scheme = c.scheme;
-        ipc = c.ipc;
-        elapsed_s = c.elapsed_s;
-        started_s = c.started_s;
-        worker = c.worker;
-        attempts = c.attempts;
-        degraded = c.error <> None;
-      })
-    cells
-
 (* Persist a ledger record (unless opted out) and/or export it as an
    OpenMetrics textfile. Both notes go to stderr: stdout carries only
    experiment data. A ledger failure (read-only checkout, full disk)
@@ -385,7 +370,7 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
     let cells, scheme_names, mix_names, gauges, policy, info_counters =
       match !last_info with
       | Some (i : E.Registry.ledger_info) ->
-        ( ledger_cells i.li_cells,
+        ( Array.map E.Sweep.ledger_cell i.li_cells,
           i.li_scheme_names,
           i.li_mix_names,
           i.li_gauges,
@@ -394,7 +379,7 @@ let run_experiment scale seed csv_dir jobs quiet telemetry max_retries
       | None ->
         if Lazy.is_val ctx.E.Registry.fig10 then begin
           let d = Lazy.force ctx.E.Registry.fig10 in
-          ( ledger_cells d.E.Fig10.cells,
+          ( Array.map E.Sweep.ledger_cell d.E.Fig10.cells,
             d.E.Fig10.grid.scheme_names,
             d.E.Fig10.grid.mix_names,
             [ ("ipc.mean", E.Common.grid_mean d.E.Fig10.grid) ],
@@ -1792,7 +1777,8 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
            (Ledger.make ~counters
               ~gauges:
                 (("ipc.mean", E.Common.grid_mean d.grid) :: span_gauges)
-              ~cells:(ledger_cells d.cells) ~cmd:"dist" ~label:"fig10"
+              ~cells:(Array.map E.Sweep.ledger_cell d.cells)
+              ~cmd:"dist" ~label:"fig10"
               ~scale:(E.Common.scale_name scale) ~seed:s
               ~jobs:(max 1 workers) ~scheme_names:d.grid.scheme_names
               ~mix_names:d.grid.mix_names ~wall_s:wall_per_seed ())))

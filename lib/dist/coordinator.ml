@@ -136,26 +136,21 @@ type wrk = {
   mutable w_trace : (int64 * int64 * float) option;
 }
 
+(* One replicate's grid: its cells are the tally's slots [ss_base ..
+   ss_base + n_cells - 1], mix-major. *)
 type seed_state = {
   ss_seed : int64;
-  ss_results : E.Sweep.cell option array;  (* mix-major *)
+  ss_base : int;
   ss_attempts : int array;  (* failed simulation attempts per cell *)
   ss_deaths : int array;  (* dying workers observed per cell *)
-  ss_index : (string * string, int) Hashtbl.t;
-  ss_journal : (string * E.Checkpoint.t ref) option;
+  ss_journal : E.Sweep.journal option;
 }
-
-let fig10_scheme_names () =
-  List.filter_map
-    (fun (e : Vliw_merge.Catalog.entry) ->
-      if e.name = "ST" then None else Some e.name)
-    Vliw_merge.Catalog.all
 
 let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     ?scheme_names ?mix_names cfg =
   let seeds = match seeds with Some (_ :: _ as s) -> s | _ -> [ seed ] in
   let scheme_names =
-    match scheme_names with Some s -> s | None -> fig10_scheme_names ()
+    match scheme_names with Some s -> s | None -> E.Fig10.scheme_names
   in
   let mix_names =
     match mix_names with Some m -> m | None -> Vliw_workloads.Mixes.names
@@ -183,9 +178,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
   let n_cells = List.length grid_cells in
   let total = n_cells * List.length seeds in
   let t0 = Unix.gettimeofday () in
-  let completed = ref 0 in
-  let degraded_total = ref 0 in
-  let elapsed_sum = ref 0.0 and elapsed_n = ref 0 in
   let emit ev = Option.iter (fun f -> f ev) cfg.on_event in
   (* Trace context: one trace per run, a root span the per-shard trees
      hang under. The root id is allocated now (children reference it)
@@ -201,85 +193,68 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
   let tnow () =
     match trace_ctx with Some (c, _, _, _) -> Span.now c | None -> 0.0
   in
-  (* --- per-seed grids, restored from checkpoint journals --------------- *)
+  (* --- per-seed grids and journals, one tally ------------------------- *)
+  let index = Hashtbl.create (max 1 n_cells) in
+  List.iteri
+    (fun i (c : Plan.cell_spec) -> Hashtbl.replace index (c.mix, c.scheme) i)
+    grid_cells;
   let multi = List.length seeds > 1 in
   let states =
     Array.of_list
-      (List.map
-         (fun sd ->
-           let index = Hashtbl.create (max 1 n_cells) in
-           List.iteri
-             (fun i (c : Plan.cell_spec) ->
-               Hashtbl.replace index (c.mix, c.scheme) i)
-             grid_cells;
-           let results = Array.make (max 1 n_cells) None in
-           let meta =
-             {
-               E.Checkpoint.scale = scale_str;
-               seed = sd;
-               scheme_names;
-               mix_names;
-               telemetry = false;
-             }
-           in
-           let journal =
-             Option.map
-               (fun path ->
-                 (* Replicated runs keep one journal per seed: a journal
-                    header pins exactly one (scale, seed, grid). *)
-                 let path =
-                   if multi then Printf.sprintf "%s.s%Lx" path sd else path
-                 in
-                 let t =
-                   if cfg.resume then
-                     match E.Checkpoint.load ~path with
-                     | Ok t when E.Checkpoint.meta_equal t.meta meta -> t
-                     | Ok _ ->
-                       Log.warn cfg.log
-                         "checkpoint ignored (configuration mismatch); \
-                          starting fresh"
-                         [ ("path", Log.S path) ];
-                       E.Checkpoint.create meta
-                     | Error _ -> E.Checkpoint.create meta
-                   else E.Checkpoint.create meta
-                 in
-                 List.iter
-                   (fun (r : E.Checkpoint.record) ->
-                     match Hashtbl.find_opt index (r.mix, r.scheme) with
-                     | Some i when results.(i) = None ->
-                       results.(i) <-
-                         Some
-                           {
-                             E.Sweep.mix = r.mix;
-                             scheme = r.scheme;
-                             ipc = r.ipc;
-                             elapsed_s = 0.0;
-                             started_s = 0.0;
-                             worker = 0;
-                             telemetry = None;
-                             attempts = 0;
-                             error = None;
-                           };
-                       incr completed;
-                       stats.cells_restored <- stats.cells_restored + 1
-                     | _ -> ())
-                   t.records;
-                 (* a valid journal exists from the moment the sweep
-                    starts, like Sweep.run_cells *)
-                 E.Checkpoint.save ~path t;
-                 (path, ref t))
-               cfg.checkpoint
-           in
+      (List.mapi
+         (fun idx sd ->
            {
              ss_seed = sd;
-             ss_results = results;
+             ss_base = idx * n_cells;
              ss_attempts = Array.make (max 1 n_cells) 0;
              ss_deaths = Array.make (max 1 n_cells) 0;
-             ss_index = index;
-             ss_journal = journal;
+             ss_journal =
+               Option.map
+                 (fun path ->
+                   (* Replicated runs keep one journal per seed: a
+                      journal header pins exactly one (scale, seed,
+                      grid). *)
+                   E.Sweep.open_journal
+                     ~log:(fun msg -> Log.warn cfg.log msg [])
+                     ~resume:cfg.resume ~scale ~seed:sd ~scheme_names ~mix_names
+                     (if multi then Printf.sprintf "%s.s%Lx" path sd else path))
+                 cfg.checkpoint;
            })
          seeds)
   in
+  let workers : (int, wrk) Hashtbl.t = Hashtbl.create 8 in
+  let planned_workers = max 1 (cfg.workers + List.length cfg.attached) in
+  let tally =
+    E.Sweep.Tally.create ?on_event:cfg.on_event
+      ~workers:(fun () -> Hashtbl.length workers)
+      ~scale ~seed:(List.hd seeds) ~jobs:planned_workers total
+  in
+  let is_done st i = E.Sweep.Tally.finished tally (st.ss_base + i) in
+  let finish_cell st i (cell : E.Sweep.cell) =
+    if not (is_done st i) then begin
+      if cell.error <> None then stats.cells_degraded <- stats.cells_degraded + 1
+      else if cell.attempts = 0 then stats.cells_restored <- stats.cells_restored + 1
+      else stats.cells_simulated <- stats.cells_simulated + 1;
+      E.Sweep.Tally.finish ?journal:st.ss_journal tally (st.ss_base + i) cell
+    end
+  in
+  (* The one cell constructor of a worker's outcome. *)
+  let outcome_cell ?elapsed_s (w : wrk) ~attempts ~mix ~scheme outcome =
+    E.Sweep.cell_of_outcome ?elapsed_s ~started_s:(Unix.gettimeofday () -. t0)
+      ~worker:w.w_id ~attempts ~mix ~scheme outcome
+  in
+  (* Journaled cells are reported first, right after the sweep starts. *)
+  Array.iter
+    (fun st ->
+      Option.iter
+        (fun j ->
+          List.iteri
+            (fun i (c : Plan.cell_spec) ->
+              Option.iter (finish_cell st i)
+                (E.Sweep.restored j ~mix:c.mix ~scheme:c.scheme))
+            grid_cells)
+        st.ss_journal)
+    states;
   (* --- shard queue ------------------------------------------------------ *)
   let next_shard = ref 0 in
   let shard_seed : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -297,7 +272,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     Hashtbl.replace shard_seed s.is_id seed_idx;
     s
   in
-  let planned_workers = max 1 (cfg.workers + List.length cfg.attached) in
   Array.iteri
     (fun idx st ->
       List.iter
@@ -305,59 +279,15 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
           let cells =
             List.filter_map
               (fun (c : Plan.cell_spec) ->
-                let i = Hashtbl.find st.ss_index (c.mix, c.scheme) in
-                if st.ss_results.(i) = None then Some (i, c) else None)
+                let i = Hashtbl.find index (c.mix, c.scheme) in
+                if is_done st i then None else Some (i, c))
               p.cells
           in
           if cells <> [] then Queue.push (new_shard idx cells) queue)
         (Plan.make ?shard_size:cfg.shard_size ~workers:planned_workers
            ~seeds:[ st.ss_seed ] ~mix_names ~scheme_names ()))
     states;
-  emit
-    (E.Sweep.Sweep_started
-       { total; jobs = planned_workers; scale = scale_str; seed = List.hd seeds });
-  (* --- cell accounting -------------------------------------------------- *)
-  let alive_workers = ref 0 in
-  let eta () =
-    if !elapsed_n = 0 then Float.nan
-    else
-      !elapsed_sum /. float_of_int !elapsed_n
-      *. float_of_int (total - !completed)
-      /. float_of_int (max 1 !alive_workers)
-  in
-  let finish_cell st i (cell : E.Sweep.cell) =
-    if st.ss_results.(i) = None then begin
-      st.ss_results.(i) <- Some cell;
-      incr completed;
-      if cell.error <> None then begin
-        stats.cells_degraded <- stats.cells_degraded + 1;
-        incr degraded_total
-      end
-      else begin
-        stats.cells_simulated <- stats.cells_simulated + 1;
-        elapsed_sum := !elapsed_sum +. cell.elapsed_s;
-        incr elapsed_n;
-        match st.ss_journal with
-        | Some (path, jref) ->
-          jref :=
-            E.Checkpoint.add !jref
-              {
-                mix = cell.mix;
-                scheme = cell.scheme;
-                row_seed = E.Sweep.row_seed ~seed:st.ss_seed cell.mix;
-                ipc = cell.ipc;
-                attempts = cell.attempts;
-                counters = None;
-              };
-          E.Checkpoint.save ~path !jref
-        | None -> ()
-      end;
-      emit
-        (E.Sweep.Cell_finished { cell; completed = !completed; total; eta_s = eta () })
-    end
-  in
   (* --- workers ---------------------------------------------------------- *)
-  let workers : (int, wrk) Hashtbl.t = Hashtbl.create 8 in
   let snapshot () = Hashtbl.fold (fun _ w acc -> w :: acc) workers [] in
   let next_worker = ref 0 in
   let spawned_total = ref 0 in
@@ -378,7 +308,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     in
     incr next_worker;
     Hashtbl.replace workers w.w_id w;
-    alive_workers := Hashtbl.length workers;
     w
   in
   let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
@@ -392,7 +321,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     if not w.w_closed then begin
       w.w_closed <- true;
       Hashtbl.remove workers w.w_id;
-      alive_workers := Hashtbl.length workers;
       close_transport w
     end
   in
@@ -467,7 +395,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     if not w.w_closed then begin
       w.w_closed <- true;
       Hashtbl.remove workers w.w_id;
-      alive_workers := Hashtbl.length workers;
       close_transport w;
       (match w.w_pid with
       | Some pid ->
@@ -487,7 +414,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
         let live =
           List.filter_map
             (fun (i, (c : Plan.cell_spec)) ->
-              if st.ss_results.(i) <> None then None
+              if is_done st i then None
               else begin
                 st.ss_deaths.(i) <- st.ss_deaths.(i) + 1;
                 if st.ss_deaths.(i) > cfg.max_retries + 3 then begin
@@ -503,17 +430,8 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
                          error = err;
                        });
                   finish_cell st i
-                    {
-                      E.Sweep.mix = c.mix;
-                      scheme = c.scheme;
-                      ipc = Float.nan;
-                      elapsed_s = 0.0;
-                      started_s = Unix.gettimeofday () -. t0;
-                      worker = w.w_id;
-                      telemetry = None;
-                      attempts = st.ss_attempts.(i);
-                      error = Some err;
-                    };
+                    (outcome_cell w ~attempts:st.ss_attempts.(i) ~mix:c.mix
+                       ~scheme:c.scheme (Error err));
                   None
                 end
                 else Some (i, c)
@@ -553,12 +471,12 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
           (fun t -> w.w_deadline <- Unix.gettimeofday () +. t)
           cfg.shard_timeout_s
       | _ -> ());
-      match Hashtbl.find_opt st.ss_index (r.r_mix, r.r_scheme) with
+      match Hashtbl.find_opt index (r.r_mix, r.r_scheme) with
       | None ->
         Log.warn cfg.log "result for unknown cell"
           [ ("mix", Log.S r.r_mix); ("scheme", Log.S r.r_scheme) ]
       | Some i ->
-        if st.ss_results.(i) <> None then
+        if is_done st i then
           (* duplicate delivery after a timeout/requeue race: cells are
              pure functions of their key, so first-wins is exact *)
           ()
@@ -566,17 +484,9 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
           match r.r_error with
           | None ->
             finish_cell st i
-              {
-                E.Sweep.mix = r.r_mix;
-                scheme = r.r_scheme;
-                ipc = r.r_ipc;
-                elapsed_s = r.r_elapsed_s;
-                started_s = Unix.gettimeofday () -. t0;
-                worker = w.w_id;
-                telemetry = None;
-                attempts = st.ss_attempts.(i) + 1;
-                error = None;
-              }
+              (outcome_cell ~elapsed_s:r.r_elapsed_s w
+                 ~attempts:(st.ss_attempts.(i) + 1) ~mix:r.r_mix ~scheme:r.r_scheme
+                 (Ok r.r_ipc))
           | Some err ->
             st.ss_attempts.(i) <- st.ss_attempts.(i) + 1;
             if st.ss_attempts.(i) <= cfg.max_retries then begin
@@ -611,17 +521,9 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
                      error = err;
                    });
               finish_cell st i
-                {
-                  E.Sweep.mix = r.r_mix;
-                  scheme = r.r_scheme;
-                  ipc = Float.nan;
-                  elapsed_s = r.r_elapsed_s;
-                  started_s = Unix.gettimeofday () -. t0;
-                  worker = w.w_id;
-                  telemetry = None;
-                  attempts = st.ss_attempts.(i);
-                  error = Some err;
-                }
+                (outcome_cell ~elapsed_s:r.r_elapsed_s w
+                   ~attempts:st.ss_attempts.(i) ~mix:r.r_mix ~scheme:r.r_scheme
+                   (Error err))
             end))
   in
   (* The live-stats reply for [vliwsim top]: same ["reply":"stats"]
@@ -662,7 +564,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       ([
          ("reply", J.Str "stats");
          ("kind", J.Str "dist");
-         ("completed", num !completed);
+         ("completed", num (E.Sweep.Tally.completed tally));
          ("total", num total);
          ("queue_depth", num (Queue.length queue));
          ("wall_s", J.Num (Unix.gettimeofday () -. t0));
@@ -697,7 +599,7 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
         stats.shards_completed <- stats.shards_completed + 1;
         let st = states.(s.is_seed_idx) in
         let leftover =
-          List.filter (fun (i, _) -> st.ss_results.(i) = None) s.is_cells
+          List.filter (fun (i, _) -> not (is_done st i)) s.is_cells
         in
         if leftover <> [] then begin
           (* a healthy worker skipped cells: re-queue, no death charged *)
@@ -819,8 +721,9 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       keep_spawning := spawn_worker ()
     done
   in
+  let unfinished () = E.Sweep.Tally.completed tally < total in
   let stuck () =
-    !completed < total && Hashtbl.length workers = 0 && listeners = []
+    unfinished () && Hashtbl.length workers = 0 && listeners = []
   in
   (* --- main loop -------------------------------------------------------- *)
   let cleanup () =
@@ -840,11 +743,11 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
     Hashtbl.reset workers
   in
   Fun.protect ~finally:cleanup (fun () ->
-      if !completed < total then
+      if unfinished () then
         for _ = 1 to cfg.workers do
           ignore (spawn_worker ())
         done;
-      while !completed < total do
+      while unfinished () do
         maintain ();
         if stuck () then
           failwith "dist: no workers available and none can be spawned";
@@ -871,7 +774,6 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
             Option.iter reap w.w_pid
           end)
         (snapshot ()));
-  let wall_s = Unix.gettimeofday () -. t0 in
   (match trace_ctx with
   | Some (c, trace, root, t_start) ->
     Span.add c
@@ -886,20 +788,15 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
         dur_s = Span.now c -. t_start;
       }
   | None -> ());
-  emit (E.Sweep.Sweep_finished { total; degraded = !degraded_total; wall_s });
+  let wall_s = E.Sweep.Tally.close tally in
+  let cells = E.Sweep.Tally.cells tally in
   {
     d_scheme_names = scheme_names;
     d_mix_names = mix_names;
     d_grids =
       Array.to_list
         (Array.map
-           (fun st ->
-             ( st.ss_seed,
-               Array.map
-                 (function
-                   | Some c -> c
-                   | None -> assert false (* loop exits at completed = total *))
-                 (if n_cells = 0 then [||] else st.ss_results) ))
+           (fun st -> (st.ss_seed, Array.sub cells st.ss_base n_cells))
            states);
     d_wall_s = wall_s;
     d_stats = stats;

@@ -51,9 +51,9 @@ type config = {
       (** silence budget per assigned shard before the worker is
           declared dead; [None] = wait forever *)
   checkpoint : string option;
-      (** journal path ({!Vliw_experiments.Checkpoint} format, so exp
-          and dist journals interchange); multi-replicate runs suffix
-          it per seed *)
+      (** journal path, opened with {!Vliw_experiments.Sweep.open_journal}
+          so exp and dist journals interchange; multi-replicate runs
+          suffix it per seed *)
   resume : bool;
   die_first_worker_after : int option;
       (** fault injection: the first spawned worker gets
@@ -62,9 +62,13 @@ type config = {
       (** structured diagnostics (worker ids, shard ids, reasons as
           fields); default {!Vliw_util.Log.null} *)
   on_event : (Vliw_experiments.Sweep.event -> unit) option;
-      (** the coordinator synthesizes the same event stream as
-          {!Vliw_experiments.Sweep.run_cells} (minus [Cell_started],
-          which only the worker could observe) *)
+      (** the event stream of {!Vliw_experiments.Sweep.run_cells},
+          kept by the same {!Vliw_experiments.Sweep.Tally}: one
+          [Cell_finished] per cell, cells restored from the journal
+          included (right after [Sweep_started], with [attempts = 0]),
+          and an ETA over the live workers. [Cell_retried] and
+          [Cell_degraded] fire here too; [Cell_started] does not, as
+          only the worker could observe it. *)
   tracer : Vliw_telemetry.Span.collector option;
       (** when set, the run records a span tree — a [submit] root, per
           shard a [shard] span wrapping [queue_wait] + [dispatch], the
@@ -97,7 +101,7 @@ val run :
   ?mix_names:string list ->
   config ->
   result
-(** Defaults: the fig10 scheme set (every catalog scheme except "ST"),
+(** Defaults: {!Vliw_experiments.Fig10.scheme_names},
     all Table 2 mixes, [seeds = [seed]], [seed = Common.default_seed].
     Raises [Invalid_argument] on unknown mix/scheme names, [Failure]
     when no transport can make progress, and [Unix.Unix_error] when a

@@ -19,14 +19,10 @@ let tracer_seed ~seed ~shard =
 let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
     ~input ~output () =
   (* Prepared rows are the expensive step (program generation +
-     compile); cache them like the service daemon does — bounded by
-     wholesale flush, no eviction order needed. Per-invocation, so
-     in-process test workers running as sibling domains never share
-     mutable state. *)
-  let prepared_cache : (string * int64 * string, E.Sweep.row) Hashtbl.t
-      =
-    Hashtbl.create 64
-  in
+     compile), so they are memoized like the service daemon's.
+     Per-invocation, so in-process test workers running as sibling
+     domains never share mutable state. *)
+  let rows = E.Sweep.row_memo () in
   (* Trace context of the assign being served: collector, trace id, and
      the coordinator's dispatch span its children hang under. *)
   let tracer : (Span.collector * int64 * int64 option) option ref = ref None in
@@ -50,20 +46,12 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
       finish ();
       v
   in
-  let prepared_row ~scale ~seed mix =
-    let key = (E.Common.scale_name scale, seed, mix) in
-    match Hashtbl.find_opt prepared_cache key with
-    | Some pr -> pr
-    | None ->
-      if Hashtbl.length prepared_cache >= 64 then Hashtbl.reset prepared_cache;
-      let pr =
-        traced Span.Prepare_row mix (fun () -> E.Sweep.prepare_row ~scale ~seed mix)
-      in
-      Hashtbl.add prepared_cache key pr;
-      pr
-  in
   let simulate ~scale ~seed (c : Plan.cell_spec) =
-    let pr = prepared_row ~scale ~seed c.mix in
+    (* a miss records its compile as a prepare_row span *)
+    let pr =
+      E.Sweep.memo_row rows ~compile:(traced Span.Prepare_row c.mix) ~scale ~seed
+        c.mix
+    in
     let column = E.Sweep.static_column (Vliw_merge.Catalog.find_exn c.scheme) in
     E.Sweep.simulate_prepared pr column
   in

@@ -224,3 +224,36 @@ let load ~path =
       | None -> Error (path ^ ": missing or unparsable meta line")
       | Some meta -> Ok { meta; records = List.rev !records })
     | _ -> Error (path ^ ": not a vliwsim checkpoint (bad magic)"))
+
+(* --- the open journal of a running sweep ----------------------------- *)
+
+type journal = { path : string; mutable state : t }
+
+let open_journal ?(log = fun (_ : string) -> ()) ~resume ~path meta =
+  let state =
+    if not resume then create meta
+    else
+      match load ~path with
+      | Ok j when meta_equal j.meta meta -> j
+      | Ok _ ->
+        log
+          (path
+         ^ ": checkpoint belongs to a different sweep configuration; starting \
+            fresh");
+        create meta
+      | Error msg ->
+        if Sys.file_exists path then log (msg ^ "; starting fresh");
+        create meta
+  in
+  (* Persist the header immediately: a kill before the first cell
+     completes must still leave a resumable journal behind. *)
+  save ~path state;
+  { path; state }
+
+let journaled j ~mix ~scheme = find j.state ~mix ~scheme
+
+let append j r =
+  if find j.state ~mix:r.mix ~scheme:r.scheme = None then begin
+    j.state <- add j.state r;
+    save ~path:j.path j.state
+  end

@@ -45,8 +45,6 @@ val create : meta -> t
 val add : t -> record -> t
 (** Append one completed cell (persist with {!save}). *)
 
-val find : t -> mix:string -> scheme:string -> record option
-
 val meta_equal : meta -> meta -> bool
 
 val save : path:string -> t -> unit
@@ -59,3 +57,26 @@ val load : path:string -> (t, string) result
 
 val to_string : t -> string
 (** The serialized journal text (what {!save} writes). *)
+
+(** {1 The open journal of a running sweep} *)
+
+type journal
+(** A journal file a sweep is writing: its path and the records so far. *)
+
+val open_journal :
+  ?log:(string -> unit) -> resume:bool -> path:string -> meta -> journal
+(** Open the journal of the sweep [meta] at [path]. With [resume], a
+    journal there whose [meta] is {!meta_equal} is loaded; one that
+    belongs to another configuration, or that exists but does not
+    parse, is reported to [log] (default silent) and replaced by a
+    fresh one. The header is persisted at once, so a kill at any later
+    point leaves a resumable file. Raises when the file cannot be
+    written. *)
+
+val journaled : journal -> mix:string -> scheme:string -> record option
+(** The record of a cell, if the journal holds one (restored on open or
+    appended since). *)
+
+val append : journal -> record -> unit
+(** Record a completed cell and rewrite the file atomically; a cell the
+    journal already holds is left as it is. *)

@@ -247,8 +247,179 @@ let simulate ?counters row column =
 
 let simulate_prepared row column = Vliw_sim.Metrics.ipc (simulate row column)
 
+(* Compiled grid rows kept across jobs and shards, keyed on (scale,
+   seed, mix). A row is about 1.2 MB of programs; 64 rows bound a
+   daemon's or a worker's memo at about 75 MB and still hold the rows
+   of seven fig10 seeds at once. Over capacity the memo is flushed
+   whole: no eviction order to keep, and a flushed row only costs one
+   recompile. *)
+let row_memo_capacity = 64
+
+type row_memo = (string * int64 * string, row) Hashtbl.t
+
+let row_memo () : row_memo = Hashtbl.create 16
+
+let memo_row (memo : row_memo) ?(compile = fun f -> f ()) ~scale ~seed mix =
+  let key = (Common.scale_name scale, seed, mix) in
+  match Hashtbl.find_opt memo key with
+  | Some row -> row
+  | None ->
+    if Hashtbl.length memo >= row_memo_capacity then Hashtbl.reset memo;
+    let row = compile (fun () -> prepare_row ~scale ~seed mix) in
+    Hashtbl.add memo key row;
+    row
+
 let snapshot_with extra (base : Counters.snapshot) =
   { base with counters = List.sort compare (extra @ base.counters) }
+
+let cell_of_outcome ?(elapsed_s = 0.0) ?(started_s = 0.0) ?(worker = 0)
+    ?telemetry ~attempts ~mix ~scheme outcome =
+  let ipc, error =
+    match outcome with Ok ipc -> (ipc, None) | Error e -> (Float.nan, Some e)
+  in
+  { mix; scheme; ipc; elapsed_s; started_s; worker; telemetry; attempts; error }
+
+let ledger_cell c =
+  {
+    Vliw_telemetry.Ledger.mix = c.mix;
+    scheme = c.scheme;
+    ipc = c.ipc;
+    elapsed_s = c.elapsed_s;
+    started_s = c.started_s;
+    worker = c.worker;
+    attempts = c.attempts;
+    degraded = c.error <> None;
+  }
+
+(* --- sweep bookkeeping: the journal and the tally -------------------- *)
+
+type journal = {
+  file : Checkpoint.journal;
+  row_seed_of : string -> int64;
+  counted : bool;  (* the sweep runs with telemetry *)
+}
+
+let open_journal ?log ?(resume = false) ?(telemetry = false) ?row_seed:row_seed_of
+    ~scale ~seed ~scheme_names ~mix_names path =
+  let meta =
+    {
+      Checkpoint.scale = Common.scale_name scale;
+      seed;
+      scheme_names;
+      mix_names;
+      telemetry;
+    }
+  in
+  {
+    file = Checkpoint.open_journal ?log ~resume ~path meta;
+    row_seed_of = Option.value row_seed_of ~default:(row_seed ~seed);
+    counted = telemetry;
+  }
+
+let restored j ~mix ~scheme =
+  Option.map
+    (fun (r : Checkpoint.record) ->
+      let telemetry =
+        if j.counted then
+          Some
+            (snapshot_with
+               [ (Report.n_sweep_resumed, 1) ]
+               {
+                 Counters.empty with
+                 counters = Option.value ~default:[] r.counters;
+               })
+        else None
+      in
+      cell_of_outcome ?telemetry ~attempts:0 ~mix ~scheme (Ok r.ipc))
+    (Checkpoint.journaled j.file ~mix ~scheme)
+
+(* Degraded cells are not journaled: a resumed sweep retries them. *)
+let journal_cell j c =
+  if c.error = None then
+    Checkpoint.append j.file
+      {
+        Checkpoint.mix = c.mix;
+        scheme = c.scheme;
+        row_seed = j.row_seed_of c.mix;
+        ipc = c.ipc;
+        attempts = c.attempts;
+        counters =
+          Option.map (fun (s : Counters.snapshot) -> s.counters) c.telemetry;
+      }
+
+module Tally = struct
+  type t = {
+    emit : event -> unit;
+    workers : unit -> int;
+    slots : cell option array;
+    epoch : float;
+    mutable completed : int;
+    mutable degraded : int;
+    mutable elapsed_sum : float;  (* over the attempted cells *)
+    mutable timed : int;
+  }
+
+  let create ?(on_event = fun (_ : event) -> ()) ?workers ~scale ~seed ~jobs
+      total =
+    on_event (Sweep_started { total; jobs; scale = Common.scale_name scale; seed });
+    {
+      emit = on_event;
+      workers = Option.value workers ~default:(fun () -> jobs);
+      slots = Array.make total None;
+      epoch = Unix.gettimeofday ();
+      completed = 0;
+      degraded = 0;
+      elapsed_sum = 0.0;
+      timed = 0;
+    }
+
+  let finished t k = Option.is_some t.slots.(k)
+  let completed t = t.completed
+
+  (* The one ETA formula: the mean time of the attempted cells so far
+     (restored and degraded cells carry no useful timing) times the
+     cells still to come, spread over the driver's workers. *)
+  let eta t =
+    if t.timed = 0 then Float.nan
+    else
+      t.elapsed_sum /. float_of_int t.timed
+      *. float_of_int (Array.length t.slots - t.completed)
+      /. float_of_int (max 1 (t.workers ()))
+
+  let finish ?journal t k c =
+    if not (finished t k) then begin
+      Option.iter (fun j -> journal_cell j c) journal;
+      t.slots.(k) <- Some c;
+      t.completed <- t.completed + 1;
+      if c.error <> None then t.degraded <- t.degraded + 1
+      else if c.attempts > 0 then begin
+        t.elapsed_sum <- t.elapsed_sum +. c.elapsed_s;
+        t.timed <- t.timed + 1
+      end;
+      t.emit
+        (Cell_finished
+           {
+             cell = c;
+             completed = t.completed;
+             total = Array.length t.slots;
+             eta_s = eta t;
+           })
+    end
+
+  let cells t =
+    Array.map
+      (function
+        | Some c -> c
+        | None -> invalid_arg "Sweep.Tally.cells: unfinished cell")
+      t.slots
+
+  let close t =
+    let wall_s = Unix.gettimeofday () -. t.epoch in
+    t.emit
+      (Sweep_finished
+         { total = Array.length t.slots; degraded = t.degraded; wall_s });
+    wall_s
+end
 
 (* The sharing key of a column on a row: its effective configuration
    with the scheme made canonical. Columns with equal keys make the
@@ -283,7 +454,7 @@ let classes row cols =
 let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1)
     ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
-    ?checkpoint ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event ()
+    ?checkpoint ?resume ?log ?on_event ()
     =
   let emit ev = match on_event with Some f -> f ev | None -> () in
   let exclusive what = invalid_arg ("Sweep.run_cells: " ^ what ^ " are exclusive") in
@@ -309,53 +480,13 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   let scheme_names = List.map (fun c -> c.col_name) columns in
   let mix_names = List.map (fun r -> r.name) rows in
   let cols = Array.of_list columns in
-  let meta =
-    {
-      Checkpoint.scale = Common.scale_name scale;
-      seed;
-      scheme_names;
-      mix_names;
-      telemetry;
-    }
-  in
   let journal =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-      let fresh () = Checkpoint.create meta in
-      let initial =
-        if resume then begin
-          match Checkpoint.load ~path with
-          | Ok j when Checkpoint.meta_equal j.Checkpoint.meta meta -> j
-          | Ok _ ->
-            log
-              (path
-             ^ ": checkpoint belongs to a different sweep configuration; \
-                starting fresh");
-            fresh ()
-          | Error msg ->
-            if Sys.file_exists path then log (msg ^ "; starting fresh");
-            fresh ()
-        end
-        else fresh ()
-      in
-      (* Persist the header immediately: a kill before the first cell
-         completes must still leave a resumable journal behind. *)
-      Checkpoint.save ~path initial;
-      Some (ref initial, path)
-  in
-  let resumed ~mix ~scheme =
-    match journal with
-    | Some (j, _) when resume -> Checkpoint.find !j ~mix ~scheme
-    | _ -> None
+    Option.map
+      (open_journal ?log ?resume ~telemetry ~scale ~seed ~scheme_names ~mix_names
+         ~row_seed:(fun mix -> (List.find (fun r -> r.name = mix) rows).seed))
+      checkpoint
   in
   let epoch = Unix.gettimeofday () in
-  (* A cell without a completed simulation (degraded or restored). *)
-  let unsimulated ?(ipc = Float.nan) ?(started_s = Unix.gettimeofday () -. epoch)
-      ?(worker = 0) ?telemetry ?(attempts = 0) ?error mix scheme =
-    ( { mix; scheme; ipc; elapsed_s = 0.0; started_s; worker; telemetry; attempts; error },
-      None )
-  in
   (* One simulation: its metrics and, with telemetry, the snapshot of the
      simulation's own counters (no sweep bookkeeping). [simulate] makes
      a fresh controller per call, so a retried cell replays from
@@ -394,7 +525,8 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   (* A cell with its retries: the cell, and the outcome of its
      successful attempt. *)
   let run_cell ~i ~j (row : row) (column : column) ~worker run =
-    emit (Cell_started { mix = row.name; scheme = column.col_name; worker });
+    let mix = row.name and scheme = column.col_name in
+    emit (Cell_started { mix; scheme; worker });
     let rec go ~attempt ~timeouts =
       match attempt_once ~i ~j run with
       | ((metrics, snapshot) as outcome), t0, elapsed ->
@@ -402,17 +534,10 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
           (if attempt > 1 then [ (Report.n_sweep_retries, attempt - 1) ] else [])
           @ if timeouts > 0 then [ (Report.n_sweep_timeouts, timeouts) ] else []
         in
-        ( {
-            mix = row.name;
-            scheme = column.col_name;
-            ipc = Vliw_sim.Metrics.ipc metrics;
-            elapsed_s = elapsed;
-            started_s = t0 -. epoch;
-            worker;
-            telemetry = Option.map (snapshot_with bookkeeping) snapshot;
-            attempts = attempt;
-            error = None;
-          },
+        ( cell_of_outcome ~elapsed_s:elapsed ~started_s:(t0 -. epoch) ~worker
+            ?telemetry:(Option.map (snapshot_with bookkeeping) snapshot)
+            ~attempts:attempt ~mix ~scheme
+            (Ok (Vliw_sim.Metrics.ipc metrics)),
           Some outcome )
       | exception e ->
         let timeouts =
@@ -420,15 +545,11 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
         in
         let error = Printexc.to_string e in
         if attempt <= max_retries then begin
-          emit
-            (Cell_retried
-               { mix = row.name; scheme = column.col_name; attempt; error });
+          emit (Cell_retried { mix; scheme; attempt; error });
           go ~attempt:(attempt + 1) ~timeouts
         end
         else begin
-          emit
-            (Cell_degraded
-               { mix = row.name; scheme = column.col_name; attempts = attempt; error });
+          emit (Cell_degraded { mix; scheme; attempts = attempt; error });
           let telemetry =
             if telemetry then
               Some
@@ -440,23 +561,12 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
                    Counters.empty)
             else None
           in
-          unsimulated ~worker ?telemetry ~attempts:attempt ~error row.name
-            column.col_name
+          ( cell_of_outcome ~started_s:(Unix.gettimeofday () -. epoch) ~worker
+              ?telemetry ~attempts:attempt ~mix ~scheme (Error error),
+            None )
         end
     in
     go ~attempt:1 ~timeouts:0
-  in
-  let restore_cell ~(record : Checkpoint.record) ~worker =
-    let telemetry =
-      if telemetry then
-        Some
-          (snapshot_with
-             [ (Report.n_sweep_resumed, 1) ]
-             { Counters.empty with
-               counters = Option.value ~default:[] record.counters })
-      else None
-    in
-    unsimulated ~ipc:record.ipc ~worker ?telemetry record.mix record.scheme
   in
   (* One pool task per sharing class of a row, mix-major: the class's
      cells in column order. The first member not restored from the
@@ -476,8 +586,11 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     List.map
       (fun j ->
         let column = cols.(j) in
-        match resumed ~mix:row.name ~scheme:column.col_name with
-        | Some record -> restore_cell ~record ~worker
+        match
+          Option.bind journal (restored ~mix:row.name ~scheme:column.col_name)
+        with
+        | Some cell ->
+          ({ cell with worker; started_s = Unix.gettimeofday () -. epoch }, None)
         | None ->
           let run =
             match !shared with
@@ -490,105 +603,55 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
       members
   in
   let tasks = Array.map class_task units in
-  (* Runs inside the pool's serialized result callback: journal the
-     fresh cell (atomic rewrite) before its [Cell_finished]. A journal write
-     failure (unwritable path, full disk) aborts the sweep with the
-     real error rather than silently dropping checkpoints. *)
-  let journal_cell (cell : cell) =
-    match journal with
-    | Some (j, path) when cell.error = None ->
-      if Checkpoint.find !j ~mix:cell.mix ~scheme:cell.scheme = None then begin
-        j :=
-          Checkpoint.add !j
-            {
-              Checkpoint.mix = cell.mix;
-              scheme = cell.scheme;
-              row_seed = (List.find (fun r -> r.name = cell.mix) rows).seed;
-              ipc = cell.ipc;
-              attempts = cell.attempts;
-              counters =
-                Option.map (fun (s : Counters.snapshot) -> s.counters)
-                  cell.telemetry;
-            };
-        Checkpoint.save ~path !j
-      end
-    | _ -> ()
-  in
-  (* Worker count the pool actually uses (capped at the task count), for
-     the start event and the ETA heuristic. *)
-  let effective_jobs = Vliw_util.Pool.effective_jobs ~jobs (Array.length tasks) in
   let total_cells = List.length rows * n_schemes in
-  let on_result =
-    let completed = ref 0 in
-    let elapsed_sum = ref 0.0 and timed = ref 0 in
-    Some
-      (fun _i (res : ((cell * Vliw_sim.Metrics.t option) list, exn) result) ->
-        match res with
-        | Error _ -> () (* repackaged as degraded cells below *)
-        | Ok cells ->
-          List.iter
-            (fun (cell, _) ->
-              journal_cell cell;
-              incr completed;
-              if cell.attempts > 0 && cell.error = None then begin
-                (* Restored and degraded cells carry no useful timing;
-                   ETA calibrates on attempted cells only. *)
-                elapsed_sum := !elapsed_sum +. cell.elapsed_s;
-                incr timed
-              end;
-              if on_event <> None then
-                let eta_s =
-                  if !timed = 0 then Float.nan
-                  else
-                    !elapsed_sum /. float_of_int !timed
-                    *. float_of_int (total_cells - !completed)
-                    /. float_of_int effective_jobs
-                in
-                emit
-                  (Cell_finished
-                     { cell; completed = !completed; total = total_cells; eta_s }))
-            cells)
+  let metrics = Array.make total_cells None in
+  (* Worker count the pool actually uses (capped at the task count), for
+     the start event and the ETA. *)
+  let tally =
+    Tally.create ?on_event ~scale ~seed
+      ~jobs:(Vliw_util.Pool.effective_jobs ~jobs (Array.length tasks))
+      total_cells
   in
-  emit
-    (Sweep_started
-       {
-         total = total_cells;
-         jobs = effective_jobs;
-         scale = Common.scale_name scale;
-         seed;
-       });
+  (* The pool's result callback is serialized: the tally journals each
+     fresh cell (atomic rewrite) before its [Cell_finished]. A journal
+     write failure (unwritable path, full disk) aborts the sweep with
+     the real error rather than silently dropping checkpoints. *)
+  let on_result t res =
+    match res with
+    | Error _ -> () (* degraded below, once the pool has returned *)
+    | Ok class_cells ->
+      let i, _, members = units.(t) in
+      List.iter2
+        (fun j (cell, m) ->
+          let k = (i * n_schemes) + j in
+          metrics.(k) <- m;
+          Tally.finish ?journal tally k cell)
+        members class_cells
+  in
   (* [run_cell] already contains every expected failure, so a task
-     exception here means the harness itself broke (e.g. the journal
-     write raised). [run_results] still isolates it to its task. *)
-  let results = Vliw_util.Pool.run_results ~jobs ?on_result tasks in
-  let cells = Array.make total_cells None in
+     exception here means the harness itself broke (an [on_event]
+     consumer raised, say). [run_results] still isolates it to its
+     task, whose cells degrade. *)
+  let results = Vliw_util.Pool.run_results ~jobs ~on_result tasks in
   Array.iteri
     (fun t res ->
-      let i, (row : row), members = units.(t) in
-      let place j cell = cells.((i * n_schemes) + j) <- Some cell in
       match res with
-      | Ok class_cells -> List.iter2 place members class_cells
+      | Ok _ -> ()
       | Error e ->
+        let i, (row : row), members = units.(t) in
         let error = Printexc.to_string e in
         List.iter
           (fun j ->
             let scheme = cols.(j).col_name in
             emit (Cell_degraded { mix = row.name; scheme; attempts = 0; error });
-            place j (unsimulated ~started_s:0.0 ~error row.name scheme))
+            Tally.finish tally ((i * n_schemes) + j)
+              (cell_of_outcome ~attempts:0 ~mix:row.name ~scheme (Error error)))
           members)
     results;
-  let cells = Array.map Option.get cells in
-  emit
-    (Sweep_finished
-       {
-         total = Array.length cells;
-         degraded =
-           Array.fold_left
-             (fun acc (c, _) -> acc + (if c.error <> None then 1 else 0))
-             0 cells;
-         wall_s = Unix.gettimeofday () -. epoch;
-       });
-  (scheme_names, mix_names, cells)
+  ignore (Tally.close tally : float);
+  ( scheme_names,
+    mix_names,
+    Array.map2 (fun c m -> (c, m)) (Tally.cells tally) metrics )
 
 let run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
     ?telemetry ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event

@@ -120,17 +120,19 @@ type cell = {
 }
 
 (** The live progress stream: lifecycle events for the whole sweep and
-    for every cell attempt. Every cell yields exactly one
-    [Cell_finished] — simulated, restored from a checkpoint or degraded
-    alike — with [completed] counting 1..[total] in delivery order, so
-    a progress meter is just a consumer of this stream. (A task that
-    breaks the harness itself degrades after the pool returns, with a
-    [Cell_degraded] but no [Cell_finished].) A consumer
-    passed as [on_event] {b must be domain-safe}: [Cell_started],
-    [Cell_retried] and [Cell_degraded] fire inside worker domains, while
-    [Sweep_started], [Cell_finished] (serialized through the pool's
-    result callback) and [Sweep_finished] fire in the parent.
-    Observation-only: consuming events cannot change results. *)
+    for every cell attempt. The contract holds for every executor —
+    {!run_metrics} in this process, the dist coordinator and a serve
+    job — because all three report cells through one {!Tally}: one
+    [Sweep_started] first, then exactly one [Cell_finished] per cell
+    (simulated, restored from a checkpoint, served from a cache or
+    degraded alike) with [completed] counting 1..[total] in delivery
+    order, then one [Sweep_finished]. A progress meter is just a
+    consumer of this stream. A consumer passed as [on_event] {b must be
+    domain-safe}: [Cell_started], [Cell_retried] and [Cell_degraded]
+    fire inside worker domains, while the tally's events fire one at a
+    time — from the caller's domain, or from the pool's serialized
+    result callback. Observation-only: consuming events cannot change
+    results. *)
 type event =
   | Sweep_started of { total : int; jobs : int; scale : string; seed : int64 }
   | Cell_started of { mix : string; scheme : string; worker : int }
@@ -151,12 +153,12 @@ type event =
       completed : int;
       total : int;
       eta_s : float;
-          (** Estimated seconds to sweep completion, calibrated from the
-              mean elapsed time of attempted cells, shared followers
-              included at their ≈ 0 s (restored and degraded cells
-              don't count), divided across the
-              effective worker count; [nan] until one timed cell has
-              completed. *)
+          (** Estimated seconds to sweep completion: the mean elapsed
+              time of the attempted cells so far (shared followers
+              included at their ≈ 0 s; restored, cached and degraded
+              cells don't count) times the cells still to come, divided
+              by the executor's worker count; [nan] until one timed
+              cell has finished. {!Tally} holds the one formula. *)
     }
   | Sweep_finished of { total : int; degraded : int; wall_s : float }
 
@@ -216,7 +218,30 @@ val prepare_row : ?scale:Common.scale -> ?seed:int64 -> string -> row
     {!run_cells} builds it for [mix_names] — compiled from [seed] on the
     default machine, simulated on {!row_seed}. The sweep service and
     dist workers compile a mix once this way and simulate many cells
-    against it. Raises like {!Vliw_workloads.Mixes.find_exn}. *)
+    against it (through a {!row_memo}). Raises like
+    {!Vliw_workloads.Mixes.find_exn}. *)
+
+type row_memo
+(** Compiled grid rows kept across jobs and shards, keyed on (scale,
+    seed, mix), at most 64 at once: a row is about 1.2 MB of programs,
+    so a full memo is about 75 MB, and it still holds seven fig10
+    seeds' rows. Not domain-safe: one memo per daemon or worker, read
+    from its own domain. *)
+
+val row_memo : unit -> row_memo
+(** An empty memo. *)
+
+val memo_row :
+  row_memo ->
+  ?compile:((unit -> row) -> row) ->
+  scale:Common.scale ->
+  seed:int64 ->
+  string ->
+  row
+(** [memo_row memo ~scale ~seed mix] is {!prepare_row}[ ~scale ~seed
+    mix], compiled on a miss only. [compile] wraps that compilation
+    (default: just run it), e.g. to time it. A miss on a full memo
+    flushes it whole first. *)
 
 val simulate :
   ?counters:Vliw_telemetry.Counters.t ->
@@ -239,6 +264,94 @@ val share_key : row -> column -> Vliw_sim.Config.t option
 
 val simulate_prepared : row -> column -> float
 (** IPC of {!simulate}, as in the {!run_cells} cell (property-tested). *)
+
+val cell_of_outcome :
+  ?elapsed_s:float ->
+  ?started_s:float ->
+  ?worker:int ->
+  ?telemetry:Vliw_telemetry.Counters.snapshot ->
+  attempts:int ->
+  mix:string ->
+  scheme:string ->
+  (float, string) result ->
+  cell
+(** The cell of an outcome: [Ok ipc], or [Error message] for a degraded
+    cell ([ipc = nan]). Timing and worker default to 0. *)
+
+val ledger_cell : cell -> Vliw_telemetry.Ledger.cell
+(** The run-ledger form of a cell. *)
+
+(** {1 Sweep bookkeeping}
+
+    What every executor of a grid shares: the checkpoint journal and the
+    tally of finished cells. *)
+
+type journal
+(** A sweep's open checkpoint journal ({!Checkpoint} format, so local,
+    dist and serve journals interchange). *)
+
+val open_journal :
+  ?log:(string -> unit) ->
+  ?resume:bool ->
+  ?telemetry:bool ->
+  ?row_seed:(string -> int64) ->
+  scale:Common.scale ->
+  seed:int64 ->
+  scheme_names:string list ->
+  mix_names:string list ->
+  string ->
+  journal
+(** [open_journal ~scale ~seed ~scheme_names ~mix_names path] opens the
+    journal of that grid with {!Checkpoint.open_journal}: with [resume]
+    (default false) a matching journal is restored, anything else is
+    logged and replaced; the header is on disk before it returns.
+    [row_seed] names each row's simulation seed for the audit field
+    (default {!row_seed}[ ~seed], the grid rows'); [telemetry] (default
+    false) is part of the configuration a journal must match. *)
+
+val restored : journal -> mix:string -> scheme:string -> cell option
+(** The journaled cell, restored bit-identically: [attempts = 0],
+    [elapsed_s = 0.], and — when the journal belongs to a telemetry
+    sweep — its journaled counters plus [sweep.resumed_cells = 1]. *)
+
+(** The tally of one sweep's finished cells: it owns the {!event}
+    stream's [Sweep_started], every [Cell_finished] and
+    [Sweep_finished], the ETA formula and the degraded count, and
+    journals each fresh cell. Its state is not domain-safe: a driver
+    touches it from one domain, or under a lock (the pool's serialized
+    result callback). *)
+module Tally : sig
+  type t
+
+  val create :
+    ?on_event:(event -> unit) ->
+    ?workers:(unit -> int) ->
+    scale:Common.scale ->
+    seed:int64 ->
+    jobs:int ->
+    int ->
+    t
+  (** [create ~scale ~seed ~jobs total] starts the tally of a
+      [total]-cell sweep: it emits [Sweep_started] (with [jobs]) and
+      starts the sweep's wall clock. The ETA divides by [workers ()]
+      (default [jobs]; floored at 1), asked at each cell. *)
+
+  val finish : ?journal:journal -> t -> int -> cell -> unit
+  (** [finish t k cell] records [cell] in slot [k] (the sweep's
+      mix-major order) and emits its [Cell_finished]; a non-degraded
+      cell is first appended to [journal], once. A slot already
+      finished keeps its first cell, and nothing is emitted. *)
+
+  val finished : t -> int -> bool
+  val completed : t -> int
+
+  val cells : t -> cell array
+  (** Every slot's cell; [Invalid_argument] if one is unfinished. *)
+
+  val close : t -> float
+  (** Emit [Sweep_finished] and return the sweep's wall-clock
+      seconds. *)
+end
 
 val run :
   ?scale:Common.scale ->

@@ -69,14 +69,6 @@ let default_config =
 
 (* --- jobs -------------------------------------------------------------- *)
 
-type slot_result = {
-  r_ipc : float;  (* nan for a degraded cell *)
-  r_cached : bool;
-  r_elapsed : float;
-  r_worker : int;
-  r_error : string option;
-}
-
 type job = {
   j_id : string;
   j_tag : string;
@@ -88,12 +80,8 @@ type job = {
   j_schemes : string list;
   j_mixes : string list;
   j_slots : (string * string) array;  (* mix-major (mix, scheme) *)
-  j_results : slot_result option array;
+  j_tally : E.Sweep.Tally.t;  (* the job's finished cells, slot-indexed *)
   mutable j_pending : int list;  (* undispatched cold slot indices *)
-  mutable j_remaining : int;
-  mutable j_cached : int;
-  mutable j_simulated : int;
-  mutable j_degraded : int;
   j_t0 : float;
   (* tracing: (trace id, client parent span, client asked) when the job
      is traced — either the request carried ids or server tracing is on.
@@ -116,6 +104,9 @@ type client = {
 let with_fields extra = function
   | J.Obj fields -> J.Obj (extra @ fields)
   | other -> other
+
+(* A cell answered from the cache: no attempt, no error. *)
+let cached (c : E.Sweep.cell) = c.attempts = 0 && c.error = None
 
 (* --- the loop ---------------------------------------------------------- *)
 
@@ -164,21 +155,8 @@ let run cfg =
       in
       job.j_spans <- sp :: job.j_spans
   in
-  (* Rows compiled once and shared across jobs; flushed wholesale when
-     over budget — bounded without keeping an eviction order. *)
-  let prepared : (string * int64 * string, E.Sweep.row) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let prepared_row ~scale ~seed mix =
-    let key = (E.Common.scale_name scale, seed, mix) in
-    match Hashtbl.find_opt prepared key with
-    | Some pr -> pr
-    | None ->
-      if Hashtbl.length prepared >= 256 then Hashtbl.reset prepared;
-      let pr = E.Sweep.prepare_row ~scale ~seed mix in
-      Hashtbl.add prepared key pr;
-      pr
-  in
+  (* Rows compiled once and shared across jobs. *)
+  let rows = E.Sweep.row_memo () in
   let draining = ref false in
   if cfg.handle_signals then begin
     let drain _ = draining := true in
@@ -240,82 +218,48 @@ let run cfg =
          :: ((match job with Some id -> [ ("job", J.Str id) ] | None -> [])
             @ [ ("error", J.Str msg) ])))
   in
-  let emit_event job ?(extra = []) ev =
-    send_to_client_id job.j_client
-      (with_fields (("job", J.Str job.j_id) :: extra) (E.Sweep.json_of_event ev))
+  (* A job's event stream, tagged with its id; a finished cell also
+     says whether the cache answered it. *)
+  let job_events ~client ~id ev =
+    let extra =
+      match ev with
+      | E.Sweep.Cell_finished r -> [ ("cached", J.Bool (cached r.cell)) ]
+      | _ -> []
+    in
+    send_to_client_id client
+      (with_fields (("job", J.Str id) :: extra) (E.Sweep.json_of_event ev))
   in
-  let emit_cell job idx (r : slot_result) =
+  let finish_cell job idx ?elapsed_s ?worker ~attempts outcome =
     let mix, scheme = job.j_slots.(idx) in
     let cell =
-      {
-        E.Sweep.mix;
-        scheme;
-        ipc = r.r_ipc;
-        elapsed_s = r.r_elapsed;
-        started_s = Unix.gettimeofday () -. job.j_t0;
-        worker = r.r_worker;
-        telemetry = None;
-        attempts = (if r.r_cached then 0 else 1);
-        error = r.r_error;
-      }
+      E.Sweep.cell_of_outcome ?elapsed_s
+        ~started_s:(Unix.gettimeofday () -. job.j_t0)
+        ?worker ~attempts ~mix ~scheme outcome
     in
-    let total = Array.length job.j_slots in
-    emit_event job
-      ~extra:[ ("cached", J.Bool r.r_cached) ]
-      (E.Sweep.Cell_finished
-         {
-           cell;
-           completed = total - job.j_remaining;
-           total;
-           eta_s = Float.nan;
-         })
-  in
-  let record_result job idx (r : slot_result) =
-    job.j_results.(idx) <- Some r;
-    job.j_remaining <- job.j_remaining - 1;
-    if r.r_cached then begin
-      job.j_cached <- job.j_cached + 1;
-      Counters.incr cells_cached
-    end
-    else if r.r_error <> None then begin
-      job.j_degraded <- job.j_degraded + 1;
-      Counters.incr cells_degraded
-    end
+    if cached cell then Counters.incr cells_cached
+    else if cell.error <> None then Counters.incr cells_degraded
     else begin
-      job.j_simulated <- job.j_simulated + 1;
       Counters.incr cells_simulated;
-      let mix, scheme = job.j_slots.(idx) in
       Cache.add cache
         ~key:
           (Cache.cell_key
              ~scale:(E.Common.scale_name job.j_scale)
              ~seed:job.j_seed ~mix ~scheme)
-        ~ipc:r.r_ipc
+        ~ipc:cell.ipc
     end;
-    emit_cell job idx r
+    E.Sweep.Tally.finish job.j_tally idx cell
+  in
+  let complete job =
+    E.Sweep.Tally.completed job.j_tally = Array.length job.j_slots
   in
   let finalize job =
-    let wall_s = Unix.gettimeofday () -. job.j_t0 in
-    let cells =
-      Array.mapi
-        (fun i (mix, scheme) ->
-          let r =
-            match job.j_results.(i) with
-            | Some r -> r
-            | None -> assert false (* finalize requires j_remaining = 0 *)
-          in
-          {
-            Ledger.mix;
-            scheme;
-            ipc = r.r_ipc;
-            elapsed_s = r.r_elapsed;
-            started_s = 0.0;
-            worker = r.r_worker;
-            attempts = (if r.r_cached then 0 else 1);
-            degraded = r.r_error <> None;
-          })
-        job.j_slots
-    in
+    let wall_s = E.Sweep.Tally.close job.j_tally in
+    let tallied = E.Sweep.Tally.cells job.j_tally in
+    let count p = Array.fold_left (fun n c -> if p c then n + 1 else n) 0 tallied in
+    let n_cached = count cached
+    and n_degraded = count (fun (c : E.Sweep.cell) -> c.error <> None) in
+    let n_simulated = Array.length tallied - n_cached - n_degraded in
+    let cells = Array.map E.Sweep.ledger_cell tallied in
     let mean =
       let sum = ref 0.0 and n = ref 0 in
       Array.iter
@@ -331,9 +275,9 @@ let run cfg =
       Ledger.make
         ~counters:
           [
-            ("service.cells.cached", job.j_cached);
-            ("service.cells.degraded", job.j_degraded);
-            ("service.cells.simulated", job.j_simulated);
+            ("service.cells.cached", n_cached);
+            ("service.cells.degraded", n_degraded);
+            ("service.cells.simulated", n_simulated);
           ]
         ~gauges:
           ((if Float.is_nan mean then [] else [ ("ipc.mean", mean) ])
@@ -382,13 +326,6 @@ let run cfg =
       Span.add tracer sp;
       job.j_spans <- sp :: job.j_spans;
       Span.observe_histograms registry (List.rev job.j_spans));
-    emit_event job
-      (E.Sweep.Sweep_finished
-         {
-           total = Array.length job.j_slots;
-           degraded = job.j_degraded;
-           wall_s;
-         });
     send_to_client_id job.j_client
       (J.Obj
          ([
@@ -400,9 +337,9 @@ let run cfg =
          @ [
              ("digest", J.Str (Ledger.grid_digest cells));
              ("cells", J.Num (float_of_int (Array.length cells)));
-             ("cached", J.Num (float_of_int job.j_cached));
-             ("simulated", J.Num (float_of_int job.j_simulated));
-             ("degraded", J.Num (float_of_int job.j_degraded));
+             ("cached", J.Num (float_of_int n_cached));
+             ("simulated", J.Num (float_of_int n_simulated));
+             ("degraded", J.Num (float_of_int n_degraded));
              ("wall_s", J.Num wall_s);
            ]
          @
@@ -421,8 +358,8 @@ let run cfg =
       [
         ("job", Log.S job.j_id);
         ("client", Log.I job.j_client);
-        ("cached", Log.I job.j_cached);
-        ("simulated", Log.I job.j_simulated);
+        ("cached", Log.I n_cached);
+        ("simulated", Log.I n_simulated);
         ("wall_s", Log.F wall_s);
       ];
     (match cfg.max_jobs with
@@ -444,17 +381,7 @@ let run cfg =
       let mixes =
         match s.mixes with [] -> Vliw_workloads.Mixes.names | ms -> ms
       in
-      let schemes =
-        match s.schemes with
-        | [] ->
-          (* the fig10 grid: every catalog scheme except the
-             single-threaded baseline *)
-          List.filter_map
-            (fun (e : Vliw_merge.Catalog.entry) ->
-              if e.name = "ST" then None else Some e.name)
-            Vliw_merge.Catalog.all
-        | ss -> ss
-      in
+      let schemes = match s.schemes with [] -> E.Fig10.scheme_names | ss -> ss in
       match
         ( List.find_opt (fun m -> Vliw_workloads.Mixes.find m = None) mixes,
           List.find_opt (fun n -> Vliw_merge.Catalog.find n = None) schemes )
@@ -471,12 +398,43 @@ let run cfg =
           incr next_job;
           incr next_arrival;
           Counters.incr submits;
+          let id = Printf.sprintf "j%d" !next_job in
           let slots =
             Array.of_list
               (List.concat_map
                  (fun mix -> List.map (fun scheme -> (mix, scheme)) schemes)
                  mixes)
           in
+          (* Cache pass at submit time: hits are answered immediately
+             and never occupy a scheduler slot. *)
+          let hits =
+            Array.map
+              (fun (mix, scheme) ->
+                Cache.find cache
+                  ~key:
+                    (Cache.cell_key
+                       ~scale:(E.Common.scale_name scale)
+                       ~seed:s.seed ~mix ~scheme))
+              slots
+          in
+          let cold =
+            List.filter
+              (fun i -> Option.is_none hits.(i))
+              (List.init (Array.length slots) Fun.id)
+          in
+          send c
+            (J.Obj
+               [
+                 ("reply", J.Str "accepted");
+                 ("job", J.Str id);
+                 ("tag", J.Str s.tag);
+                 ("cells", J.Num (float_of_int (Array.length slots)));
+                 ( "cached",
+                   J.Num (float_of_int (Array.length slots - List.length cold))
+                 );
+                 ("cold", J.Num (float_of_int (List.length cold)));
+                 ("queue_depth", J.Num (float_of_int (List.length !queue)));
+               ]);
           let j_trace =
             match s.trace with
             | Some { Request.trace_id; parent_span } ->
@@ -487,7 +445,7 @@ let run cfg =
           in
           let job =
             {
-              j_id = Printf.sprintf "j%d" !next_job;
+              j_id = id;
               j_tag = s.tag;
               j_client = c.c_id;
               j_priority = s.priority;
@@ -497,12 +455,11 @@ let run cfg =
               j_schemes = schemes;
               j_mixes = mixes;
               j_slots = slots;
-              j_results = Array.make (Array.length slots) None;
-              j_pending = [];
-              j_remaining = Array.length slots;
-              j_cached = 0;
-              j_simulated = 0;
-              j_degraded = 0;
+              j_tally =
+                E.Sweep.Tally.create
+                  ~on_event:(job_events ~client:c.c_id ~id)
+                  ~scale ~seed:s.seed ~jobs:effective_jobs (Array.length slots);
+              j_pending = cold;
               j_t0 = Unix.gettimeofday ();
               j_trace;
               j_root =
@@ -522,65 +479,11 @@ let run cfg =
               ("cells", Log.I (Array.length slots));
               ("traced", Log.B (j_trace <> None));
             ];
-          (* Cache pass at submit time: hits are answered immediately
-             and never occupy a scheduler slot. *)
-          let cold = ref [] in
           Array.iteri
-            (fun i (mix, scheme) ->
-              match
-                Cache.find cache
-                  ~key:
-                    (Cache.cell_key
-                       ~scale:(E.Common.scale_name scale)
-                       ~seed:s.seed ~mix ~scheme)
-              with
-              | Some _ -> ()
-              | None -> cold := i :: !cold)
-            slots;
-          let cold = List.rev !cold in
-          job.j_pending <- cold;
-          send c
-            (J.Obj
-               [
-                 ("reply", J.Str "accepted");
-                 ("job", J.Str job.j_id);
-                 ("tag", J.Str job.j_tag);
-                 ("cells", J.Num (float_of_int (Array.length slots)));
-                 ( "cached",
-                   J.Num (float_of_int (Array.length slots - List.length cold))
-                 );
-                 ("cold", J.Num (float_of_int (List.length cold)));
-                 ("queue_depth", J.Num (float_of_int (List.length !queue)));
-               ]);
-          emit_event job
-            (E.Sweep.Sweep_started
-               {
-                 total = Array.length slots;
-                 jobs = effective_jobs;
-                 scale = E.Common.scale_name scale;
-                 seed = s.seed;
-               });
-          Array.iteri
-            (fun i (mix, scheme) ->
-              match
-                Cache.find cache
-                  ~key:
-                    (Cache.cell_key
-                       ~scale:(E.Common.scale_name scale)
-                       ~seed:s.seed ~mix ~scheme)
-              with
-              | Some ipc ->
-                record_result job i
-                  {
-                    r_ipc = ipc;
-                    r_cached = true;
-                    r_elapsed = 0.0;
-                    r_worker = 0;
-                    r_error = None;
-                  }
-              | None -> ())
-            slots;
-          if job.j_remaining = 0 then begin
+            (fun i hit ->
+              Option.iter (fun ipc -> finish_cell job i ~attempts:0 (Ok ipc)) hit)
+            hits;
+          if complete job then begin
             finalize job;
             None
           end
@@ -728,7 +631,7 @@ let run cfg =
       Array.map
         (fun (_, (job, i)) ->
           let mix, scheme = job.j_slots.(i) in
-          let pr = prepared_row ~scale:job.j_scale ~seed:job.j_seed mix in
+          let pr = E.Sweep.memo_row rows ~scale:job.j_scale ~seed:job.j_seed mix in
           let column =
             E.Sweep.static_column (Vliw_merge.Catalog.find_exn scheme)
           in
@@ -751,27 +654,10 @@ let run cfg =
             ~name:(mix ^ "/" ^ scheme)
             ~lane:(Printf.sprintf "pool %d" worker)
             ~start_s:t_plan1 ~dur_s:elapsed ();
-          record_result job i
-            {
-              r_ipc = ipc;
-              r_cached = false;
-              r_elapsed = elapsed;
-              r_worker = worker;
-              r_error = None;
-            }
-        | Error e ->
-          record_result job i
-            {
-              r_ipc = Float.nan;
-              r_cached = false;
-              r_elapsed = 0.0;
-              r_worker = 0;
-              r_error = Some (Printexc.to_string e);
-            })
+          finish_cell job i ~elapsed_s:elapsed ~worker ~attempts:1 (Ok ipc)
+        | Error e -> finish_cell job i ~attempts:1 (Error (Printexc.to_string e)))
       results;
-    Hashtbl.iter
-      (fun _ job -> if job.j_remaining = 0 then finalize job)
-      touched
+    Hashtbl.iter (fun _ job -> if complete job then finalize job) touched
   in
   (* --- main loop -------------------------------------------------------- *)
   let listeners = ref [] in

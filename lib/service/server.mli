@@ -17,7 +17,11 @@
     - [{"job":...,"ev":"sweep_started"|"cell_finished"|"sweep_finished",...}]
       — the {!Vliw_experiments.Sweep.json_of_event} shape, with the
       owning ["job"] prepended and, on cells, ["cached"] (a cached
-      cell also has [attempts = 0], like a checkpoint-restored one)
+      cell also has [attempts = 0], like a checkpoint-restored one).
+      Each job keeps a {!Vliw_experiments.Sweep.Tally}, so its stream
+      has the local sweep's contract: one [cell_finished] per cell,
+      cached cells first, [completed] counting 1..total, and an
+      [eta_s] over the daemon's [jobs] once a cold cell has finished
     - [{"reply":"done","job":...,"digest":...,"cached":H,"simulated":S}]
     - [{"reply":"error","error":...}], [{"reply":"pong"}],
       [{"reply":"stats",...}], [{"reply":"metrics","exposition":...}],

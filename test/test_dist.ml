@@ -440,7 +440,7 @@ let attached_worker ?die_after () =
   (ours, domain)
 
 let run_distributed ?(workers = 2) ?die_after ?shard_size ?checkpoint
-    ?(resume = false) ?seeds ~mix_names ~scheme_names ~seed () =
+    ?(resume = false) ?on_event ?seeds ~mix_names ~scheme_names ~seed () =
   let fleet =
     List.init workers (fun i ->
         attached_worker ?die_after:(if i = 0 then die_after else None) ())
@@ -454,6 +454,7 @@ let run_distributed ?(workers = 2) ?die_after ?shard_size ?checkpoint
         shard_size;
         checkpoint;
         resume;
+        on_event;
       }
   with
   | result ->
@@ -578,6 +579,112 @@ let test_coordinator_checkpoint_resume () =
   | _ -> Alcotest.fail "expected one grid each");
   Sys.remove ckpt;
   Unix.rmdir dir
+
+let temp_journal () =
+  let dir = Filename.temp_file "vliw-dist" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  (Filename.concat dir "journal", fun () ->
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir)
+
+(* The event contract holds for a dist resume: a journal missing one
+   cell resumes with [Sweep_started] first, then one [Cell_finished]
+   per cell, the restored one included, [completed] counting
+   1..total. *)
+let test_coordinator_resume_events () =
+  let ckpt, cleanup = temp_journal () in
+  let mix_names = [ "LLHH" ] and scheme_names = [ "C4"; "1S" ] in
+  ignore
+    (run_distributed ~workers:1 ~checkpoint:ckpt ~mix_names ~scheme_names
+       ~seed:9L ());
+  let lines = In_channel.with_open_text ckpt In_channel.input_lines in
+  Out_channel.with_open_text ckpt (fun oc ->
+      List.iter
+        (fun l ->
+          let dropped =
+            String.starts_with ~prefix:"cell " l
+            && List.mem "scheme=1S" (String.split_on_char ' ' l)
+          in
+          if not dropped then output_string oc (l ^ "\n"))
+        lines);
+  let events = ref [] in
+  let r =
+    run_distributed ~workers:1 ~checkpoint:ckpt ~resume:true
+      ~on_event:(fun ev -> events := ev :: !events)
+      ~mix_names ~scheme_names ~seed:9L ()
+  in
+  let events = List.rev !events in
+  Alcotest.(check int) "one cell restored" 1 r.Coordinator.d_stats.cells_restored;
+  Alcotest.(check int) "one cell simulated" 1 r.d_stats.cells_simulated;
+  (match events with
+  | E.Sweep.Sweep_started { total; _ } :: _ ->
+    Alcotest.(check int) "started with the grid's total" 2 total
+  | _ -> Alcotest.fail "Sweep_started is not the first event");
+  let finished =
+    List.filter_map
+      (function
+        | E.Sweep.Cell_finished { cell; completed; total; _ } ->
+          Some (cell.mix ^ "/" ^ cell.scheme, cell.attempts, completed, total)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list string)) "one Cell_finished per cell"
+    [ "LLHH/1S"; "LLHH/C4" ]
+    (List.sort compare (List.map (fun (k, _, _, _) -> k) finished));
+  Alcotest.(check (list int)) "completed counts 1..total" [ 1; 2 ]
+    (List.map (fun (_, _, c, _) -> c) finished);
+  Alcotest.(check (list int)) "the restored cell reports 0 attempts" [ 0; 1 ]
+    (List.sort compare (List.map (fun (_, a, _, _) -> a) finished));
+  cleanup ()
+
+(* Local and dist journals interchange: each resumes in the other
+   executor without a simulation, bit-identically. *)
+let test_journal_interchange () =
+  let mix_names = [ "LLHH"; "MMMM" ] and scheme_names = [ "C4"; "3CCC"; "1S" ] in
+  let bits (cells : E.Sweep.cell array) =
+    Array.to_list
+      (Array.map (fun (c : E.Sweep.cell) -> Int64.bits_of_float c.ipc) cells)
+  in
+  let one_grid (r : Coordinator.result) =
+    match r.d_grids with
+    | [ (_, cells) ] -> cells
+    | _ -> Alcotest.fail "expected one grid"
+  in
+  let local ?resume ckpt =
+    let _, _, cells =
+      E.Sweep.run_cells ~scale:E.Common.Quick ~seed:13L ~scheme_names ~mix_names
+        ~checkpoint:ckpt ?resume ()
+    in
+    cells
+  in
+  (* local -> dist *)
+  let ckpt, cleanup = temp_journal () in
+  let reference = local ckpt in
+  let r =
+    run_distributed ~workers:1 ~checkpoint:ckpt ~resume:true ~mix_names
+      ~scheme_names ~seed:13L ()
+  in
+  Alcotest.(check int) "dist resume simulates nothing" 0
+    r.Coordinator.d_stats.cells_simulated;
+  Alcotest.(check (list int64)) "dist resume bit-identical" (bits reference)
+    (bits (one_grid r));
+  cleanup ();
+  (* dist -> local *)
+  let ckpt, cleanup = temp_journal () in
+  let r =
+    run_distributed ~workers:1 ~checkpoint:ckpt ~mix_names ~scheme_names
+      ~seed:13L ()
+  in
+  let resumed = local ~resume:true ckpt in
+  Alcotest.(check (list int)) "local resume simulates nothing"
+    (List.map (fun _ -> 0) (Array.to_list resumed))
+    (Array.to_list (Array.map (fun (c : E.Sweep.cell) -> c.attempts) resumed));
+  Alcotest.(check (list int64)) "local resume bit-identical" (bits (one_grid r))
+    (bits resumed);
+  Alcotest.(check (list int64)) "and equal to a fresh local run" (bits reference)
+    (bits resumed);
+  cleanup ()
 
 let test_coordinator_no_transport () =
   Alcotest.check_raises "no transport fails fast"
@@ -804,6 +911,10 @@ let suite =
         test_coordinator_replicates;
       Alcotest.test_case "coordinator: checkpoint resume" `Quick
         test_coordinator_checkpoint_resume;
+      Alcotest.test_case "coordinator: resume reports every cell" `Quick
+        test_coordinator_resume_events;
+      Alcotest.test_case "journal: local and dist resume each other" `Quick
+        test_journal_interchange;
       Alcotest.test_case "coordinator: no transport fails fast" `Quick
         test_coordinator_no_transport;
       Alcotest.test_case "ledger: merge dedups like gc" `Quick

@@ -784,6 +784,57 @@ let submits_counter socket =
 
 (* Counters belong to one run: a daemon started later in the same
    process begins at zero and leaves the first daemon's numbers alone. *)
+(* The event contract holds for a serve job: a job mixing cached and
+   cold cells streams [sweep_started] first, one [cell_finished] per
+   cell with [completed] 1..total, every cached cell marked
+   ["cached": true] with 0 attempts, and a numeric ETA once a cold cell
+   has finished. *)
+let test_daemon_mixed_job_events () =
+  let dir = temp_dir () in
+  let schemes = [ "C4"; "1S"; "2SS" ] in
+  let lines =
+    with_daemon ~jobs:1 dir (fun fd ->
+        send_line fd (submit_json ~seed:42L ~tag:"warm-up" ());
+        let _ = read_until fd done_reply in
+        send_line fd (submit_json ~schemes ~seed:42L ~tag:"mixed" ());
+        let d, lines = read_until fd done_reply in
+        Alcotest.(check (option (float 0.0))) "one cell cached" (Some 1.0)
+          (member_num "cached" d);
+        Alcotest.(check (option (float 0.0))) "two cells simulated" (Some 2.0)
+          (member_num "simulated" d);
+        lines)
+  in
+  let events =
+    List.filter_map
+      (fun d -> Option.map (fun ev -> (ev, d)) (member_str "ev" d))
+      lines
+  in
+  (match events with
+  | ("sweep_started", _) :: _ -> ()
+  | _ -> Alcotest.fail "sweep_started is not the job's first event");
+  let finished =
+    List.filter_map
+      (fun (ev, d) -> if ev = "cell_finished" then Some d else None)
+      events
+  in
+  Alcotest.(check (list (float 0.0))) "completed counts 1..total" [ 1.0; 2.0; 3.0 ]
+    (List.filter_map (member_num "completed") finished);
+  Alcotest.(check (list string)) "one cell_finished per cell" [ "1S"; "2SS"; "C4" ]
+    (List.sort compare (List.filter_map (member_str "scheme") finished));
+  List.iter
+    (fun d ->
+      let cached = J.member "cached" d = Some (J.Bool true) in
+      Alcotest.(check bool) "only C4 was cached"
+        (member_str "scheme" d = Some "C4")
+        cached;
+      Alcotest.(check (option (float 0.0)))
+        "a cached cell took 0 attempts, a cold one 1"
+        (Some (if cached then 0.0 else 1.0))
+        (member_num "attempts" d))
+    finished;
+  Alcotest.(check bool) "the last cell carries a numeric ETA" true
+    (member_num "eta_s" (List.nth finished 2) <> None)
+
 let test_daemon_counters_per_instance () =
   let dir = temp_dir () in
   let sock_a = Filename.concat dir "a.sock" in
@@ -854,6 +905,8 @@ let suite =
       QCheck_alcotest.to_alcotest test_tracing_observation_only;
       Alcotest.test_case "daemon: oversized traced request poisoned" `Quick
         test_traced_oversized_request;
+      Alcotest.test_case "daemon: a mixed job reports every cell" `Quick
+        test_daemon_mixed_job_events;
       Alcotest.test_case "daemon: counters are per instance" `Quick
         test_daemon_counters_per_instance;
       Alcotest.test_case "daemon: a live socket path is not taken" `Quick
