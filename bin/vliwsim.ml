@@ -1688,7 +1688,11 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
     else E.Replicates.derive_seeds ~seed replicates
   in
   let on_event, close_log = event_logger ~quiet log_json in
-  let on_event = progress_meter ~quiet on_event in
+  (* Degraded cells are named on stderr and fail the exit status, as
+     under `exp`. *)
+  let on_event, degraded_warning =
+    E.Sweep.watch_degraded (progress_meter ~quiet on_event)
+  in
   let tracer =
     match trace_out with
     | None -> None
@@ -1709,7 +1713,7 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
       resume;
       die_first_worker_after = chaos_kill;
       log = make_log ~component:"dist" ~quiet log_level log_format;
-      on_event;
+      on_event = Some on_event;
       tracer;
     }
   in
@@ -1736,21 +1740,8 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
             ~mix_names:result.d_mix_names cells ))
       result.d_grids
   in
-  (* Surface degraded cells on stderr, as `exp` does. *)
-  List.iter
-    (fun (s, cells) ->
-      match E.Sweep.degraded cells with
-      | [] -> ()
-      | ds ->
-        Printf.eprintf "warning: seed 0x%Lx: %d cell(s) degraded to n/a:\n%!" s
-          (List.length ds);
-        List.iter
-          (fun (c : E.Sweep.cell) ->
-            Printf.eprintf "  %s/%s after %d attempt(s): %s\n%!" c.mix c.scheme
-              c.attempts
-              (Option.value ~default:"unknown error" c.error))
-          ds)
-    result.d_grids;
+  let degraded = degraded_warning () in
+  Option.iter (fun w -> prerr_string w; flush stderr) degraded;
   (* One ledger record per seed — fingerprint-compatible with `exp`
      records of the same configuration, so `runs diff` proves the
      distributed grid bit-identical to a single-process one. The dist.*
@@ -1817,7 +1808,7 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
             ~scheme_names:result.d_scheme_names
             ~mix_names:result.d_mix_names ~wall_s:result.d_wall_s ()))
   end;
-  0
+  if degraded = None then 0 else 1
 
 let dist_cmd =
   let workers_arg =
@@ -1854,7 +1845,8 @@ let dist_cmd =
       & info [ "max-retries" ] ~docv:"N"
           ~doc:
             "Per-cell retry budget before a failing cell degrades to \
-             n/a, exactly as in $(b,vliwsim exp).")
+             n/a, exactly as in $(b,vliwsim exp): degraded cells are \
+             listed on stderr and the command exits 1.")
   in
   let timeout_arg =
     Arg.(

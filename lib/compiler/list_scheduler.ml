@@ -159,7 +159,3 @@ let schedule (m : Isa.Machine.t) (dag : Dag.t) ~assignment ~base_addr ~instr_byt
     done;
     Array.of_list (List.rev !instrs)
   end
-
-let schedule_length m dag =
-  let assignment = Bug.assign m dag in
-  Array.length (schedule m dag ~assignment ~base_addr:0 ~instr_bytes:64)

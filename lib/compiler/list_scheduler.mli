@@ -19,7 +19,3 @@ val schedule :
   instr_bytes:int ->
   Vliw_isa.Instr.t array
 (** Instruction [i] gets address [base_addr + i * instr_bytes]. *)
-
-val schedule_length : Vliw_isa.Machine.t -> Dag.t -> int
-(** Number of instructions the default assignment produces (convenience
-    for calibration and tests). *)

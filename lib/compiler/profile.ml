@@ -35,8 +35,3 @@ let validate p =
   else if p.working_set_kb < 1 then Error "working_set_kb must be >= 1"
   else if p.static_blocks < 1 then Error "static_blocks must be >= 1"
   else Ok ()
-
-let pp ppf p =
-  Format.fprintf ppf "%s (%s, %s): blocks=%d ops/block=%d width=%.2f ws=%dKB"
-    p.name (ilp_letter p.ilp) p.description p.static_blocks p.block_ops_mean
-    p.dag_parallelism p.working_set_kb

@@ -34,5 +34,3 @@ val ilp_letter : ilp_degree -> string
 
 val validate : t -> (unit, string) result
 (** Fractions in range, positive sizes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,8 +77,6 @@ let find_exn name =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Catalog.find_exn: unknown scheme %S" name)
 
-let names = List.map (fun e -> e.name) all
-
 let perf_groups =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in

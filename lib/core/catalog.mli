@@ -30,8 +30,6 @@ val find : string -> entry option
 
 val find_exn : string -> entry
 
-val names : string list
-
 val perf_groups : (string * string list) list
 (** Performance-equivalence groups as reported in §5.2: group label to
     member scheme names. *)

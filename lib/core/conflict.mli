@@ -46,14 +46,6 @@ val smt_compatible_fixed : Vliw_isa.Machine.t -> Packet.t -> Packet.t -> bool
 module Reference : sig
   val smt_compatible : Vliw_isa.Machine.t -> Packet.t -> Packet.t -> bool
 
-  val thread_slot_mask :
-    Vliw_isa.Machine.t -> Packet.entry list -> int -> int option
-  (** Pinned slots of one thread's operations within a cluster, via a
-      fresh {!Routing.route} pass; [None] when they cannot be placed. *)
-
-  val smt_check_fixed :
-    Vliw_isa.Machine.t -> Packet.t -> Packet.t -> failure option
-
   val check :
     Vliw_isa.Machine.t ->
     ?routing:routing_mode ->

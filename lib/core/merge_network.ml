@@ -25,7 +25,6 @@ type t = {
   mutable name : string;
   mutable scheme : Scheme.t;
   mutable batch : Engine.Batch.t;
-  mutable reconfigurations : int;
 }
 
 (* Prefer the catalog name for display (profile tables, telemetry
@@ -68,16 +67,9 @@ let create ?name machine ~routing scheme =
     name;
     scheme;
     batch;
-    reconfigurations = 0;
   }
 
-let scheme t = t.scheme
-
 let scheme_name t = t.name
-
-let n_threads t = t.n
-
-let routing t = t.routing
 
 let same_scheme t other = Scheme.equal t.scheme other
 
@@ -91,11 +83,8 @@ let reconfigure t ?name scheme =
            (Scheme.n_threads scheme) t.n);
     t.batch <- batch_of t scheme;
     t.name <- (match name with Some n -> n | None -> display_name scheme);
-    t.scheme <- scheme;
-    t.reconfigurations <- t.reconfigurations + 1
+    t.scheme <- scheme
   end
-
-let reconfigurations t = t.reconfigurations
 
 (* Priority rotation is a pure function of the cycle counter, so it is
    trivially re-seeded across a reconfiguration. *)

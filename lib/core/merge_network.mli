@@ -26,15 +26,8 @@ val create :
     entry, else {!Scheme.to_string}.
     @raise Invalid_argument on an invalid scheme. *)
 
-val scheme : t -> Scheme.t
-
 val scheme_name : t -> string
 (** Display name of the scheme currently installed. *)
-
-val n_threads : t -> int
-(** Thread ports; fixed for the lifetime of the network. *)
-
-val routing : t -> Conflict.routing_mode
 
 val same_scheme : t -> Scheme.t -> bool
 (** Whether the installed scheme is structurally equal to the given
@@ -45,13 +38,10 @@ val reconfigure : t -> ?name:string -> Scheme.t -> unit
     otherwise the scheme's pooled evaluator is (re)installed — created
     on first use, reused on a revisit.
     @raise Invalid_argument if the scheme is invalid or its thread
-    count differs from {!n_threads}. *)
-
-val reconfigurations : t -> int
-(** Number of effective (non-no-op) {!reconfigure} calls. *)
+    count differs from the network's port count. *)
 
 val rotation : t -> rotate:bool -> cycle:int -> int
-(** The priority rotation for a cycle: [cycle mod n_threads] when
+(** The priority rotation for a cycle: [cycle] modulo the port count when
     rotation is enabled, [0] otherwise. Pure in the cycle counter, so
     reconfiguration re-seeds it deterministically. *)
 

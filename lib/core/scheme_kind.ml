@@ -1,7 +1,3 @@
 type t = Smt | Csmt
 
-let to_char = function Smt -> 'S' | Csmt -> 'C'
-
 let of_char = function 'S' -> Some Smt | 'C' -> Some Csmt | _ -> None
-
-let pp ppf k = Format.pp_print_char ppf (to_char k)

@@ -2,9 +2,4 @@
 
 type t = Smt | Csmt
 
-val to_char : t -> char
-(** ['S'] or ['C'], as in the paper's scheme names. *)
-
 val of_char : char -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -721,6 +721,14 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
       keep_spawning := spawn_worker ()
     done
   in
+  let poll listeners =
+    List.iter
+      (function
+        | Wire.Accept fd -> accept fd
+        | Wire.Readable w -> if not w.w_closed then read_worker w)
+      (Wire.select ~listeners ~timeout:0.2
+         (Hashtbl.fold (fun _ w acc -> (w.w_out, w) :: acc) workers []))
+  in
   let unfinished () = E.Sweep.Tally.completed tally < total in
   let stuck () =
     unfinished () && Hashtbl.length workers = 0 && listeners = []
@@ -752,14 +760,23 @@ let run ?(scale = E.Common.Default) ?(seed = E.Common.default_seed) ?seeds
         if stuck () then
           failwith "dist: no workers available and none can be spawned";
         dispatch ();
-        List.iter
-          (function
-            | Wire.Accept fd -> accept fd
-            | Wire.Readable w -> if not w.w_closed then read_worker w)
-          (Wire.select
-             ~listeners:(List.map snd listeners)
-             ~timeout:0.2
-             (Hashtbl.fold (fun _ w acc -> (w.w_out, w) :: acc) workers []))
+        poll (List.map snd listeners)
+      done;
+      (* A traced run reads the Shard_done still owed by each worker
+         that has sent its shard's last cell: it carries that shard's
+         child spans. *)
+      let owed () =
+        trace_ctx <> None
+        && List.exists
+             (fun w ->
+               match w.w_shard with
+               | Some s -> (not w.w_closed) && s.is_cells = []
+               | None -> false)
+             (snapshot ())
+      in
+      let give_up = Unix.gettimeofday () +. 5.0 in
+      while owed () && Unix.gettimeofday () < give_up do
+        poll []
       done;
       (* orderly shutdown: Quit, close (EOF doubles as quit), reap *)
       List.iter

@@ -8,7 +8,12 @@
     [vliwsim worker]), and pre-connected descriptors ([attached], plus
     Unix/TCP listeners that accept [vliwsim worker --connect] peers).
     Dispatch is pull-based — an idle ready worker claims the next
-    queued shard — so a slow host simply takes fewer shards.
+    queued shard — so a slow host simply takes fewer shards. Within a
+    shard the unit of work is a sharing class: the worker runs each
+    row's classes through {!Vliw_experiments.Sweep.run_class}, so the
+    cells of a class that share a shard simulate once (a whole-row
+    shard shares as a local sweep does), and still report one result
+    each.
 
     Fault model: a worker that dies or goes silent past
     [shard_timeout_s] forfeits its in-flight shard; the unreported

@@ -27,33 +27,13 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
      the coordinator's dispatch span its children hang under. *)
   let tracer : (Span.collector * int64 * int64 option) option ref = ref None in
   let lane = Printf.sprintf "pid %d" (Unix.getpid ()) in
-  let traced kind name f =
+  let record kind name start_s =
     match !tracer with
-    | None -> f ()
+    | None -> ()
     | Some (c, trace, parent) ->
-      let t0 = clock () in
-      let finish () =
-        ignore
-          (Span.record c ~trace ?parent ~kind ~name ~lane ~start_s:t0
-             ~dur_s:(clock () -. t0) ())
-      in
-      let v =
-        try f ()
-        with e ->
-          finish ();
-          raise e
-      in
-      finish ();
-      v
-  in
-  let simulate ~scale ~seed (c : Plan.cell_spec) =
-    (* a miss records its compile as a prepare_row span *)
-    let pr =
-      E.Sweep.memo_row rows ~compile:(traced Span.Prepare_row c.mix) ~scale ~seed
-        c.mix
-    in
-    let column = E.Sweep.static_column (Vliw_merge.Catalog.find_exn c.scheme) in
-    E.Sweep.simulate_prepared pr column
+      ignore
+        (Span.record c ~trace ?parent ~kind ~name ~lane ~start_s
+           ~dur_s:(clock () -. start_s) ())
   in
   let completed = ref 0 in
   let emit msg =
@@ -61,48 +41,84 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
       raise Hangup
   in
-  let run_cell ~shard ~scale ~seed (c : Plan.cell_spec) =
-    let t0 = Unix.gettimeofday () in
-    let result =
-      match scale with
-      | None ->
-        {
-          Protocol.r_mix = c.mix;
-          r_scheme = c.scheme;
-          r_ipc = Float.nan;
-          r_elapsed_s = 0.0;
-          r_error = Some "unknown scale in shard assignment";
-        }
-      | Some scale -> (
-        match
-          traced Span.Simulate_cell
-            (c.mix ^ "/" ^ c.scheme)
-            (fun () -> simulate ~scale ~seed c)
-        with
-        | ipc ->
-          {
-            Protocol.r_mix = c.mix;
-            r_scheme = c.scheme;
-            r_ipc = ipc;
-            r_elapsed_s = Unix.gettimeofday () -. t0;
-            r_error = None;
-          }
-        | exception e ->
-          {
-            Protocol.r_mix = c.mix;
-            r_scheme = c.scheme;
-            r_ipc = Float.nan;
-            r_elapsed_s = Unix.gettimeofday () -. t0;
-            r_error = Some (Printexc.to_string e);
-          })
-    in
-    emit (Protocol.Cell { c_shard = shard; c_result = result });
+  let result ~shard ?(elapsed_s = 0.0) ?error ~mix ~scheme ipc =
+    emit
+      (Protocol.Cell
+         {
+           c_shard = shard;
+           c_result =
+             {
+               r_mix = mix;
+               r_scheme = scheme;
+               r_ipc = ipc;
+               r_elapsed_s = elapsed_s;
+               r_error = error;
+             };
+         });
     incr completed;
     match die_after_cells with
     | Some n when !completed >= n ->
       Log.warn log "fault injection: dying" [ ("cells", Log.I !completed) ];
       raise Killed
     | _ -> ()
+  in
+  let fail ~shard ~mix ~scheme error =
+    result ~shard ~error ~mix ~scheme Float.nan
+  in
+  (* One row of a shard: its cells run as sharing classes, one
+     [simulate_cell] span each. The row's first span also covers a memo
+     miss's compile, so the [prepare_row] span nests inside it. An
+     unknown scheme errors its own cell; a row that does not compile
+     errors the row's. *)
+  let run_row ~shard ~scale ~seed mix schemes =
+    let t0 = clock () in
+    let known, unknown =
+      List.partition_map
+        (fun scheme ->
+          match Vliw_merge.Catalog.find_exn scheme with
+          | entry -> Left (E.Sweep.static_column entry)
+          | exception e -> Right (scheme, Printexc.to_string e))
+        schemes
+    in
+    List.iter (fun (scheme, e) -> fail ~shard ~mix ~scheme e) unknown;
+    let cols = Array.of_list known in
+    match
+      E.Sweep.memo_row rows ~scale ~seed mix ~compile:(fun compile ->
+          let t = clock () in
+          Fun.protect ~finally:(fun () -> record Span.Prepare_row mix t) compile)
+    with
+    | exception e ->
+      Array.iter
+        (fun (c : E.Sweep.column) ->
+          fail ~shard ~mix ~scheme:c.col_name (Printexc.to_string e))
+        cols
+    | row ->
+      List.iteri
+        (fun k members ->
+          let start_s = if k = 0 then t0 else clock () in
+          let cells = E.Sweep.run_class ~worker:0 row cols members in
+          record Span.Simulate_cell
+            (mix ^ "/" ^ cols.(List.hd members).col_name)
+            start_s;
+          List.iter
+            (fun ((c : E.Sweep.cell), _) ->
+              result ~shard ~elapsed_s:c.elapsed_s ?error:c.error ~mix
+                ~scheme:c.scheme c.ipc)
+            cells)
+        (E.Sweep.classes row cols)
+  in
+  (* A shard's cells grouped by row, rows in order of first appearance. *)
+  let rows_of (cells : Plan.cell_spec list) =
+    List.fold_left
+      (fun mixes (c : Plan.cell_spec) ->
+        if List.mem c.mix mixes then mixes else c.mix :: mixes)
+      [] cells
+    |> List.rev_map (fun mix ->
+           ( mix,
+             List.filter_map
+               (fun (c : Plan.cell_spec) ->
+                 if c.mix = mix then Some c.scheme else None)
+               cells ))
   in
   let handle = function
     | Protocol.Quit -> false
@@ -114,7 +130,18 @@ let serve ?die_after_cells ?(log = Log.null) ?(clock = Unix.gettimeofday)
         | Some { t_trace; t_parent } ->
           let seed = tracer_seed ~seed:a.a_seed ~shard:a.a_shard in
           Some (Span.collector ~clock ~seed (), t_trace, t_parent));
-      List.iter (run_cell ~shard:a.a_shard ~scale ~seed:a.a_seed) a.a_cells;
+      (match scale with
+      | None ->
+        List.iter
+          (fun (c : Plan.cell_spec) ->
+            fail ~shard:a.a_shard ~mix:c.mix ~scheme:c.scheme
+              "unknown scale in shard assignment")
+          a.a_cells
+      | Some scale ->
+        List.iter
+          (fun (mix, schemes) ->
+            run_row ~shard:a.a_shard ~scale ~seed:a.a_seed mix schemes)
+          (rows_of a.a_cells));
       let d_spans =
         match !tracer with None -> [] | Some (c, _, _) -> Span.spans c
       in

@@ -1,15 +1,19 @@
 (** The worker side of a distributed sweep: a single-domain loop that
-    reads {!Protocol.to_worker} messages from a transport, simulates
-    each assigned cell with {!Vliw_experiments.Sweep.simulate_prepared}
-    (bit-identical to the in-process sweep by construction) and streams
-    one {!Protocol.from_worker} line per cell back, so the coordinator
-    gets live progress rather than a per-shard lump.
+    reads {!Protocol.to_worker} messages from a transport, groups each
+    assigned shard's cells by row, runs every sharing class of a row
+    once through {!Vliw_experiments.Sweep.run_class} (the in-process
+    sweep's runner, so bit-identical by construction) and streams one
+    {!Protocol.from_worker} line per cell back, so the coordinator gets
+    live progress rather than a per-shard lump.
 
     A worker is deliberately serial: the coordinator owns parallelism
     (many workers), which keeps worker memory bounded and makes a
     worker death lose at most one shard. Cell failures never kill the
     worker — each simulation attempt is trapped and reported as an
-    error result for the coordinator's retry/degrade machinery. *)
+    error result for the coordinator's retry/degrade machinery: an
+    unknown scheme errors its own cell, a row that does not compile
+    errors that row's cells. The worker never retries; the coordinator
+    owns retries. *)
 
 exception Killed
 (** Raised by {!serve} when the [die_after_cells] fault-injection
@@ -34,9 +38,10 @@ val serve :
     written to [output].
 
     When an assign carries trace context, the worker records
-    [prepare_row] (cache misses only) and [simulate_cell] child spans
-    under the coordinator's dispatch span and ships them back on
-    [Shard_done]. Span ids derive from the assign's (seed, shard), so a
+    [prepare_row] (cache misses only) and one [simulate_cell] child
+    span per class under the coordinator's dispatch span (a row's first
+    [simulate_cell] span also covers its [prepare_row]), and ships them
+    back on [Shard_done]. Span ids derive from the assign's (seed, shard), so a
     traced rerun rebuilds the same tree; [clock] (default
     [Unix.gettimeofday]) stamps them and is injectable for tests.
     Tracing never touches simulation inputs — grids stay bit-identical

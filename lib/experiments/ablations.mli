@@ -15,9 +15,6 @@ type variant = {
   routing : Vliw_merge.Conflict.routing_mode;
 }
 
-val variants : variant list
-(** baseline, no-rotation, nonblocking-dmiss, fixed-slot-smt. *)
-
 type row = {
   variant : string;
   ipc_by_scheme : (string * float) list;  (** Average IPC over the mixes. *)

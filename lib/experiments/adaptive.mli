@@ -13,20 +13,6 @@
     per-scheme decision trails); counting is observation-only, so IPC
     results are unchanged. *)
 
-val anchor_scheme : string
-(** ["2SC3"]: every column's initial scheme, and the scheme whose
-    catalog performance group defines the candidate set. *)
-
-val adaptive_policy : Vliw_sim.Controller.policy
-(** The hill-climbing policy behind the ["adaptive"] column. *)
-
-val oracle_policy : Vliw_sim.Controller.policy
-(** The sample-then-commit policy behind the ["oracle"] column. *)
-
-val columns : unit -> Sweep.column list
-(** The sweep columns: the candidate group's static members (catalog
-    order), then ["oracle"], then ["adaptive"]. *)
-
 type data = {
   grid : Common.grid;
       (** Static members + ["oracle"] + ["adaptive"] columns. *)
@@ -53,27 +39,6 @@ val run :
     {!Sweep.run_cells}; give [checkpoint] its own path (the column set
     differs from the shared fig10 sweep, so the journals must not share
     a file). *)
-
-val best_static : data -> string -> string * float
-(** [(name, ipc)] of the best static column for one mix row; degraded
-    (nan) cells never win. *)
-
-val column_ipc : data -> string -> string -> float
-(** [column_ipc d col mix]. *)
-
-val wins : data -> string -> int * int
-(** [(strict wins, ties)] of a column against the per-mix best static
-    scheme, over all comparable mixes. *)
-
-val switch_stats : data -> string -> int * int * (string * int) list
-(** [(reconfigurations, stall cycles charged, boundary decisions per
-    candidate scheme)] of a column, summed over its mix rows. *)
-
-val adaptive_mean : data -> float
-(** Mean IPC of the ["adaptive"] column over non-nan mixes. *)
-
-val best_static_mean : data -> float
-(** Mean of the per-mix best static IPC over non-nan mixes. *)
 
 val gauges : data -> (string * float) list
 (** Scalar results for the run ledger: mean IPCs and win counts. *)

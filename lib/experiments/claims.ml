@@ -19,8 +19,6 @@ let of_fig10 (d : Fig10.data) =
     scheme_2sc3_below_smt4_pct = pct sc3 smt4;
   }
 
-let run ?scale ?seed () = of_fig10 (Fig10.run ?scale ?seed ())
-
 let render c =
   String.concat "\n"
     [

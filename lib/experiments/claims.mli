@@ -12,6 +12,4 @@ type t = {
 
 val of_fig10 : Fig10.data -> t
 
-val run : ?scale:Common.scale -> ?seed:int64 -> unit -> t
-
 val render : t -> string

@@ -3,8 +3,6 @@
 
 type point = { name : string; ipc : float; transistors : float }
 
-val run : ?scale:Common.scale -> ?seed:int64 -> unit -> point list
-
 val of_fig10 : Fig10.data -> point list
 (** Reuse an existing Figure 10 simulation grid. *)
 

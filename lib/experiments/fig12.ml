@@ -11,8 +11,6 @@ let of_fig10 (d : Fig10.data) =
       })
     d.grid.scheme_names
 
-let run ?scale ?seed () = of_fig10 (Fig10.run ?scale ?seed ())
-
 let render points =
   let scatter =
     Vliw_util.Ascii_chart.scatter ~x_label:"IPC" ~y_label:"gate delays"

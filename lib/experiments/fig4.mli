@@ -10,6 +10,4 @@ type data = {
 
 val run : (unit -> data) Sweep.study
 
-val four_over_two_pct : data -> float
-
 val render : data -> string

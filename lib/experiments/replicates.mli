@@ -27,8 +27,6 @@ type t = {
   cells : cell_ci list;  (** mix-major, one entry per (mix, scheme) *)
 }
 
-val default_seeds : int64 list
-
 val derive_seeds : ?seed:int64 -> int -> int64 list
 (** [n] replicate seeds derived deterministically from the master seed
     (default {!Common.default_seed}) via the sweep's row-seed

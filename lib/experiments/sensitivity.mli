@@ -20,19 +20,8 @@ type sweep = { title : string; points : point list }
 val miss_penalty : (?mix:string -> unit -> sweep) Sweep.study
 (** Miss penalty 10 / 20 (paper) / 40 / 80 cycles. *)
 
-val dcache_size : (?mix:string -> unit -> sweep) Sweep.study
-(** DCache 16 / 32 / 64 (paper) / 128 KB. *)
-
 val branch_penalty : (?mix:string -> unit -> sweep) Sweep.study
 (** Taken-branch penalty 0 / 2 (paper) / 4 / 8 cycles. *)
-
-val timeslice : (?mix:string -> unit -> sweep) Sweep.study
-(** OS timeslice 10k / 50k / 200k cycles (at Default scale). *)
-
-val predictor : (?mix:string -> unit -> sweep) Sweep.study
-(** None (paper) / bimodal 512 / bimodal 4096 branch predictor — an
-    extension: a predictor shrinks the branch bubbles multithreading
-    would otherwise fill. *)
 
 val all : (?mix:string -> unit -> sweep list) Sweep.study
 

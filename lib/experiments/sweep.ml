@@ -451,47 +451,20 @@ let classes row cols =
   in
   group (List.init (Array.length cols) Fun.id)
 
-let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1)
-    ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
-    ?checkpoint ?resume ?log ?on_event ()
-    =
+(* The one runner of a sharing class, whichever executor drives it: the
+   first member not restored simulates; every later one reuses its
+   outcome, unless it degraded, in which case the next one simulates
+   itself. *)
+let run_class ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
+    ?on_event ?epoch ?(restore = fun _ -> None) ?(fault = fun _ -> ())
+    ~worker (row : row) cols members =
   let emit ev = match on_event with Some f -> f ev | None -> () in
-  let exclusive what = invalid_arg ("Sweep.run_cells: " ^ what ^ " are exclusive") in
-  let columns =
-    match (columns, scheme_names) with
-    | Some [], _ -> invalid_arg "Sweep.run_cells: empty column list"
-    | Some _, Some _ -> exclusive "~columns and ~scheme_names"
-    | Some cols, None -> cols
-    | None, Some names ->
-      List.map (fun name -> static_column (Vliw_merge.Catalog.find_exn name)) names
-    | None, None -> List.map static_column Vliw_merge.Catalog.four_thread
-  in
-  (* Rows are compiled up front, in the parent domain: cells must not
-     race on catalog lookups or compilation. *)
-  let rows =
-    match (rows, mix_names) with
-    | Some _, Some _ -> exclusive "~rows and ~mix_names"
-    | Some rows, None -> rows
-    | None, names ->
-      List.map (prepare_row ~scale ~seed)
-        (Option.value names ~default:Vliw_workloads.Mixes.names)
-  in
-  let scheme_names = List.map (fun c -> c.col_name) columns in
-  let mix_names = List.map (fun r -> r.name) rows in
-  let cols = Array.of_list columns in
-  let journal =
-    Option.map
-      (open_journal ?log ?resume ~telemetry ~scale ~seed ~scheme_names ~mix_names
-         ~row_seed:(fun mix -> (List.find (fun r -> r.name = mix) rows).seed))
-      checkpoint
-  in
-  let epoch = Unix.gettimeofday () in
+  let epoch = match epoch with Some t -> t | None -> Unix.gettimeofday () in
   (* One simulation: its metrics and, with telemetry, the snapshot of the
      simulation's own counters (no sweep bookkeeping). [simulate] makes
      a fresh controller per call, so a retried cell replays from
      scratch. *)
-  let simulation row column () =
+  let simulation column () =
     let counters = if telemetry then Some (Counters.create ()) else None in
     let metrics = simulate ?counters row column in
     let snapshot = Option.map Counters.snapshot counters in
@@ -503,16 +476,13 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     (metrics, snapshot)
   in
   (* One attempt at a cell: [run] simulates, or hands back the outcome
-     its class's representative simulated. Raises on an injected fault,
-     a simulator exception, or a blown per-cell timeout. The timeout is
+     the representative simulated. Raises on a [fault], a simulator
+     exception, or a blown per-cell timeout. The timeout is
      enforced after the fact (a domain cannot be preempted
      mid-simulation): the attempt's result is discarded and the cell
      retried or degraded. *)
-  let attempt_once ~i ~j run =
-    (match !inject_failure with
-    | Some f when f ~row:i ~col:j ->
-      failwith (Printf.sprintf "injected fault in cell (%d, %d)" i j)
-    | _ -> ());
+  let attempt_once j run =
+    fault j;
     let t0 = Unix.gettimeofday () in
     let outcome = run () in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -524,11 +494,11 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   in
   (* A cell with its retries: the cell, and the outcome of its
      successful attempt. *)
-  let run_cell ~i ~j (row : row) (column : column) ~worker run =
-    let mix = row.name and scheme = column.col_name in
+  let run_cell j run =
+    let mix = row.name and scheme = cols.(j).col_name in
     emit (Cell_started { mix; scheme; worker });
     let rec go ~attempt ~timeouts =
-      match attempt_once ~i ~j run with
+      match attempt_once j run with
       | ((metrics, snapshot) as outcome), t0, elapsed ->
         let bookkeeping =
           (if attempt > 1 then [ (Report.n_sweep_retries, attempt - 1) ] else [])
@@ -568,10 +538,59 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     in
     go ~attempt:1 ~timeouts:0
   in
-  (* One pool task per sharing class of a row, mix-major: the class's
-     cells in column order. The first member not restored from the
-     journal simulates; every later one reuses its outcome, unless it
-     degraded, in which case the next one simulates itself. *)
+  let shared = ref None in
+  List.map
+    (fun j ->
+      match restore j with
+      | Some cell ->
+        ({ cell with worker; started_s = Unix.gettimeofday () -. epoch }, None)
+      | None ->
+        let run =
+          match !shared with
+          | Some outcome -> fun () -> outcome
+          | None -> simulation cols.(j)
+        in
+        let cell, outcome = run_cell j run in
+        if Option.is_none !shared then shared := outcome;
+        (cell, Option.map fst outcome))
+    members
+
+let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
+    ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1)
+    ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
+    ?checkpoint ?resume ?log ?on_event ()
+    =
+  let exclusive what = invalid_arg ("Sweep.run_cells: " ^ what ^ " are exclusive") in
+  let columns =
+    match (columns, scheme_names) with
+    | Some [], _ -> invalid_arg "Sweep.run_cells: empty column list"
+    | Some _, Some _ -> exclusive "~columns and ~scheme_names"
+    | Some cols, None -> cols
+    | None, Some names ->
+      List.map (fun name -> static_column (Vliw_merge.Catalog.find_exn name)) names
+    | None, None -> List.map static_column Vliw_merge.Catalog.four_thread
+  in
+  (* Rows are compiled up front, in the parent domain: cells must not
+     race on catalog lookups or compilation. *)
+  let rows =
+    match (rows, mix_names) with
+    | Some _, Some _ -> exclusive "~rows and ~mix_names"
+    | Some rows, None -> rows
+    | None, names ->
+      List.map (prepare_row ~scale ~seed)
+        (Option.value names ~default:Vliw_workloads.Mixes.names)
+  in
+  let scheme_names = List.map (fun c -> c.col_name) columns in
+  let mix_names = List.map (fun r -> r.name) rows in
+  let cols = Array.of_list columns in
+  let journal =
+    Option.map
+      (open_journal ?log ?resume ~telemetry ~scale ~seed ~scheme_names ~mix_names
+         ~row_seed:(fun mix -> (List.find (fun r -> r.name = mix) rows).seed))
+      checkpoint
+  in
+  let epoch = Unix.gettimeofday () in
+  (* One pool task per sharing class of a row, mix-major. *)
   let n_schemes = Array.length cols in
   let units =
     Array.of_list
@@ -581,26 +600,17 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
               List.map (fun members -> (i, row, members)) (classes row cols))
             rows))
   in
-  let class_task (i, (row : row), members) ~worker =
-    let shared = ref None in
-    List.map
-      (fun j ->
-        let column = cols.(j) in
-        match
-          Option.bind journal (restored ~mix:row.name ~scheme:column.col_name)
-        with
-        | Some cell ->
-          ({ cell with worker; started_s = Unix.gettimeofday () -. epoch }, None)
-        | None ->
-          let run =
-            match !shared with
-            | Some outcome -> fun () -> outcome
-            | None -> simulation row column
-          in
-          let cell, outcome = run_cell ~i ~j row column ~worker run in
-          if Option.is_none !shared then shared := outcome;
-          (cell, Option.map fst outcome))
-      members
+  let class_task (i, (row : row), members) =
+    let restore j =
+      Option.bind journal (restored ~mix:row.name ~scheme:cols.(j).col_name)
+    and fault j =
+      match !inject_failure with
+      | Some f when f ~row:i ~col:j ->
+        failwith (Printf.sprintf "injected fault in cell (%d, %d)" i j)
+      | _ -> ()
+    in
+    run_class ~telemetry ~max_retries ?cell_timeout_s ?on_event ~epoch ~restore
+      ~fault row cols members
   in
   let tasks = Array.map class_task units in
   let total_cells = List.length rows * n_schemes in
@@ -643,7 +653,10 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
         List.iter
           (fun j ->
             let scheme = cols.(j).col_name in
-            emit (Cell_degraded { mix = row.name; scheme; attempts = 0; error });
+            Option.iter
+              (fun f ->
+                f (Cell_degraded { mix = row.name; scheme; attempts = 0; error }))
+              on_event;
             Tally.finish tally ((i * n_schemes) + j)
               (cell_of_outcome ~attempts:0 ~mix:row.name ~scheme (Error error)))
           members)

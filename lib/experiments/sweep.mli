@@ -15,18 +15,21 @@
     Sharing: a cell is a pure function of its row and its column's
     {!share_key} (the effective configuration with the scheme made
     {!Vliw_merge.Scheme.canonical}), so the columns of a row with equal
-    keys — a {e class} — are simulated once, by one pool task. Every
-    cell is still reported: the class's cells finish together, the
-    representative (its first column) first and its followers right
-    after it, each with its own [Cell_started] and [Cell_finished]
-    (so [completed] still counts 1..total), its own checkpoint record,
-    its own [attempts] and an [elapsed_s] of about zero. A follower's
-    telemetry is the representative's simulation snapshot plus the
-    follower's own [sweep.*] bookkeeping, never the representative's
-    retries. {!inject_failure} is consulted per (row, col), so a
-    follower whose hook fires fails alone; if the representative
-    degrades, the next member simulates itself. On resume, a class is
-    simulated unless every member is restored.
+    keys — a {e class} ({!classes}) — are simulated once, by
+    {!run_class}. That runner is the only code that simulates a cell,
+    so sharing holds for every executor: a {!run_metrics} pool task, a
+    dist worker's shard (per row it holds) and a serve job's batch unit
+    are each one class. Every cell is still reported: the class's cells
+    finish together, the representative (its first column) first and
+    its followers right after it, each with its own [Cell_started] and
+    [Cell_finished] (so [completed] still counts 1..total), its own
+    checkpoint record, its own [attempts] and an [elapsed_s] of about
+    zero. A follower's telemetry is the representative's simulation
+    snapshot plus the follower's own [sweep.*] bookkeeping, never the
+    representative's retries. {!inject_failure} is consulted per (row,
+    col), so a follower whose hook fires fails alone; if the
+    representative degrades, the next member simulates itself. On
+    resume, a class is simulated unless every member is restored.
 
     Fault tolerance (opt-in): a cell whose simulation raises — or trips
     {!inject_failure}, or exceeds [cell_timeout_s] — is retried up to
@@ -264,6 +267,38 @@ val share_key : row -> column -> Vliw_sim.Config.t option
 
 val simulate_prepared : row -> column -> float
 (** IPC of {!simulate}, as in the {!run_cells} cell (property-tested). *)
+
+val classes : row -> column array -> int list list
+(** [classes row cols]: the column indices of [row]'s sharing classes
+    — columns with equal {!share_key}s, each class in column order, the
+    classes ordered by their first member (the representative). A
+    column with no key is a class of its own. *)
+
+val run_class :
+  ?telemetry:bool ->
+  ?max_retries:int ->
+  ?cell_timeout_s:float ->
+  ?on_event:(event -> unit) ->
+  ?epoch:float ->
+  ?restore:(int -> cell option) ->
+  ?fault:(int -> unit) ->
+  worker:int ->
+  row ->
+  column array ->
+  int list ->
+  (cell * Vliw_sim.Metrics.t option) list
+(** [run_class ~worker row cols members] runs one class of {!classes}
+    and returns its cells (with their metrics) in [members] order: the
+    first member simulates, later members reuse its outcome, and a
+    member whose predecessor degraded simulates itself. Each member
+    gets its own [Cell_started], [Cell_retried] and [Cell_degraded]
+    events on [on_event], fired in the domain that runs the class;
+    [Cell_finished] is the caller's {!Tally}'s. Knobs as in
+    {!run_cells}. A member that [restore] answers (a journaled cell) is
+    not simulated and carries no metrics. [fault j] runs before each
+    attempt at member [j] and fails it by raising. [started_s] counts
+    from [epoch] (default: the call). Safe in a {!Vliw_util.Pool}
+    worker. *)
 
 val cell_of_outcome :
   ?elapsed_s:float ->

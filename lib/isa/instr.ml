@@ -27,8 +27,6 @@ let op_count t =
   | Some (_, sg) -> sg.sg_ops
   | None -> Array.fold_left (fun acc ops -> acc + List.length ops) 0 t.ops
 
-let ops_in t c = t.ops.(c)
-
 let is_empty t = Array.for_all (fun ops -> ops = []) t.ops
 
 let has_branch t =

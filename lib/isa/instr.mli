@@ -13,8 +13,9 @@ type signature = {
   sg_pins : int array;
       (** Per-cluster fixed-slot pinned masks: the slots this
           instruction's operations claim when laid out in isolation
-          ({!pinned_mask}); [0] for empty clusters, [-1] when the
-          cluster's operations cannot be placed. *)
+          (the greedy fixed-slot layout of the routing block); [0] for
+          empty clusters, [-1] when the cluster's operations cannot be
+          placed. *)
   sg_ops : int;  (** Total operation count. *)
   sg_mem : int;  (** Loads and stores: the sum of the packed mem fields. *)
   sg_branch : bool;  (** Whether any cluster holds a branch. *)
@@ -40,9 +41,6 @@ val cluster_mask : t -> int
 val op_count : t -> int
 (** Total operations (issue-slot demand). *)
 
-val ops_in : t -> int -> Op.t list
-(** Operations scheduled on the given cluster. *)
-
 val is_empty : t -> bool
 
 val has_branch : t -> bool
@@ -50,9 +48,6 @@ val has_branch : t -> bool
 
 val mem_ops : t -> Op.t list
 (** All loads and stores, in cluster order. *)
-
-val class_counts : Op.t list -> mem:int ref -> mul:int ref -> branch:int ref -> alu:int ref -> unit
-(** Accumulate per-class counts of an operation list. *)
 
 val fits_cluster : Machine.t -> Op.t list -> bool
 (** Whether an operation multiset satisfies one cluster's slot constraints:
@@ -86,11 +81,6 @@ val fits_bias : Machine.t -> int
 
 val fits_guard : int
 (** Bit 14 of every packed field. *)
-
-val pinned_mask : Machine.t -> Op.t list -> int
-(** Bitmask of the issue slots the operations claim under the greedy
-    fixed-slot layout (the same discipline as the routing block), or
-    [-1] when they cannot be placed. *)
 
 val signature : Machine.t -> t -> signature
 (** The instruction's signature for the given machine, memoized on the

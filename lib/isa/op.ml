@@ -14,11 +14,3 @@ let class_name = function
   | Store -> "st"
   | Branch -> "br"
   | Copy -> "mov"
-
-let all_classes = [ Alu; Mul; Load; Store; Branch; Copy ]
-
-let equal_class (a : op_class) (b : op_class) = a = b
-
-let pp_class ppf k = Format.pp_print_string ppf (class_name k)
-
-let pp ppf op = Format.fprintf ppf "%s#%d" (class_name op.klass) op.id

@@ -28,11 +28,3 @@ val is_mem : t -> bool
 
 val class_name : op_class -> string
 (** Short mnemonic used in trace dumps ("add", "mpy", "ld", "st", "br"). *)
-
-val all_classes : op_class list
-
-val equal_class : op_class -> op_class -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val pp_class : Format.formatter -> op_class -> unit

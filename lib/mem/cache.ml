@@ -99,7 +99,3 @@ let reset_stats t =
   t.misses <- 0
 
 let n_sets t = t.sets
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%d accesses, %d misses (%.2f%%)" t.accesses t.misses
-    (100.0 *. miss_rate t)

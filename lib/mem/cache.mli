@@ -31,5 +31,3 @@ val miss_rate : t -> float
 val reset_stats : t -> unit
 
 val n_sets : t -> int
-
-val pp_stats : Format.formatter -> t -> unit

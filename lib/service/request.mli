@@ -31,17 +31,14 @@ type t =
   | Metrics  (** OpenMetrics exposition of the service counters. *)
   | Shutdown  (** Graceful drain: finish queued jobs, then exit. *)
 
-val default_submit : submit
-(** The full default grid ([mixes = []], [schemes = []]) at default
-    scale with the default sweep seed, priority 0 — the same sweep
-    [vliwsim exp fig10] runs. *)
-
 val to_json : t -> Vliw_util.Json.t
 
 val of_json : Vliw_util.Json.t -> (t, string) result
 (** Structural decode: unknown or missing ["op"] values, non-string
     names and unparseable seeds are errors; absent submit fields take
-    their {!default_submit} values. [of_json (to_json r) = Ok r] for
+    the defaults of [vliwsim exp fig10]: the full grid ([mixes = []],
+    [schemes = []]) at default scale with the default sweep seed,
+    priority 0. [of_json (to_json r) = Ok r] for
     every request (QCheck-property-tested). *)
 
 val of_line : string -> (t, string) result

@@ -28,9 +28,6 @@ type 'a job = {
   cells : 'a list;  (** Cells not yet dispatched, in submission order. *)
 }
 
-val rank : 'a job -> 'a job -> int
-(** Queue order: higher [priority] first, then lower [arrival]. *)
-
 val plan : capacity:int -> 'a job list -> (string * 'a) list * 'a job list
 (** [plan ~capacity queue] is [(batch, queue')]: at most [capacity]
     [(jid, cell)] assignments in dispatch order, and the queue with

@@ -11,7 +11,9 @@
       snapshot of the queue) and run it on the Domain pool.
 
    Batches are the responsiveness unit: a batch holds at most [jobs]
-   cells, so a higher-priority submission arriving mid-sweep preempts
+   units, each one sharing class of a job's cold cells on one row
+   (Sweep.run_class simulates it once and finishes every member), so a
+   higher-priority submission arriving mid-sweep preempts
    at the next batch boundary, and new clients wait at most one batch
    for their accept/cache-hit replies. Cache hits never enter the
    queue at all — they are answered synchronously at submit time.
@@ -69,6 +71,15 @@ let default_config =
 
 (* --- jobs -------------------------------------------------------------- *)
 
+(* A batch unit: one sharing class of a job's cold slots on one row, run
+   by one pool task. *)
+type batch_unit = {
+  u_row : E.Sweep.row;
+  u_cols : E.Sweep.column array;  (* the row's cold columns *)
+  u_slots : int array;  (* each column's slot in [j_slots] *)
+  u_members : int list;  (* the class, as indices into [u_cols] *)
+}
+
 type job = {
   j_id : string;
   j_tag : string;
@@ -81,7 +92,7 @@ type job = {
   j_mixes : string list;
   j_slots : (string * string) array;  (* mix-major (mix, scheme) *)
   j_tally : E.Sweep.Tally.t;  (* the job's finished cells, slot-indexed *)
-  mutable j_pending : int list;  (* undispatched cold slot indices *)
+  mutable j_pending : batch_unit list;  (* undispatched cold classes *)
   j_t0 : float;
   (* tracing: (trace id, client parent span, client asked) when the job
      is traced — either the request carried ids or server tracing is on.
@@ -229,13 +240,7 @@ let run cfg =
     send_to_client_id client
       (with_fields (("job", J.Str id) :: extra) (E.Sweep.json_of_event ev))
   in
-  let finish_cell job idx ?elapsed_s ?worker ~attempts outcome =
-    let mix, scheme = job.j_slots.(idx) in
-    let cell =
-      E.Sweep.cell_of_outcome ?elapsed_s
-        ~started_s:(Unix.gettimeofday () -. job.j_t0)
-        ?worker ~attempts ~mix ~scheme outcome
-    in
+  let finish_cell job idx (cell : E.Sweep.cell) =
     if cached cell then Counters.incr cells_cached
     else if cell.error <> None then Counters.incr cells_degraded
     else begin
@@ -244,10 +249,37 @@ let run cfg =
         ~key:
           (Cache.cell_key
              ~scale:(E.Common.scale_name job.j_scale)
-             ~seed:job.j_seed ~mix ~scheme)
+             ~seed:job.j_seed ~mix:cell.mix ~scheme:cell.scheme)
         ~ipc:cell.ipc
     end;
     E.Sweep.Tally.finish job.j_tally idx cell
+  in
+  (* A job's cold slots as batch units: per row, its cold columns'
+     sharing classes. Rows compile here, in the loop's domain (compilation
+     must not race); pool workers only simulate. *)
+  let batch_units job cold =
+    let n_schemes = List.length job.j_schemes in
+    List.concat
+      (List.mapi
+         (fun r mix ->
+           match List.filter (fun i -> i / n_schemes = r) cold with
+           | [] -> []
+           | slots ->
+             let u_row =
+               E.Sweep.memo_row rows ~scale:job.j_scale ~seed:job.j_seed mix
+             in
+             let u_slots = Array.of_list slots in
+             let u_cols =
+               Array.map
+                 (fun i ->
+                   E.Sweep.static_column
+                     (Vliw_merge.Catalog.find_exn (snd job.j_slots.(i))))
+                 u_slots
+             in
+             List.map
+               (fun u_members -> { u_row; u_cols; u_slots; u_members })
+               (E.Sweep.classes u_row u_cols))
+         job.j_mixes)
   in
   let complete job =
     E.Sweep.Tally.completed job.j_tally = Array.length job.j_slots
@@ -459,7 +491,7 @@ let run cfg =
                 E.Sweep.Tally.create
                   ~on_event:(job_events ~client:c.c_id ~id)
                   ~scale ~seed:s.seed ~jobs:effective_jobs (Array.length slots);
-              j_pending = cold;
+              j_pending = [];
               j_t0 = Unix.gettimeofday ();
               j_trace;
               j_root =
@@ -481,13 +513,21 @@ let run cfg =
             ];
           Array.iteri
             (fun i hit ->
-              Option.iter (fun ipc -> finish_cell job i ~attempts:0 (Ok ipc)) hit)
+              Option.iter
+                (fun ipc ->
+                  let mix, scheme = slots.(i) in
+                  finish_cell job i
+                    (E.Sweep.cell_of_outcome ~attempts:0 ~mix ~scheme (Ok ipc)))
+                hit)
             hits;
           if complete job then begin
             finalize job;
             None
           end
-          else Some job
+          else begin
+            job.j_pending <- batch_units job cold;
+            Some job
+          end
         end)
   in
   let handle_request c req =
@@ -598,7 +638,7 @@ let run cfg =
             Scheduler.jid = job.j_id;
             priority = job.j_priority;
             arrival = job.j_arrival;
-            cells = List.map (fun i -> (job, i)) job.j_pending;
+            cells = List.map (fun u -> (job, u)) job.j_pending;
           })
         !queue
     in
@@ -607,8 +647,8 @@ let run cfg =
     let t_plan1 = Span.now tracer in
     let batch = Array.of_list batch in
     Array.iter
-      (fun (_, (job, i)) ->
-        job.j_pending <- List.filter (fun k -> k <> i) job.j_pending)
+      (fun (_, (job, u)) ->
+        job.j_pending <- List.filter (fun u' -> u' != u) job.j_pending)
       batch;
     queue := List.filter (fun job -> job.j_pending <> []) !queue;
     (* A traced job's first batch closes its queue_wait (submit -> this
@@ -625,37 +665,40 @@ let run cfg =
             ~dur_s:(t_plan1 -. t_plan0) ()
         end)
       batch;
-    (* Prepared rows resolve in this domain (compilation must not race);
-       workers only simulate. *)
     let tasks =
       Array.map
-        (fun (_, (job, i)) ->
-          let mix, scheme = job.j_slots.(i) in
-          let pr = E.Sweep.memo_row rows ~scale:job.j_scale ~seed:job.j_seed mix in
-          let column =
-            E.Sweep.static_column (Vliw_merge.Catalog.find_exn scheme)
-          in
-          fun ~worker ->
-            let t0 = Unix.gettimeofday () in
-            let ipc = E.Sweep.simulate_prepared pr column in
-            (ipc, Unix.gettimeofday () -. t0, worker))
+        (fun (_, (job, u)) ~worker ->
+          E.Sweep.run_class ~epoch:job.j_t0 ~worker u.u_row u.u_cols u.u_members)
         batch
     in
     let results = Vliw_util.Pool.run_results ~jobs:cfg.jobs tasks in
     let touched = Hashtbl.create 8 in
     Array.iteri
       (fun k res ->
-        let _, (job, i) = batch.(k) in
+        let _, (job, u) = batch.(k) in
         Hashtbl.replace touched job.j_id job;
         match res with
-        | Ok (ipc, elapsed, worker) ->
-          let mix, scheme = job.j_slots.(i) in
+        | Ok cells ->
+          let rep = List.hd u.u_members
+          and (first : E.Sweep.cell), _ = List.hd cells in
           job_span job ~parent:job.j_root ~kind:Span.Simulate_cell
-            ~name:(mix ^ "/" ^ scheme)
-            ~lane:(Printf.sprintf "pool %d" worker)
-            ~start_s:t_plan1 ~dur_s:elapsed ();
-          finish_cell job i ~elapsed_s:elapsed ~worker ~attempts:1 (Ok ipc)
-        | Error e -> finish_cell job i ~attempts:1 (Error (Printexc.to_string e)))
+            ~name:(u.u_row.name ^ "/" ^ u.u_cols.(rep).col_name)
+            ~lane:(Printf.sprintf "pool %d" first.worker)
+            ~start_s:t_plan1
+            ~dur_s:(E.Sweep.total_elapsed_s (Array.of_list (List.map fst cells)))
+            ();
+          List.iter2
+            (fun j (cell, _) -> finish_cell job u.u_slots.(j) cell)
+            u.u_members cells
+        | Error e ->
+          List.iter
+            (fun j ->
+              let slot = u.u_slots.(j) in
+              let mix, scheme = job.j_slots.(slot) in
+              finish_cell job slot
+                (E.Sweep.cell_of_outcome ~attempts:1 ~mix ~scheme
+                   (Error (Printexc.to_string e))))
+            u.u_members)
       results;
     Hashtbl.iter (fun _ job -> if complete job then finalize job) touched
   in

@@ -6,6 +6,11 @@
     out), serves cache-hit cells straight from the content-addressed
     {!Cache} (preloaded from the run ledger), and runs cold cells in
     {!Scheduler}-planned batches on the {!Vliw_util.Pool} Domain pool.
+    The unit of work is a sharing class: a job's cold cells of one row
+    with equal {!Vliw_experiments.Sweep.share_key}s, run by one pool
+    task through {!Vliw_experiments.Sweep.run_class}, so the class
+    simulates once and each member still counts as simulated (with
+    [attempts = 1]) and is cached under its own scheme name.
     Every completed job is appended to the run ledger as a [serve]
     record, so a served grid is [runs diff]-able against (and
     bit-identical to) a locally run [exp] of the same configuration —
@@ -53,7 +58,7 @@ type config = {
       (** When set (or when [trace_out] is), every job records a span
           tree — a [submit] root (parented to the client's span when
           the request carries trace ids), [queue_wait] + [schedule]
-          closed at its first batch, one [simulate_cell] per cold cell
+          closed at its first batch, one [simulate_cell] per cold class
           and a [ledger_append] — fed to the stats reply's latency
           quantiles and the OpenMetrics histograms. A request carrying
           trace ids is traced even when both are [None], and gets its

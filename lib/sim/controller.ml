@@ -148,15 +148,11 @@ let create ?switch_penalty policy ~candidates ~initial =
 
 let current t = t.candidates.(t.owner)
 
-let candidates t = Array.to_list t.candidates
-
 let switches t = t.switches
 
 let decisions t = List.rev t.decisions
 
 let switch_penalty t ~from_ ~to_ = t.penalty ~from_ ~to_
-
-let policy t = t.policy
 
 (* EWMA update of the owner's IPC estimate from the finished slice. *)
 let observe t (obs : obs) ~alpha =

@@ -79,8 +79,6 @@ val decide : t -> obs -> candidate
 val current : t -> candidate
 (** The candidate scheduled for the currently running slice. *)
 
-val candidates : t -> candidate list
-
 val switches : t -> int
 (** Owner changes decided so far (including probe moves and
     retreats). *)
@@ -92,5 +90,3 @@ val decisions : t -> (int * string) list
 val switch_penalty :
   t -> from_:Vliw_merge.Scheme.t -> to_:Vliw_merge.Scheme.t -> int
 (** The controller's penalty pricing (for the harness to charge). *)
-
-val policy : t -> policy

@@ -487,14 +487,6 @@ let issue_hist t = Array.copy t.issue_hist
 
 let vertical_waste_cycles t = t.vertical
 
-let network t = t.network
-
-let scheme_name t = Option.map Merge.Merge_network.scheme_name t.network
-
-let scheme_switches t = t.scheme_switches
-
-let switch_stall_cycles t = t.switch_stall_cycles
-
 let reject_counts t = (t.rejects_conflict, t.rejects_capacity)
 
 (* Swap the merge network to a different scheme. Meant to be called at

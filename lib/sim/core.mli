@@ -66,14 +66,6 @@ val issue_hist : t -> int array
 
 val vertical_waste_cycles : t -> int
 
-val network : t -> Vliw_merge.Merge_network.t option
-(** The swappable merge network; [Some] iff the policy is
-    {!Policy.Merged}. *)
-
-val scheme_name : t -> string option
-(** Display name of the currently installed scheme ([None] for
-    IMT/BMT). *)
-
 val switch_scheme : t -> ?name:string -> penalty:int -> Vliw_merge.Scheme.t -> unit
 (** Reconfigure the merge network to a different scheme, charging
     [penalty] cycles of issue stall (the same bubble mechanism as BMT
@@ -85,13 +77,6 @@ val switch_scheme : t -> ?name:string -> penalty:int -> Vliw_merge.Scheme.t -> u
     scheme is a no-op (no penalty, no switch counted).
     @raise Invalid_argument if the policy is not {!Policy.Merged}, the
     scheme's thread count differs, or [penalty < 0]. *)
-
-val scheme_switches : t -> int
-(** Effective (non-no-op) {!switch_scheme} calls so far. *)
-
-val switch_stall_cycles : t -> int
-(** Cycles spent stalled inside switch bubbles so far (scheme-switch
-    penalties, and BMT context-switch bubbles under {!Policy.Bmt}). *)
 
 val reject_counts : t -> int * int
 (** Cumulative merge rejects by cause, [(conflict, capacity)]. Counted

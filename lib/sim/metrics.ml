@@ -16,9 +16,6 @@ type t = {
 
 let ipc t = if t.cycles = 0 then 0.0 else float_of_int t.ops /. float_of_int t.cycles
 
-let instr_ipc t =
-  if t.cycles = 0 then 0.0 else float_of_int t.instrs /. float_of_int t.cycles
-
 let vertical_waste t =
   if t.cycles = 0 then 0.0
   else float_of_int t.vertical_waste_cycles /. float_of_int t.cycles

@@ -24,19 +24,12 @@ type t = {
 val ipc : t -> float
 (** Operations per cycle. *)
 
-val instr_ipc : t -> float
-(** VLIW instructions per cycle (merging degree). *)
-
 val horizontal_waste : t -> float
 (** Fraction of issue slots left empty in cycles that issued at least one
     operation. *)
 
 val vertical_waste : t -> float
 (** Fraction of cycles that issued nothing. *)
-
-val dcache_miss_rate : t -> float
-
-val icache_miss_rate : t -> float
 
 val avg_threads_merged : t -> float
 (** Mean number of threads issuing per non-empty cycle. *)

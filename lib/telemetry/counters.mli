@@ -35,9 +35,6 @@ val histogram : t -> string -> bounds:float array -> histogram
 
 val observe : histogram -> float -> unit
 
-val observe_int : histogram -> int -> unit
-(** [observe h i] for an integer sample, without allocating. *)
-
 (** {1 Snapshots} *)
 
 type hist_snapshot = {

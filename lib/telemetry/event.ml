@@ -17,14 +17,6 @@ let reason_to_string = function
 
 let level_to_string = function L1i -> "l1i" | L1d -> "l1d"
 
-let name = function
-  | Fetch_stall _ -> "fetch_stall"
-  | Merge_reject _ -> "merge_reject"
-  | Issue _ -> "issue"
-  | Cache_miss _ -> "cache_miss"
-  | Bmt_switch _ -> "bmt_switch"
-  | Scheme_switch _ -> "scheme_switch"
-
 let args = function
   | Fetch_stall { thread; penalty } ->
     [ ("thread", string_of_int thread); ("penalty", string_of_int penalty) ]
@@ -48,7 +40,3 @@ let args = function
       ("to", to_scheme);
       ("penalty", string_of_int penalty);
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "%s{%s}" (name t)
-    (String.concat "; " (List.map (fun (k, v) -> k ^ "=" ^ v) (args t)))

@@ -35,13 +35,9 @@ type t =
       (** Mid-run merge-network reconfiguration (adaptive controller);
           [penalty] is the issue-stall bubble charged, in cycles. *)
 
-val name : t -> string
-
 val reason_to_string : reject_reason -> string
 
 val level_to_string : cache_level -> string
 
 val args : t -> (string * string) list
 (** Payload as ordered key/value strings (trace-export annotations). *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,8 +14,6 @@ let create ?(capacity = 65_536) () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   { buf = Array.make capacity dummy; next = 0; len = 0; dropped = 0 }
 
-let capacity t = Array.length t.buf
-
 let length t = t.len
 
 let dropped t = t.dropped

@@ -12,8 +12,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 entries. *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Live entries currently held. *)
 

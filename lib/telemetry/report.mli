@@ -32,9 +32,6 @@ val attach : Counters.t -> handles
 (** Resolve (creating as needed) every attribution counter in the
     registry. *)
 
-val categories : (string * string) list
-(** Waste counter names with display labels, in render order. *)
-
 val n_cycles : string
 (** Counter name for simulated cycles ([core.cycles]). *)
 

@@ -106,8 +106,6 @@ let record c ~trace ?parent ~kind ~name ~lane ~start_s ~dur_s () =
   span
 
 let spans c = locked c (fun () -> List.rev c.recorded)
-let count c = locked c (fun () -> List.length c.recorded)
-let clear c = locked c (fun () -> c.recorded <- [])
 
 (* {1 Wire codec} *)
 

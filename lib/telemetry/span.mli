@@ -76,9 +76,6 @@ val record :
 val spans : collector -> t list
 (** Recorded spans in insertion order. *)
 
-val count : collector -> int
-val clear : collector -> unit
-
 (** {1 Wire codec} *)
 
 val to_json : t -> Vliw_util.Json.t
@@ -92,20 +89,14 @@ val list_of_json : Vliw_util.Json.t -> (t list, string) result
 
 (** {1 Analysis} *)
 
-val durations_by_kind : t list -> (kind * float array) list
-(** Kinds with at least one span, in {!all_kinds} order. *)
-
 val latency_gauges : t list -> (string * float) list
 (** Per-kind ["span.<kind>.count"/".p50"/".p95"/".p99"] gauges in
     seconds, via {!Vliw_util.Stats.quantile_exact} — the ledger/report
     form of the latency summary. *)
 
-val hist_bounds : float array
-(** Latency bucket bounds in seconds for OpenMetrics histograms. *)
-
 val observe_histograms : Counters.t -> t list -> unit
 (** Feed each span's duration into the registry histogram
-    ["span.<kind>.seconds"] (bounds {!hist_bounds}) so the exposition
+    ["span.<kind>.seconds"] (latency buckets in seconds) so the exposition
     carries real [_bucket] series. *)
 
 val validate : ?slack_s:float -> t list -> string list

@@ -18,9 +18,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialization. *)
 
-val escape_string : string -> string
-(** A JSON string literal, quotes included. *)
-
 val number_string : float -> string
 (** Shortest decimal that parses back to the same bits: integers print
     bare ("3"), other finite values via %.12g or %.17g as needed.

@@ -14,8 +14,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-
 val level_of_string : string -> (level, string) result
 (** Case-insensitive; accepts ["warning"] for [Warn]. *)
 
@@ -51,8 +49,6 @@ val with_component : t -> string -> t
 (** Same sink, level, and time origin under a different component tag. *)
 
 val enabled : t -> level -> bool
-
-val msg : t -> level -> string -> field list -> unit
 
 val debug : t -> string -> field list -> unit
 val info : t -> string -> field list -> unit

@@ -18,16 +18,6 @@ val run : ?jobs:int -> ?on_result:(int -> 'a -> unit) -> (unit -> 'a) array -> '
     through pool creation, so partially-created pools never leak
     domains). Tasks must not share mutable state. *)
 
-val run_with_worker :
-  ?jobs:int ->
-  ?on_result:(int -> 'a -> unit) ->
-  (worker:int -> 'a) array ->
-  'a array
-(** Like {!run} but each task learns which worker runs it: the calling
-    domain is worker [0], spawned helpers are [1 .. jobs-1]. Which task
-    lands on which worker depends on timing — only results (task-order)
-    are deterministic. Useful for per-worker lanes in timelines. *)
-
 val run_results :
   ?jobs:int ->
   ?on_result:(int -> ('a, exn) result -> unit) ->

@@ -94,7 +94,3 @@ let summarize xs =
     max = mx;
     median = median xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.median s.max

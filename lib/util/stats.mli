@@ -69,5 +69,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** Full summary. @raise Invalid_argument on the empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

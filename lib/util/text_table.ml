@@ -85,5 +85,3 @@ let render t =
   emit_sep ();
   List.iter (function Cells c -> emit_cells c | Sep -> emit_sep ()) rows;
   Buffer.contents buf
-
-let pp ppf t = Format.pp_print_string ppf (render t)

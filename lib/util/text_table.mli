@@ -31,5 +31,3 @@ val add_float_row : t -> string -> float list -> unit
     two decimals. *)
 
 val render : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -878,6 +878,129 @@ let test_coordinator_traced_bit_identity () =
   Alcotest.(check (list string)) "merged fleet forest well-nested" []
     (Span.validate ~slack_s:0.5 spans)
 
+(* Whole-row shards share: a shard holding a full row runs each sharing
+   class (C4/3CCC, 2SC3/3SCC) as one simulation, one [simulate_cell]
+   span apiece, and the grid stays bit-identical to the local sweep. *)
+let test_coordinator_whole_row_sharing () =
+  let mix_names = [ "LLHH"; "MMMM" ]
+  and scheme_names = [ "C4"; "3CCC"; "2SC3"; "3SCC"; "1S" ] in
+  let seed = 5L in
+  let tracer = Span.collector ~seed:0x5a4eL () in
+  let fleet = List.init 2 (fun _ -> attached_worker ()) in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> List.iter (fun (_, d) -> Domain.join d) fleet)
+      (fun () ->
+        try
+          Coordinator.run ~scale:E.Common.Quick ~seed ~scheme_names ~mix_names
+            {
+              Coordinator.default_config with
+              attached = List.map fst fleet;
+              shard_size = Some (List.length scheme_names);
+              tracer = Some tracer;
+            }
+        with e ->
+          List.iter
+            (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
+            fleet;
+          raise e)
+  in
+  (match result.Coordinator.d_grids with
+  | [ (5L, cells) ] -> check_grid_bit_identity ~seed ~mix_names ~scheme_names cells
+  | _ -> Alcotest.fail "expected one grid for seed 5");
+  Alcotest.(check int) "every cell reported simulated" 10
+    result.d_stats.cells_simulated;
+  let simulated =
+    List.filter (fun s -> s.Span.kind = Span.Simulate_cell) (Span.spans tracer)
+  in
+  Alcotest.(check int) "one simulate_cell span per class (3 per row)" 6
+    (List.length simulated);
+  Alcotest.(check (list string)) "merged fleet forest well-nested" []
+    (Span.validate ~slack_s:0.5 (Span.spans tracer))
+
+(* `vliwsim dist` reports degraded cells the way `exp` does: named on
+   stderr, exit status 1. The fleet is one listener peer that answers
+   every assigned cell with an error. *)
+let test_dist_cli_degraded () =
+  let dir = Filename.temp_file "vliwdist" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let socket = Filename.concat dir "coord.sock"
+  and err = Filename.concat dir "err.txt" in
+  let exe = "../bin/vliwsim.exe" in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe
+      [|
+        exe; "dist"; "--workers"; "0"; "--listen-socket"; socket; "--scale";
+        "quick"; "--quiet"; "--no-ledger";
+      |]
+      devnull devnull err_fd
+  in
+  Unix.close err_fd;
+  Unix.close devnull;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec connect n =
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when n > 0 ->
+      Unix.sleepf 0.05;
+      connect (n - 1)
+  in
+  connect 200;
+  send_line fd (Protocol.from_worker_to_json (Protocol.Ready { pid = 0 }));
+  let conn = Vliw_util.Wire.conn fd in
+  let answer = function
+    | Ok doc -> (
+      match Protocol.to_worker_of_json doc with
+      | Ok (Protocol.Assign a) ->
+        List.iter
+          (fun (c : Plan.cell_spec) ->
+            send_line fd
+              (Protocol.from_worker_to_json
+                 (Protocol.Cell
+                    {
+                      c_shard = a.a_shard;
+                      c_result =
+                        {
+                          r_mix = c.mix;
+                          r_scheme = c.scheme;
+                          r_ipc = Float.nan;
+                          r_elapsed_s = 0.0;
+                          r_error = Some "broken worker";
+                        };
+                    })))
+          a.a_cells;
+        send_line fd
+          (Protocol.from_worker_to_json
+             (Protocol.Shard_done { d_shard = a.a_shard; d_spans = [] }));
+        true
+      | Ok Protocol.Quit | Error _ -> false)
+    | Error _ -> false
+  in
+  let rec serve () =
+    match Vliw_util.Wire.read conn with
+    | Vliw_util.Wire.Lines lines -> if List.for_all answer lines then serve ()
+    | Vliw_util.Wire.Eof _ | Vliw_util.Wire.Reset -> ()
+  in
+  (try serve () with Unix.Unix_error _ -> ());
+  Unix.close fd;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "dist exits 1 on degraded cells" true
+    (status = Unix.WEXITED 1);
+  let stderr_text = In_channel.with_open_bin err In_channel.input_all in
+  let contains needle =
+    let n = String.length stderr_text and m = String.length needle in
+    let rec go i = i + m <= n && (String.sub stderr_text i m = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "exp's degraded warning on stderr" true
+    (contains "warning: 144 sweep cell(s) degraded to n/a:");
+  Alcotest.(check bool) "each cell named with its error" true
+    (contains "LLHH/C4 after 1 attempt(s): broken worker")
+
 let test_dist_counters_list () =
   let r = run_distributed ~workers:1 ~mix_names:[ "LLHH" ] ~scheme_names:[ "C4" ] ~seed:3L () in
   let counters = Coordinator.counters_list r.Coordinator.d_stats in
@@ -927,4 +1050,8 @@ let suite =
         test_dist_counters_list;
       Alcotest.test_case "coordinator: traced run bit-identical + nested"
         `Quick test_coordinator_traced_bit_identity;
+      Alcotest.test_case "coordinator: whole-row shards share classes" `Quick
+        test_coordinator_whole_row_sharing;
+      Alcotest.test_case "cli: dist exits 1 on degraded cells" `Quick
+        test_dist_cli_degraded;
     ] )

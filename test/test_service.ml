@@ -325,9 +325,9 @@ let test_ledger_gc () =
 
 (* --- prepared rows ----------------------------------------------------- *)
 
-(* The service's execution path (prepare once, simulate per scheme) must
-   be bit-identical to the sweep engine's own cells — this is what makes
-   cache entries interchangeable with exp results. *)
+(* A prepared grid row simulated per scheme must be bit-identical to the
+   sweep engine's own cells — this is what makes cache entries
+   interchangeable with exp results. *)
 let test_simulate_prepared_bit_identity () =
   let scale = E.Common.Quick and seed = 7L in
   let scheme_names = [ "C4"; "1S" ] and mix_names = [ "LLHH"; "MMMM" ] in
@@ -676,6 +676,53 @@ let test_daemon_traced_submit () =
       Alcotest.(check bool) "untraced reply has no trace id" true
         (J.member "trace" done2 = None))
 
+(* A serve job runs each sharing class of a row as one batch unit: a
+   cold job over C4/3CCC/2SC3/3SCC still reports every cell simulated
+   (none cached) but records one [simulate_cell] span per class, and
+   repeating it is answered wholly from the cache with the same bits. *)
+let test_daemon_shares_classes () =
+  let dir = temp_dir () in
+  let tracer = Span.collector ~seed:0x5a4eL () in
+  let schemes = [ "C4"; "3CCC"; "2SC3"; "3SCC" ]
+  and mixes = [ "LLHH"; "MMMM" ] in
+  (* checked once the daemon is down: a failed check inside would leave
+     it running *)
+  let cold, warm =
+    with_daemon ~jobs:2 ~tracer dir (fun fd ->
+        let trace = Some { Request.trace_id = 0x5a4eL; parent_span = None } in
+        send_line fd
+          (submit_json ?trace ~mixes ~schemes ~seed:42L ~tag:"cold" ());
+        let cold, _ = read_until fd done_reply in
+        send_line fd (submit_json ~mixes ~schemes ~seed:42L ~tag:"warm" ());
+        let warm, _ = read_until fd done_reply in
+        (cold, warm))
+  in
+  Alcotest.(check (option (float 0.0))) "cold: nothing cached" (Some 0.0)
+    (member_num "cached" cold);
+  Alcotest.(check (option (float 0.0))) "cold: every cell simulated" (Some 8.0)
+    (member_num "simulated" cold);
+  let spans =
+    match Option.map Span.list_of_json (J.member "spans" cold) with
+    | Some (Ok ss) -> ss
+    | _ -> Alcotest.fail "cold done reply carries no spans"
+  in
+  Alcotest.(check int) "one simulate_cell span per class (2 per row)" 4
+    (List.length (List.filter (fun s -> s.Span.kind = Span.Simulate_cell) spans));
+  Alcotest.(check (option (float 0.0))) "warm: every cell cached" (Some 8.0)
+    (member_num "cached" warm);
+  Alcotest.(check (option (float 0.0))) "warm: nothing simulated" (Some 0.0)
+    (member_num "simulated" warm);
+  let _, _, local =
+    E.Sweep.run_cells ~scale:E.Common.Quick ~seed:42L ~scheme_names:schemes
+      ~mix_names:mixes ()
+  in
+  List.iter
+    (fun doc ->
+      Alcotest.(check (option string)) "served grid == local sweep"
+        (Some (Ledger.grid_digest (Array.map E.Sweep.ledger_cell local)))
+        (member_str "digest" doc))
+    [ cold; warm ]
+
 (* Tracing is observation-only: a daemon with a collector (and a traced
    request) produces the same grid bits as an untraced daemon serving an
    untraced request, at jobs 1 and 4. *)
@@ -903,6 +950,8 @@ let suite =
       Alcotest.test_case "daemon: traced submit round-trip" `Quick
         test_daemon_traced_submit;
       QCheck_alcotest.to_alcotest test_tracing_observation_only;
+      Alcotest.test_case "daemon: a cold job simulates each class once" `Quick
+        test_daemon_shares_classes;
       Alcotest.test_case "daemon: oversized traced request poisoned" `Quick
         test_traced_oversized_request;
       Alcotest.test_case "daemon: a mixed job reports every cell" `Quick
