@@ -1721,17 +1721,7 @@ let run_dist scale seed workers replicates shard_size max_retries shard_timeout
     Fun.protect ~finally:close_log (fun () ->
         Dist.Coordinator.run ~scale ~seed ~seeds config)
   in
-  let counters =
-    (* the conventional sweep.* names feed the record's fault stats
-       (runs show / the trajectory plot), same as in-process sweeps *)
-    let s = result.Dist.Coordinator.d_stats in
-    Dist.Coordinator.counters_list s
-    @ (if s.cells_restored > 0 then
-         [ ("sweep.resumed_cells", s.cells_restored) ]
-       else [])
-    @ if s.workers_timeouts > 0 then [ ("sweep.timeouts", s.workers_timeouts) ]
-      else []
-  in
+  let counters = Dist.Coordinator.counters_list result.d_stats in
   let datas =
     List.map
       (fun (s, cells) ->

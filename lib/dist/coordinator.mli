@@ -3,43 +3,29 @@
     replicate that is bit-identical to a single-process
     {!Vliw_experiments.Sweep.run_cells} run.
 
-    Workers come from two transports, freely mixed: processes spawned
-    locally over pipe pairs ([worker_argv], normally
+    This module is the I/O shell around {!Dispatch}, the core that
+    makes every decision (dispatch, re-queue, retry, degrade, the end
+    of the sweep) and documents the fault model. The shell runs one
+    select loop: it spawns, accepts, reads and reaps peers, feeds the
+    core what it observes, stamped with one clock, and carries out its
+    actions; it also journals and tallies cells, logs, traces, and
+    answers [vliwsim top]. Workers come from two transports, freely
+    mixed: processes spawned over pipe pairs ([worker_argv], normally
     [vliwsim worker]), and pre-connected descriptors ([attached], plus
     Unix/TCP listeners that accept [vliwsim worker --connect] peers).
-    Dispatch is pull-based — an idle ready worker claims the next
-    queued shard — so a slow host simply takes fewer shards. Within a
-    shard the unit of work is a sharing class: the worker runs each
-    row's classes through {!Vliw_experiments.Sweep.run_class}, so the
-    cells of a class that share a shard simulate once (a whole-row
-    shard shares as a local sweep does), and still report one result
-    each.
+    A worker runs each row's sharing classes through
+    {!Vliw_experiments.Sweep.run_class}, so the cells of a class that
+    share a shard simulate once. Every cell is a pure function of
+    (scale, master seed, mix, scheme), so neither retries nor
+    re-queuing can change results. *)
 
-    Fault model: a worker that dies or goes silent past
-    [shard_timeout_s] forfeits its in-flight shard; the unreported
-    cells are re-queued (and the fleet topped back up to [workers] by
-    respawning, budget permitting). A cell whose {e simulation} fails
-    is retried up to [max_retries] times, then degraded to [nan] —
-    the same per-cell machinery as the in-process sweep. Because every
-    cell is a pure function of (scale, master seed, mix, scheme),
-    neither retries nor re-queuing can change results. *)
-
-type stats = {
-  mutable cells_simulated : int;
-  mutable cells_restored : int;  (** resumed from a checkpoint journal *)
-  mutable cells_retried : int;  (** failed simulation attempts re-queued *)
-  mutable cells_degraded : int;
-  mutable shards_dispatched : int;
-  mutable shards_completed : int;
-  mutable shards_requeued : int;  (** partial shards re-queued after a death *)
-  mutable workers_spawned : int;
-  mutable workers_attached : int;
-  mutable workers_died : int;
-  mutable workers_timeouts : int;  (** deaths declared by [shard_timeout_s] *)
-}
+type stats = Dispatch.stats
 
 val counters_list : stats -> (string * int) list
-(** The [dist.*] counter snapshot (sorted), ledger/OpenMetrics-ready. *)
+(** The [dist.*] counter snapshot (sorted), ledger/OpenMetrics-ready,
+    followed by [sweep.resumed_cells] and [sweep.timeouts] when
+    nonzero: the names a ledger record reads its resumed and timeout
+    totals from, for [dist] and [exp --workers] alike. *)
 
 type config = {
   workers : int;  (** local worker processes to keep alive *)

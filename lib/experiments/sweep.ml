@@ -58,6 +58,7 @@ type event =
   | Cell_degraded of {
       mix : string;
       scheme : string;
+      seed : int64;  (* the row's simulation seed *)
       attempts : int;
       error : string;
     }
@@ -110,11 +111,12 @@ let json_of_event ev =
         ("attempt", num (float_of_int attempt));
         ("error", J.Str error);
       ]
-  | Cell_degraded { mix; scheme; attempts; error } ->
+  | Cell_degraded { mix; scheme; seed; attempts; error } ->
     base "cell_degraded"
       [
         ("mix", J.Str mix);
         ("scheme", J.Str scheme);
+        ("seed", J.Str (Printf.sprintf "0x%Lx" seed));
         ("attempts", num (float_of_int attempts));
         ("error", J.Str error);
       ]
@@ -158,9 +160,10 @@ let watch_degraded on_event =
   let m = Mutex.create () and seen = ref [] in
   let watch ev =
     (match ev with
-    | Cell_degraded { mix; scheme; attempts; error } ->
+    | Cell_degraded { mix; scheme; seed; attempts; error } ->
       let line =
-        Printf.sprintf "  %s/%s after %d attempt(s): %s\n" mix scheme attempts error
+        Printf.sprintf "  %s/%s seed 0x%Lx after %d attempt(s): %s\n" mix scheme
+          seed attempts error
       in
       Mutex.protect m (fun () -> seen := line :: !seen)
     | _ -> ());
@@ -519,7 +522,8 @@ let run_class ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
           go ~attempt:(attempt + 1) ~timeouts
         end
         else begin
-          emit (Cell_degraded { mix; scheme; attempts = attempt; error });
+          emit
+            (Cell_degraded { mix; scheme; seed = row.seed; attempts = attempt; error });
           let telemetry =
             if telemetry then
               Some
@@ -655,7 +659,9 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
             let scheme = cols.(j).col_name in
             Option.iter
               (fun f ->
-                f (Cell_degraded { mix = row.name; scheme; attempts = 0; error }))
+                f
+                  (Cell_degraded
+                     { mix = row.name; scheme; seed = row.seed; attempts = 0; error }))
               on_event;
             Tally.finish tally ((i * n_schemes) + j)
               (cell_of_outcome ~attempts:0 ~mix:row.name ~scheme (Error error)))

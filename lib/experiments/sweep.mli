@@ -148,6 +148,9 @@ type event =
   | Cell_degraded of {
       mix : string;
       scheme : string;
+      seed : int64;
+          (** the row's simulation seed ({!row_seed} for a grid row),
+              which tells replicates apart *)
       attempts : int;
       error : string;
     }
@@ -190,7 +193,8 @@ val json_logger : out_channel -> event -> unit
 val watch_degraded : (event -> unit) option -> (event -> unit) * (unit -> string option)
 (** [watch_degraded on_event] is [(watch, warning)]: [watch] forwards
     every event to [on_event] and records each [Cell_degraded] one
-    (domain-safe); [warning ()] lists the recorded cells, sorted, or is
+    (domain-safe); [warning ()] lists the recorded cells as
+    [mix/scheme seed 0x… after n attempt(s): error], sorted, or is
     [None]. The CLI hands [watch] to every sweep a command runs. *)
 
 exception Cell_timeout of { elapsed_s : float; limit_s : float }

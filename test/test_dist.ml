@@ -998,8 +998,10 @@ let test_dist_cli_degraded () =
   in
   Alcotest.(check bool) "exp's degraded warning on stderr" true
     (contains "warning: 144 sweep cell(s) degraded to n/a:");
-  Alcotest.(check bool) "each cell named with its error" true
-    (contains "LLHH/C4 after 1 attempt(s): broken worker")
+  Alcotest.(check bool) "each cell named with its seed and error" true
+    (contains
+       (Printf.sprintf "LLHH/C4 seed 0x%Lx after 1 attempt(s): broken worker"
+          (E.Sweep.row_seed ~seed:E.Common.default_seed "LLHH")))
 
 let test_dist_counters_list () =
   let r = run_distributed ~workers:1 ~mix_names:[ "LLHH" ] ~scheme_names:[ "C4" ] ~seed:3L () in
@@ -1012,6 +1014,429 @@ let test_dist_counters_list () =
     (List.assoc_opt "dist.cells.simulated" counters);
   Alcotest.(check (option int)) "attached booked" (Some 1)
     (List.assoc_opt "dist.workers.attached" counters)
+
+(* --- the dispatch core under a seeded fake fleet ------------------------ *)
+
+module D = Vliw_dist.Dispatch
+
+(* What the fake fleet answers for a cell: bits that depend only on the
+   cell's key, as a real worker's do. *)
+let fake_ipc seed (c : Plan.cell_spec) =
+  0.5 +. (float_of_int (Hashtbl.hash (seed, c.mix, c.scheme) land 0xffff) /. 4096.0)
+
+let death_error = "worker died repeatedly while simulating this cell"
+
+type fake = {
+  f_monitor : bool;  (* queries stats instead of greeting *)
+  mutable f_ready : bool;
+  mutable f_open : bool;
+  mutable f_held : (int * int64 * Plan.cell_spec list) option;
+      (* shard, seed, cells not reported yet *)
+}
+
+type sim = {
+  core : D.t;
+  cfg : D.config;
+  rng : Random.State.t;
+  mutable now : float;
+  fleet : (int, fake) Hashtbl.t;
+  mutable next_peer : int;
+  mutable spawn_fails : bool;
+  slot_of : (int64 * string * string, int) Hashtbl.t;
+  finishes : int array;
+  cells : E.Sweep.cell option array;
+  retried : int array;
+  deaths : int array;
+  mutable past : (int * int64 * Plan.cell_spec) list;  (* every assigned cell *)
+  mutable replying : int option;  (* the slot of the result being fed *)
+  mutable degraded_events : E.Sweep.event list;
+  tally : E.Sweep.Tally.t;
+  completed : int list ref;  (* the tally's [completed], newest first *)
+  mutable over : bool;
+}
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+let budget sim = sim.cfg.max_retries + 3
+let slot sim seed (c : Plan.cell_spec) = Hashtbl.find sim.slot_of (seed, c.mix, c.scheme)
+let fake sim p = Hashtbl.find sim.fleet p
+
+let seed_of sim k =
+  List.nth sim.cfg.seeds (k * List.length sim.cfg.seeds / Array.length sim.cells)
+
+let open_peers sim =
+  List.sort compare
+    (Hashtbl.fold (fun p f acc -> if f.f_open then p :: acc else acc) sim.fleet [])
+
+(* Feed one input and check each action against the fleet's view. *)
+let rec feed sim input =
+  List.iter (perform sim) (D.step sim.core ~now:sim.now input);
+  Array.iteri
+    (fun k d ->
+      if d > budget sim && sim.cells.(k) = None then
+        fail "slot %d re-queued after %d deaths (budget %d)" k d (budget sim))
+    sim.deaths
+
+and perform sim = function
+  | D.Assign { peer; assign = a; _ } ->
+    let f = fake sim peer in
+    if not (f.f_open && f.f_ready && f.f_held = None) then
+      fail "shard %d assigned to peer %d (open %b, ready %b, busy %b)" a.a_shard
+        peer f.f_open f.f_ready (f.f_held <> None);
+    f.f_held <- Some (a.a_shard, a.a_seed, a.a_cells);
+    sim.past <- List.map (fun c -> (a.a_shard, a.a_seed, c)) a.a_cells @ sim.past
+  | D.Reply_stats p -> if not (fake sim p).f_monitor then fail "stats reply to worker %d" p
+  | D.Close (p, how) ->
+    let f = fake sim p in
+    if not f.f_open then fail "peer %d closed twice" p;
+    (match (how, f.f_held) with
+    | D.Kill _, Some (_, seed, cells) ->
+      List.iter
+        (fun c ->
+          let k = slot sim seed c in
+          if sim.cells.(k) = None then sim.deaths.(k) <- sim.deaths.(k) + 1)
+        cells
+    | _ -> ());
+    f.f_open <- false;
+    f.f_held <- None
+  | D.Spawn ->
+    if not (sim.spawn_fails && Random.State.int sim.rng 5 = 0) then
+      join sim ~spawned:true ~monitor:false
+  | D.Finish (k, cell) ->
+    sim.finishes.(k) <- sim.finishes.(k) + 1;
+    if sim.finishes.(k) > 1 then fail "slot %d finished twice" k;
+    let seed = seed_of sim k in
+    (match cell.error with
+    | None ->
+      if
+        Int64.bits_of_float cell.ipc
+        <> Int64.bits_of_float (fake_ipc seed { Plan.mix = cell.mix; scheme = cell.scheme })
+      then fail "slot %d: ipc %h is not the fleet's" k cell.ipc
+    | Some e when e = death_error ->
+      if sim.deaths.(k) <= budget sim then
+        fail "slot %d degraded after %d deaths (budget %d)" k sim.deaths.(k) (budget sim)
+    | Some _ -> ());
+    sim.cells.(k) <- Some cell;
+    E.Sweep.Tally.finish sim.tally k cell
+  | D.Event (E.Sweep.Cell_retried _) -> (
+    match sim.replying with
+    | Some k ->
+      sim.retried.(k) <- sim.retried.(k) + 1;
+      if sim.retried.(k) > sim.cfg.max_retries then
+        fail "slot %d retried %d times (max %d)" k sim.retried.(k) sim.cfg.max_retries
+    | None -> fail "a retry without a result")
+  | D.Event (E.Sweep.Cell_degraded _ as ev) ->
+    sim.degraded_events <- ev :: sim.degraded_events
+  | D.Event _ -> fail "unexpected event"
+  | D.Done -> sim.over <- true
+  | D.Stuck -> fail "stuck with a listener open"
+
+and join sim ~spawned ~monitor =
+  let p = sim.next_peer in
+  sim.next_peer <- p + 1;
+  Hashtbl.replace sim.fleet p
+    { f_monitor = monitor; f_ready = false; f_open = true; f_held = None };
+  feed sim (D.Joined { peer = p; spawned })
+
+let send_result sim p (shard, seed, (c : Plan.cell_spec)) ~ok =
+  let f = fake sim p in
+  (match f.f_held with
+  | Some (s, sd, cells) when s = shard ->
+    f.f_held <- Some (s, sd, List.filter (fun c' -> c' <> c) cells)
+  | _ -> ());
+  let r =
+    {
+      Protocol.r_mix = c.mix;
+      r_scheme = c.scheme;
+      r_ipc = (if ok then fake_ipc seed c else Float.nan);
+      r_elapsed_s = 0.01;
+      r_error = (if ok then None else Some "fake failure");
+    }
+  in
+  sim.replying <- Some (slot sim seed c);
+  feed sim (D.Message (p, Protocol.Cell { c_shard = shard; c_result = r }));
+  sim.replying <- None
+
+let shard_done sim p shard =
+  let f = fake sim p in
+  (match f.f_held with Some (s, _, _) when s = shard -> f.f_held <- None | _ -> ());
+  feed sim (D.Message (p, Protocol.Shard_done { d_shard = shard; d_spans = [] }))
+
+let greet sim p =
+  let f = fake sim p in
+  if f.f_monitor then feed sim (D.Message (p, Protocol.Query_stats))
+  else begin
+    f.f_ready <- true;
+    feed sim (D.Message (p, Protocol.Ready { pid = p }))
+  end
+
+let tick sim dt =
+  sim.now <- sim.now +. dt;
+  feed sim D.Tick
+
+let pick sim l = List.nth l (Random.State.int sim.rng (List.length l))
+
+(* One step of an adversarial schedule: peers attach, greet or hang up
+   first; workers report cells (some failing), skip cells, resend stale
+   and duplicate results, finish shards early, die or fall silent while
+   the clock jumps past the shard timeout. *)
+let chaos_step sim ~p_err =
+  let r = Random.State.int sim.rng 100 in
+  let ok () = Random.State.float sim.rng 1.0 >= p_err in
+  match open_peers sim with
+  | _ when r < 8 -> join sim ~spawned:false ~monitor:(Random.State.int sim.rng 5 = 0)
+  | [] -> tick sim 0.1
+  | _ when r < 22 ->
+    tick sim
+      (if Random.State.int sim.rng 3 = 0 then Random.State.float sim.rng 12.0
+       else Random.State.float sim.rng 0.5)
+  | peers -> (
+    let p = pick sim peers in
+    let f = fake sim p in
+    let r = Random.State.int sim.rng 100 in
+    if not f.f_ready then
+      if r < 75 || f.f_monitor then greet sim p
+      else if r < 90 then feed sim (D.Lost (p, D.Hangup))
+      else ()
+    else
+      match f.f_held with
+      | _ when r < 6 ->
+        feed sim (D.Lost (p, if r < 3 then D.Hangup else D.Failed "read failed"))
+      | _ when r < 16 && sim.past <> [] -> send_result sim p (pick sim sim.past) ~ok:(ok ())
+      | _ when r < 20 && sim.past <> [] ->
+        let shard, _, _ = pick sim sim.past in
+        shard_done sim p shard
+      | Some (shard, _, _) when r < 28 -> shard_done sim p shard
+      | Some (shard, seed, c :: _) when r < 85 -> send_result sim p (shard, seed, c) ~ok:(ok ())
+      | Some (shard, _, []) -> shard_done sim p shard
+      | _ -> ())
+
+(* Every worker answers promptly and truthfully ([ok] decides each
+   cell), a fresh peer attaches when none is left, and the clock moves
+   in small steps, until the core says [Done]. *)
+let healthy_step sim ~ok =
+  let peers = List.map (fun p -> (p, fake sim p)) (open_peers sim) in
+  match List.find_opt (fun (_, f) -> not f.f_ready) peers with
+  | Some (p, _) -> greet sim p
+  | None -> (
+    match List.find_opt (fun (_, f) -> f.f_held <> None) peers with
+    | Some (p, { f_held = Some (shard, seed, c :: _); _ }) ->
+      send_result sim p (shard, seed, c) ~ok:(ok seed c)
+    | Some (p, { f_held = Some (shard, _, []); _ }) -> shard_done sim p shard
+    | _ ->
+      if peers = [] then join sim ~spawned:false ~monitor:false else tick sim 0.1)
+
+let make_sim ?(restore = fun _ -> false) ~rng (cfg : D.config) =
+  let slot_of = Hashtbl.create 64 in
+  let grid = Plan.cells_of_grid ~mix_names:cfg.mix_names ~scheme_names:cfg.scheme_names in
+  List.iteri
+    (fun si seed ->
+      List.iteri
+        (fun i (c : Plan.cell_spec) ->
+          Hashtbl.replace slot_of (seed, c.mix, c.scheme) ((si * List.length grid) + i))
+        grid)
+    cfg.seeds;
+  let total = Hashtbl.length slot_of in
+  let restored si (c : Plan.cell_spec) =
+    let seed = List.nth cfg.seeds si in
+    if restore (Hashtbl.find slot_of (seed, c.mix, c.scheme)) then
+      Some
+        (E.Sweep.cell_of_outcome ~attempts:0 ~mix:c.mix ~scheme:c.scheme
+           (Ok (fake_ipc seed c)))
+    else None
+  in
+  let completed = ref [] in
+  let tally =
+    E.Sweep.Tally.create
+      ~on_event:(function
+        | E.Sweep.Cell_finished { completed = c; _ } -> completed := c :: !completed
+        | _ -> ())
+      ~scale:E.Common.Quick ~seed:0L ~jobs:1 total
+  in
+  {
+      core = D.create ~restored cfg ~now:0.0;
+      cfg;
+      rng;
+      now = 0.0;
+      fleet = Hashtbl.create 16;
+      next_peer = 0;
+      spawn_fails = true;
+      slot_of;
+      finishes = Array.make total 0;
+      cells = Array.make total None;
+      retried = Array.make total 0;
+      deaths = Array.make total 0;
+      past = [];
+      replying = None;
+      degraded_events = [];
+      tally;
+      completed;
+      over = false;
+    }
+
+(* Run a schedule of [chaos] adversarial steps, then healthy steps until
+   [Done]; check the end state. *)
+let run_sim ?(chaos = 0) ?(p_err = 0.0) ?(ok = fun _ _ -> true) ?(attached = 1) sim =
+  for _ = 1 to attached do
+    join sim ~spawned:false ~monitor:false
+  done;
+  for _ = 1 to chaos do
+    if not sim.over then chaos_step sim ~p_err
+  done;
+  sim.spawn_fails <- false;
+  let steps = ref 0 in
+  while (not sim.over) && !steps < 20_000 do
+    incr steps;
+    healthy_step sim ~ok
+  done;
+  let total = Array.length sim.cells in
+  if not sim.over then
+    fail "no Done after %d healthy steps (%d of %d slots finished)" !steps
+      (Array.fold_left (fun n c -> if c = None then n else n + 1) 0 sim.cells)
+      total;
+  Array.iteri (fun k n -> if n <> 1 then fail "slot %d finished %d times" k n) sim.finishes;
+  if List.rev !(sim.completed) <> List.init total (fun i -> i + 1) then
+    fail "completed does not run 1..%d" total;
+  let s = D.stats sim.core in
+  if s.cells_simulated + s.cells_restored + s.cells_degraded <> total then
+    fail "simulated %d + restored %d + degraded %d <> total %d" s.cells_simulated
+      s.cells_restored s.cells_degraded total;
+  if open_peers sim <> [] then fail "peers left open at Done";
+  let degraded =
+    List.concat
+      (List.mapi
+         (fun k -> function
+           | Some ({ E.Sweep.error = Some _; _ } as c : E.Sweep.cell) ->
+             [ (E.Sweep.row_seed ~seed:(seed_of sim k) c.mix, c.mix, c.scheme) ]
+           | _ -> [])
+         (Array.to_list sim.cells))
+  in
+  let named =
+    List.filter_map
+      (function
+        | E.Sweep.Cell_degraded { seed; mix; scheme; _ } -> Some (seed, mix, scheme)
+        | _ -> None)
+      sim.degraded_events
+  in
+  if List.sort compare degraded <> List.sort compare named then
+    fail "Cell_degraded events do not name the degraded cells and their row seeds"
+
+(* The deterministic-simulation property: over seeded schedules of
+   chaos (see [chaos_step]) followed by a healthy fleet, every slot
+   finishes exactly once with [completed] running 1..total, every
+   non-degraded cell carries the fleet's bits, retries and the death
+   budget hold, no shard goes to a closed, non-ready or busy peer, and
+   simulated + restored + degraded = total. Pure: no process, socket or
+   clock. *)
+let test_dispatch_simulation =
+  QCheck.Test.make ~name:"dispatch: seeded fleet chaos keeps every contract"
+    ~count:500 ~long_factor:20 (QCheck.int_bound 0x3fffffff)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let take n l = List.filteri (fun i _ -> i < n) l in
+      let cfg =
+        {
+          D.scale = "quick";
+          seeds = take (int 1 2) [ 5L; 6L ];
+          mix_names = take (int 1 2) all_mixes;
+          scheme_names = take (int 1 3) all_schemes;
+          shard_size = (if int 0 1 = 0 then None else Some (int 1 4));
+          fleet = int 1 3;
+          spawn = int 0 2;
+          listening = true;
+          max_retries = int 0 2;
+          shard_timeout_s = (if int 0 1 = 0 then None else Some 5.0);
+        }
+      in
+      let resume = int 0 2 = 0 in
+      let sim = make_sim ~restore:(fun _ -> resume && int 0 3 = 0) ~rng cfg in
+      run_sim ~chaos:(int 20 400) ~p_err:(Random.State.float rng 0.3)
+        ~attached:(int 0 2) sim;
+      true)
+
+(* A cell degraded in two replicates is named twice, each with its own
+   row seed, where the warning used to print two identical lines. *)
+let test_degraded_names_seed () =
+  let cfg =
+    {
+      D.scale = "quick";
+      seeds = [ 5L; 6L ];
+      mix_names = [ "LLHH" ];
+      scheme_names = [ "C4" ];
+      shard_size = None;
+      fleet = 1;
+      spawn = 0;
+      listening = true;
+      max_retries = 0;
+      shard_timeout_s = None;
+    }
+  in
+  let sim = make_sim ~rng:(Random.State.make [| 0 |]) cfg in
+  run_sim ~ok:(fun _ _ -> false) sim;
+  let watch, warning = E.Sweep.watch_degraded None in
+  List.iter watch sim.degraded_events;
+  let line seed =
+    Printf.sprintf "  LLHH/C4 seed 0x%Lx after 1 attempt(s): fake failure\n"
+      (E.Sweep.row_seed ~seed "LLHH")
+  in
+  Alcotest.(check (option string)) "one line per replicate, each with its seed"
+    (Some
+       ("warning: 2 sweep cell(s) degraded to n/a:\n"
+       ^ String.concat "" (List.sort compare [ line 5L; line 6L ])))
+    (warning ())
+
+(* With no listener and no spawn budget, losing the last worker leaves
+   the sweep stuck, and the core says so on the next tick. *)
+let test_dispatch_stuck () =
+  let cfg =
+    {
+      D.scale = "quick";
+      seeds = [ 5L ];
+      mix_names = [ "LLHH" ];
+      scheme_names = [ "C4"; "1S" ];
+      shard_size = None;
+      fleet = 1;
+      spawn = 0;
+      listening = false;
+      max_retries = 0;
+      shard_timeout_s = None;
+    }
+  in
+  let core = D.create cfg ~now:0.0 in
+  let step input = D.step core ~now:0.0 input in
+  ignore (step (D.Joined { peer = 0; spawned = false }));
+  Alcotest.(check bool) "the greeting worker gets a shard" true
+    (List.exists
+       (function D.Assign { peer = 0; _ } -> true | _ -> false)
+       (step (D.Message (0, Protocol.Ready { pid = 1 }))));
+  Alcotest.(check bool) "its death is a kill" true
+    (List.mem (D.Close (0, D.Kill "eof")) (step (D.Lost (0, D.Hangup))));
+  Alcotest.(check bool) "the next tick is stuck" true (List.mem D.Stuck (step D.Tick))
+
+(* `exp --workers N --resume` books its restored cells in the ledger
+   record's [resumed] total, as `dist --resume` does: the sweep.*
+   counters come from [Coordinator.counters_list] for both. *)
+let test_exp_workers_resume_recorded () =
+  let dir = Filename.temp_file "vliwexp" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let ckpt = Filename.concat dir "journal" and runs = Filename.concat dir "_runs" in
+  let exp extra =
+    Sys.command
+      (Printf.sprintf
+         "../bin/vliwsim.exe exp fig10 --scale quick -q --workers 2 --checkpoint %s \
+          --runs-dir %s %s > /dev/null 2>&1"
+         (Filename.quote ckpt) (Filename.quote runs) extra)
+  in
+  Alcotest.(check int) "fresh run exits 0" 0 (exp "");
+  Alcotest.(check int) "resumed run exits 0" 0 (exp "--resume");
+  (match Ledger.load ~dir:runs with
+  | [ fresh; resumed ] ->
+    Alcotest.(check int) "a fresh run resumes nothing" 0 fresh.Ledger.resumed;
+    Alcotest.(check int) "every cell of the resumed run is booked" 144
+      resumed.resumed
+  | l -> Alcotest.failf "expected two ledger records, got %d" (List.length l));
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir))
 
 let suite =
   ( "dist",
@@ -1054,4 +1479,11 @@ let suite =
         test_coordinator_whole_row_sharing;
       Alcotest.test_case "cli: dist exits 1 on degraded cells" `Quick
         test_dist_cli_degraded;
+      QCheck_alcotest.to_alcotest test_dispatch_simulation;
+      Alcotest.test_case "dispatch: a degraded cell names its replicate seed"
+        `Quick test_degraded_names_seed;
+      Alcotest.test_case "dispatch: no worker, listener or budget is stuck"
+        `Quick test_dispatch_stuck;
+      Alcotest.test_case "cli: exp --workers --resume books resumed cells"
+        `Quick test_exp_workers_resume_recorded;
     ] )

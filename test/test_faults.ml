@@ -347,8 +347,8 @@ let test_degraded_study_cell_warned () =
     (Some
        (Printf.sprintf
           "warning: 1 sweep cell(s) degraded to n/a:\n\
-          \  %s/ST after 1 attempt(s): Failure(\"injected fault in cell (1, 0)\")\n"
-          row))
+          \  %s/ST seed 0x%Lx after 1 attempt(s): Failure(\"injected fault in cell (1, 0)\")\n"
+          row E.Common.default_seed))
     (warning ())
 
 let test_fault_injection_acceptance () =

@@ -574,19 +574,29 @@ let with_daemon ?(jobs = 1) ?tracer ?max_line_bytes dir f =
     }
   in
   let server = Domain.spawn (fun () -> Server.run cfg) in
+  (* The shutdown goes out on a fresh connection even when [f] raises (a
+     failed check), so the daemon always exits and the join returns; a
+     daemon that is already gone refuses the connection. *)
+  let shutdown () =
+    match connect socket with
+    | exception Unix.Unix_error _ -> ()
+    | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          send_line fd (Request.to_json Request.Shutdown);
+          ignore
+            (read_until fd (fun d ->
+                 if member_str "reply" d = Some "shutting_down" then Some d
+                 else None)))
+  in
   Fun.protect
-    ~finally:(fun () -> Domain.join server)
+    ~finally:(fun () ->
+      shutdown ();
+      Domain.join server)
     (fun () ->
       let fd = connect socket in
-      let r = f fd in
-      send_line fd (Request.to_json Request.Shutdown);
-      let _ =
-        read_until fd (fun d ->
-            if member_str "reply" d = Some "shutting_down" then Some d
-            else None)
-      in
-      Unix.close fd;
-      r)
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd))
 
 (* A traced submit gets its span tree back on the done reply, the
    lifecycle spans decompose the reported latency, and the forest is
