@@ -1998,9 +1998,12 @@ let render_top ~target ~history doc =
         let ready =
           match J.member "ready" w with Some (J.Bool r) -> r | _ -> false
         in
+        let cells = wnum "cells" in
+        (* [ready] only means the worker has greeted the coordinator;
+           what it is doing is told by the cells it holds. *)
         line "  worker %-4d %s  cells=%d" (wnum "worker")
-          (if ready then "idle" else "busy")
-          (wnum "cells"))
+          (if cells > 0 then "busy" else if ready then "idle" else "starting")
+          cells)
       workers
   | _ ->
     line "queue depth   %d" (Option.value ~default:0 (inum "queue_depth"));

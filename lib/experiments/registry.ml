@@ -1,9 +1,9 @@
 (* First-class experiment registry.
 
    Every paper artifact and extension study is registered here once;
-   the CLI (`vliwsim exp`) and the bench harness both derive their
-   dispatch from this list instead of maintaining parallel hand-written
-   sequences.
+   the CLI (`vliwsim exp`) and perfbench's exp-all workload both derive
+   their dispatch from this list instead of maintaining parallel
+   hand-written sequences.
 
    An entry existentially packages the artifact type produced by its
    [run] function together with the matching [render] (and optional
@@ -94,8 +94,8 @@ type t =
       id : string;
       title : string;
       expensive : bool;
-          (* excluded from `exp all` / bench regeneration (e.g.
-             replicates re-runs the whole fig10 grid per seed) *)
+          (* excluded from `exp all` (e.g. replicates re-runs the
+             whole fig10 grid per seed) *)
       run : ctx -> 'a;
       render : 'a -> string;
       csv : ('a -> csv) option;
@@ -225,5 +225,5 @@ let find_exn wanted =
   | Some e -> e
   | None -> invalid_arg ("registry: unknown experiment " ^ wanted)
 
-(* The entries regenerated by `exp all` and the bench harness. *)
+(* The entries regenerated by `exp all`. *)
 let standard = List.filter (fun e -> not (expensive e)) all

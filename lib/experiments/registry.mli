@@ -1,7 +1,8 @@
 (** First-class registry of every paper artifact and extension study.
 
-    The CLI and the bench harness both derive their dispatch from
-    {!all}; adding an experiment means adding one entry here. *)
+    The CLI and perfbench's exp-all workload both derive their
+    dispatch from {!all}; adding an experiment means adding one entry
+    here. *)
 
 type ctx = {
   scale : Common.scale;
@@ -91,8 +92,8 @@ val id : t -> string
 val title : t -> string
 
 val expensive : t -> bool
-(** Excluded from `exp all` and bench regeneration (e.g. replicates,
-    which re-runs the whole fig10 grid once per seed). *)
+(** Excluded from `exp all` (e.g. replicates, which re-runs the whole
+    fig10 grid once per seed). *)
 
 val has_csv : t -> bool
 

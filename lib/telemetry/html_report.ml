@@ -590,20 +590,16 @@ let section_timeline (r : Ledger.run) =
   end
 
 let section_trajectory ~(runs : Ledger.run list) (current : Ledger.run) =
-  (* Grid runs chart mean IPC; gauge-only records (e.g. bench --json)
-     chart their headline gauge, so perf trends plot the same way
-     result drift does. *)
+  (* Grid runs chart mean IPC; gauge-only records (the `exp replicates`
+     summary) chart their first gauge, so their trends plot the same
+     way result drift does. *)
   let metric_label, metric =
     if Array.length current.cells > 0 then
       ( "mean IPC",
         fun (r : Ledger.run) ->
           if Array.length r.cells = 0 then Float.nan else Ledger.mean_ipc r )
     else begin
-      let key =
-        if List.mem_assoc "exp_all_calibrated" current.gauges then
-          "exp_all_calibrated"
-        else match current.gauges with (k, _) :: _ -> k | [] -> ""
-      in
+      let key = match current.gauges with (k, _) :: _ -> k | [] -> "" in
       ( key,
         fun (r : Ledger.run) ->
           match List.assoc_opt key r.gauges with

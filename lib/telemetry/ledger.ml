@@ -1,7 +1,7 @@
 (* The run ledger: a durable, append-only history of simulation runs.
 
-   Every `vliwsim exp|run|bench` invocation appends one JSONL line to
-   [_runs/ledger.jsonl] recording what ran (command, label, git
+   Every `vliwsim exp|run|dist` invocation and `serve` job appends one
+   JSONL line to [_runs/ledger.jsonl] recording what ran (command, label, git
    revision, configuration fingerprint), how (scale, seed, jobs,
    wall-clock), and what came out: the per-cell IPC grid with each
    cell's IEEE-754 bit image, the merged telemetry counter snapshot,
@@ -19,7 +19,7 @@
    - Every writer ([append], [merge], [gc]) holds an fcntl lock on the
      sidecar [ledger.jsonl.lock] (see [Vliw_util.Atomic_io.with_lock]),
      so several processes can share one [_runs/] — a live `serve`
-     daemon beside `exp`, `dist` or `bench` — without losing a record.
+     daemon beside `exp` or `dist` — without losing a record.
    - An append is O(record): one O_APPEND write of a complete line. A
      kill mid-append can leave a torn last line; [load] skips it like
      any malformed line, and the next append starts on a fresh line.
@@ -45,8 +45,8 @@ type cell = {
 type run = {
   id : string;  (* "" until [append] assigns one *)
   time_s : float;  (* unix epoch seconds when the record was made *)
-  cmd : string;  (* exp | run | bench *)
-  label : string;  (* experiment id, "SCHEME on MIX", bench mode... *)
+  cmd : string;  (* exp | run | serve | dist *)
+  label : string;  (* experiment id, "SCHEME on MIX"... *)
   git_rev : string;
   fingerprint : string;  (* hash of (scale, seed, schemes, mixes) *)
   scale : string;
@@ -58,7 +58,7 @@ type run = {
       (* controller policy of adaptive runs ("static" for plain sweeps);
          part of the fingerprint, so adaptive never collides with static *)
   wall_s : float;
-  cells : cell array;  (* mix-major, possibly empty for bench runs *)
+  cells : cell array;  (* mix-major, possibly empty for summary records *)
   counters : (string * int) list;  (* merged telemetry snapshot *)
   gauges : (string * float) list;  (* scalar results (ipc.mean, ...) *)
   retries : int;

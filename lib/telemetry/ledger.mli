@@ -1,7 +1,7 @@
 (** Durable run history: one JSONL record per simulation run.
 
-    Every [vliwsim exp|run|bench] invocation appends a record to
-    [_runs/ledger.jsonl] capturing the configuration (scale, seed, jobs,
+    Every [vliwsim exp|run|dist] invocation and [serve] job appends a
+    record to [_runs/ledger.jsonl] capturing the configuration (scale, seed, jobs,
     git revision, a fingerprint of the sweep shape), the outcome (the
     per-cell IPC grid with IEEE-754 bit images, merged telemetry
     counters, scalar gauges) and the sweep's fault-tolerance stats.
@@ -34,7 +34,7 @@ type cell = {
 type run = {
   id : string;  (** assigned by {!append} as "r1", "r2", ... *)
   time_s : float;  (** unix epoch seconds when the record was made *)
-  cmd : string;  (** "exp", "run" or "bench" *)
+  cmd : string;  (** "exp", "run", "serve" or "dist" *)
   label : string;
   git_rev : string;
   fingerprint : string;
@@ -48,7 +48,8 @@ type run = {
           sweeps (and for every record written before the field
           existed). Part of the fingerprint when non-static. *)
   wall_s : float;
-  cells : cell array;  (** mix-major; may be empty (bench runs) *)
+  cells : cell array;
+      (** mix-major; may be empty (the `exp replicates` summary record) *)
   counters : (string * int) list;
   gauges : (string * float) list;
   retries : int;

@@ -5,11 +5,15 @@
    stderr. Each case invokes the real executable (declared as a dune
    test dependency) as a subprocess. *)
 
-let vliwsim = "../bin/vliwsim.exe"
+(* The CLI next to this test binary in the build tree, so the suite
+   runs from any working directory. *)
+let vliwsim =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/vliwsim.exe"
 
 let run_cli args =
   (* stdout/stderr silenced: only the exit code is under test here *)
-  match Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" vliwsim args) with
+  match Sys.command
+    (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote vliwsim) args) with
   | n -> n
 
 let cases =
@@ -99,7 +103,8 @@ let test_runs_and_report_flow () =
   let out = Filename.concat dir "out.txt"
   and err = Filename.concat dir "err.txt" in
   let cli args =
-    Sys.command (Printf.sprintf "%s %s >%s 2>%s" vliwsim args out err)
+    Sys.command
+      (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote vliwsim) args out err)
   in
   let quick = Printf.sprintf "run --scheme 2SC3 --mix LLHH --scale quick --runs-dir %s" runs_dir in
   (* two identical runs and one with a perturbed seed *)
@@ -188,8 +193,62 @@ let test_log_json_stream () =
   Alcotest.(check int) "exp with --log-json succeeds" 0
     (Sys.command
        (Printf.sprintf "%s exp fig5 -q --no-ledger --log-json %s >/dev/null 2>&1"
-          vliwsim events));
+          (Filename.quote vliwsim) events));
   Alcotest.(check bool) "stream file created" true (Sys.file_exists events)
+
+(* `top` labels a dist worker by what it is doing: busy while it holds
+   cells, idle once it has greeted the coordinator and holds none,
+   starting before that. A test-side listener answers the one stats
+   request with a canned coordinator reply. *)
+let test_top_worker_labels () =
+  let module J = Vliw_util.Json in
+  let module Wire = Vliw_util.Wire in
+  let dir = Filename.temp_file "vliwtop" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let endpoint = Wire.Socket (Filename.concat dir "top.sock") in
+  let out = Filename.concat dir "out.txt" in
+  let listener = Wire.listen endpoint in
+  let worker id ready cells =
+    J.Obj
+      [ ("worker", J.Num (float_of_int id)); ("ready", J.Bool ready);
+        ("cells", J.Num (float_of_int cells)) ]
+  in
+  let reply =
+    J.Obj
+      [ ("reply", J.Str "stats"); ("kind", J.Str "dist");
+        ("workers", J.List [ worker 0 true 2; worker 1 true 0; worker 2 false 0 ]) ]
+  in
+  let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process vliwsim
+      [| vliwsim; "top"; "--once"; "--socket"; Wire.endpoint_name endpoint |]
+      Unix.stdin out_fd Unix.stderr
+  in
+  Unix.close out_fd;
+  (match Unix.select [ listener ] [] [] 30.0 with
+  | [], _, _ -> Alcotest.fail "top never connected"
+  | _ -> (
+    match Wire.accept listener with
+    | None -> Alcotest.fail "accept failed"
+    | Some conn ->
+      let rec await_request () =
+        match Wire.read conn with
+        | Wire.Lines [] -> await_request ()
+        | _ -> ()
+      in
+      await_request ();
+      Wire.write_line (Wire.fd conn) reply;
+      Unix.close (Wire.fd conn)));
+  Wire.close_listener endpoint listener;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "top --once exits 0" true (status = Unix.WEXITED 0);
+  let frame = read_file out in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (needle ^ " shown") true (contains ~needle frame))
+    [ "worker 0    busy  cells=2"; "worker 1    idle  cells=0";
+      "worker 2    starting  cells=0" ]
 
 let suite =
   ( "cli",
@@ -197,4 +256,5 @@ let suite =
       Alcotest.test_case "exit code contract" `Quick test_exit_codes;
       Alcotest.test_case "runs and report flow" `Quick test_runs_and_report_flow;
       Alcotest.test_case "--log-json event stream" `Quick test_log_json_stream;
+      Alcotest.test_case "top labels dist workers" `Quick test_top_worker_labels;
     ] )

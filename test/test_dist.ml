@@ -305,7 +305,7 @@ let test_worker_hangup_exit () =
   let ours, theirs =
     Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
-  let exe = "../bin/vliwsim.exe" in
+  let exe = Test_cli.vliwsim in
   let pid =
     Unix.create_process exe [| exe; "worker"; "--quiet" |] theirs theirs
       Unix.stderr
@@ -927,7 +927,7 @@ let test_dist_cli_degraded () =
   Sys.mkdir dir 0o755;
   let socket = Filename.concat dir "coord.sock"
   and err = Filename.concat dir "err.txt" in
-  let exe = "../bin/vliwsim.exe" in
+  let exe = Test_cli.vliwsim in
   let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
@@ -1424,9 +1424,9 @@ let test_exp_workers_resume_recorded () =
   let exp extra =
     Sys.command
       (Printf.sprintf
-         "../bin/vliwsim.exe exp fig10 --scale quick -q --workers 2 --checkpoint %s \
+         "%s exp fig10 --scale quick -q --workers 2 --checkpoint %s \
           --runs-dir %s %s > /dev/null 2>&1"
-         (Filename.quote ckpt) (Filename.quote runs) extra)
+         (Filename.quote Test_cli.vliwsim) (Filename.quote ckpt) (Filename.quote runs) extra)
   in
   Alcotest.(check int) "fresh run exits 0" 0 (exp "");
   Alcotest.(check int) "resumed run exits 0" 0 (exp "--resume");

@@ -358,21 +358,28 @@ let test_html_report_self_contained () =
     (contains ~needle:"Request latency" html3);
   Alcotest.(check bool) "quantile bars present" true
     (contains ~needle:"submit p95" html3);
-  (* gauge-only (cell-less) records still get a trajectory: the headline
-     gauge plays the role mean IPC plays for grids *)
-  let bench label =
-    L.make ~gauges:[ ("exp_all_calibrated", 12.5); ("words_per_cycle.C4", 3.0) ]
-      ~cmd:"bench" ~label ~scale:"quick" ~seed:1L ~jobs:1 ~scheme_names:[ "C4" ]
-      ~mix_names:[] ~wall_s:0.1 ()
+  (* gauge-only (cell-less) records still get a trajectory: the first
+     gauge plays the role mean IPC plays for grids. The shape is the
+     `exp replicates` summary record, whose cells live in the per-seed
+     records. *)
+  let summary label =
+    L.make
+      ~gauges:
+        [
+          ("replicates.n", 5.0); ("ipc.mean.LLHH.2SC3", 2.1);
+          ("ipc.ci95.LLHH.2SC3", 0.05);
+        ]
+      ~cmd:"exp" ~label ~scale:"quick" ~seed:1L ~jobs:1
+      ~scheme_names:[ "2SC3" ] ~mix_names:[ "LLHH" ] ~wall_s:0.1 ()
   in
-  let bdir = Filename.concat (tmp_dir ()) "bruns" in
-  let _b1 = L.append ~dir:bdir (bench "b1") in
-  let b2 = L.append ~dir:bdir (bench "b2") in
-  let html4 = T.Html_report.render ~runs:(L.load ~dir:bdir) b2 in
+  let sdir = Filename.concat (tmp_dir ()) "sruns" in
+  let _s1 = L.append ~dir:sdir (summary "replicates") in
+  let s2 = L.append ~dir:sdir (summary "replicates") in
+  let html4 = T.Html_report.render ~runs:(L.load ~dir:sdir) s2 in
   Alcotest.(check bool) "gauge-only trajectory renders" true
     (contains ~needle:"Cross-run trajectory" html4);
-  Alcotest.(check bool) "trajectory charts the headline gauge" true
-    (contains ~needle:"exp_all_calibrated across" html4)
+  Alcotest.(check bool) "trajectory charts the first gauge" true
+    (contains ~needle:"replicates.n across" html4)
 
 (* --- Sweep events ----------------------------------------------------- *)
 
