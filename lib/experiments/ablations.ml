@@ -30,13 +30,14 @@ type row = { variant : string; ipc_by_scheme : (string * float) list }
 (* One row per mix; one column per (variant, scheme), each applying its
    variant's knobs to the scheme's configuration. *)
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event ?(schemes = [ "3CCC"; "2SC3"; "3SSS" ])
+    ?max_retries ?on_event ?(memo = Sweep.memo ())
+    ?(schemes = [ "3CCC"; "2SC3"; "3SSS" ])
     ?(mixes = [ "LLLL"; "LLHH"; "HHHH" ]) () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
     List.map
       (fun mix ->
-        Sweep.row ~schedule ~compile_seed:seed ~seed mix
+        Sweep.row ~memo ~schedule ~compile_seed:seed ~seed mix
           (Vliw_workloads.Mixes.find_exn mix).members)
       mixes
   in
@@ -55,7 +56,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
   let grid =
     Sweep.run ~scale ~seed ~rows
       ~columns:(List.concat_map (fun v -> List.map (column v) schemes) variants)
-      ?jobs ?max_retries ?on_event ()
+      ?jobs ?max_retries ?on_event ~memo ()
   in
   List.map
     (fun v ->

@@ -15,19 +15,20 @@ let columns () =
   ]
 
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event ?(mixes = Vliw_workloads.Mixes.names) () =
+    ?max_retries ?on_event ?(memo = Sweep.memo ())
+    ?(mixes = Vliw_workloads.Mixes.names) () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
     List.map
       (fun mix ->
-        Sweep.row ~schedule ~compile_seed:seed ~seed mix
+        Sweep.row ~memo ~schedule ~compile_seed:seed ~seed mix
           (Vliw_workloads.Mixes.find_exn mix).members)
       mixes
   in
   let columns = columns () in
   let _, _, cells =
     Sweep.run_metrics ~scale ~seed ~rows ~columns ?jobs ?max_retries ?on_event
-      ()
+      ~memo ()
   in
   let n = List.length columns in
   List.mapi

@@ -12,17 +12,18 @@ type data = {
    workload: every benchmark alone on perfect memory under one
    single-thread column, then the LLHH mix under the scheme ladder. *)
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event ?(trace_len = 4) () =
+    ?max_retries ?on_event ?(memo = Sweep.memo ()) ?(trace_len = 4) () =
   let schedule = Common.schedule_of_scale scale in
   let both ?perfect_mem name profiles =
     List.map
       (fun (suffix, mode) ->
-        Sweep.row ~mode ?perfect_mem ~schedule ~compile_seed:seed ~seed
+        Sweep.row ~memo ~mode ?perfect_mem ~schedule ~compile_seed:seed ~seed
           (name ^ suffix) profiles)
       [ ("/block", `Block); ("/trace", `Trace trace_len) ]
   in
   let sweep rows scheme_names =
-    (Sweep.run ~scale ~seed ~rows ~scheme_names ?jobs ?max_retries ?on_event ())
+    (Sweep.run ~scale ~seed ~rows ~scheme_names ?jobs ?max_retries ?on_event
+       ~memo ())
       .ipc
   in
   let benches = Vliw_workloads.Benchmarks.all in

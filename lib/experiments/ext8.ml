@@ -52,19 +52,19 @@ let doubled_mixes () =
     Vliw_workloads.Mixes.all
 
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event () =
+    ?max_retries ?on_event ?(memo = Sweep.memo ()) () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
     List.map
       (fun (name, members) ->
-        Sweep.row ~stream:`Doubled ~schedule ~compile_seed:seed ~seed name
+        Sweep.row ~memo ~stream:`Doubled ~schedule ~compile_seed:seed ~seed name
           members)
       (doubled_mixes ())
   in
   let grid =
     Sweep.run ~scale ~seed ~rows
       ~columns:(List.map (fun (e : entry) -> Sweep.column e.name e.scheme) schemes)
-      ?jobs ?max_retries ?on_event ()
+      ?jobs ?max_retries ?on_event ~memo ()
   in
   List.map
     (fun (e : entry) ->

@@ -21,10 +21,10 @@ let of_cells ~scheme_names ~mix_names cells =
   { grid; groups = legend_groups; cells }
 
 let run ?scale ?seed ?jobs ?telemetry ?max_retries ?cell_timeout_s
-    ?checkpoint ?resume ?log ?on_event () =
+    ?checkpoint ?resume ?log ?on_event ?memo () =
   let scheme_names', mix_names, cells =
     Sweep.run_cells ?scale ?seed ~scheme_names ?jobs ?telemetry
-      ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ()
+      ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ?memo ()
   in
   let grid = Sweep.grid_of_cells ~scheme_names:scheme_names' ~mix_names cells in
   { grid; groups = legend_groups; cells }

@@ -34,11 +34,13 @@ val run :
   ?resume:bool ->
   ?log:(string -> unit) ->
   ?on_event:(Sweep.event -> unit) ->
+  ?memo:Sweep.memo ->
   unit ->
   data
 (** The fault-tolerance knobs ([max_retries], [cell_timeout_s],
-    [checkpoint], [resume], [log]) and the [on_event] progress stream
-    are passed to {!Sweep.run_cells} verbatim; see its documentation. *)
+    [checkpoint], [resume], [log]), the [on_event] progress stream and
+    the [memo] are passed to {!Sweep.run_cells} verbatim; see its
+    documentation. *)
 
 val group_average : data -> string -> float
 (** Mean over mixes of a group's per-mix IPC (itself the average over

@@ -1,9 +1,9 @@
 type data = { single : float; two_thread : float; four_thread : float }
 
-let run ?scale ?seed ?jobs ?max_retries ?on_event () =
+let run ?scale ?seed ?jobs ?max_retries ?on_event ?memo () =
   let grid =
     Sweep.run ?scale ?seed ~scheme_names:[ "ST"; "1S"; "3SSS" ] ?jobs
-      ?max_retries ?on_event ()
+      ?max_retries ?on_event ?memo ()
   in
   {
     single = Common.grid_average grid "ST";

@@ -10,10 +10,15 @@
    [csv]) functions, so adding an experiment is a one-line change and
    type errors stay local to the entry.
 
-   A [ctx] carries the shared execution parameters plus the lazily
-   forced Figure 10 grid: fig6, fig11, fig12, claims and fig10 itself
-   all read the same 9-mix x 16-scheme sweep, which is only run once
-   per context no matter how many of them execute. *)
+   A [ctx] carries the shared execution parameters, the lazily forced
+   Figure 10 grid and a [Sweep.memo]. fig6, fig11, fig12, claims and
+   fig10 itself all read the same 9-mix x 16-scheme sweep, forced once
+   per context. The memo extends "only run once per context" to every
+   program and cell: the figures are sweeps around one default machine
+   and one set of Table 2 mixes, so fig10 re-meets fig4's 1S/3SSS
+   cells, baselines ablations' baseline cells, sensitivity's default
+   points ablations' LLHH cells, and compiler's perfect-memory block
+   rows table1's perfect rows; each is compiled and simulated once. *)
 
 type ctx = {
   scale : Common.scale;
@@ -29,6 +34,7 @@ type ctx = {
   replicate_exec :
     (seeds:int64 list -> (int64 * Fig10.data) list) option;
       (* distributed per-seed fig10 executor for replicates *)
+  memo : Sweep.memo;  (* programs and cells shared by every study *)
   fig10 : Fig10.data Lazy.t;
 }
 
@@ -47,6 +53,7 @@ let make_ctx ?(scale = Common.Default) ?(seed = Common.default_seed) ?(jobs = 1)
     ?(telemetry = false) ?(max_retries = 0) ?checkpoint
     ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event
     ?replicate_seeds ?replicate_exec ?grid_exec () =
+  let memo = Sweep.memo () in
   {
     scale;
     seed;
@@ -59,6 +66,7 @@ let make_ctx ?(scale = Common.Default) ?(seed = Common.default_seed) ?(jobs = 1)
     on_event;
     replicate_seeds;
     replicate_exec;
+    memo;
     fig10 =
       (match grid_exec with
       | Some exec ->
@@ -70,7 +78,7 @@ let make_ctx ?(scale = Common.Default) ?(seed = Common.default_seed) ?(jobs = 1)
       | None ->
         lazy
           (Fig10.run ~scale ~seed ~jobs ~telemetry ~max_retries
-             ?checkpoint ~resume ~log ?on_event ()));
+             ?checkpoint ~resume ~log ?on_event ~memo ()));
   }
 
 type csv = string list * string list list
@@ -124,7 +132,7 @@ let run_entry_full ctx (E e) =
    still to be applied to the study's own arguments. *)
 let study ctx (run : 'a Sweep.study) =
   run ~scale:ctx.scale ~seed:ctx.seed ~jobs:ctx.jobs
-    ~max_retries:ctx.max_retries ?on_event:ctx.on_event
+    ~max_retries:ctx.max_retries ?on_event:ctx.on_event ~memo:ctx.memo
 
 let entry ?(expensive = false) ?csv ?info id title run render =
   E { id; title; expensive; run; render; csv; info }

@@ -31,6 +31,10 @@ type ctx = {
   replicate_exec : (seeds:int64 list -> (int64 * Fig10.data) list) option;
       (** Per-seed fig10 executor for replicates (the distributed
           coordinator plugs in here); [None] = in-process. *)
+  memo : Sweep.memo;
+      (** Every program compiled and every cell simulated by the ctx's
+          studies and its fig10 sweep, so each runs once per ctx (see
+          {!Sweep.memo}). Bounded, and owned by this ctx alone. *)
   fig10 : Fig10.data Lazy.t;
       (** Forced at most once per ctx; shared by fig6, fig10, fig11,
           fig12 and claims. *)

@@ -8,7 +8,7 @@ let schemes = [ "3CCC"; "2SC3"; "3SSS" ]
    override), compiled for that point's machine; one column per pivotal
    scheme. *)
 let measure ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event ?(mix = "LLHH") title points =
+    ?max_retries ?on_event ?(memo = Sweep.memo ()) ?(mix = "LLHH") title points =
   let base = Common.schedule_of_scale scale in
   let members = (Vliw_workloads.Mixes.find_exn mix).members in
   let rows =
@@ -17,12 +17,12 @@ let measure ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
         let schedule =
           { base with timeslice = Option.value timeslice ~default:base.timeslice }
         in
-        Sweep.row ~machine ~schedule ~compile_seed:seed ~seed param members)
+        Sweep.row ~memo ~machine ~schedule ~compile_seed:seed ~seed param members)
       points
   in
   let grid =
     Sweep.run ~scale ~seed ~rows ~scheme_names:schemes ?jobs
-      ?max_retries ?on_event ()
+      ?max_retries ?on_event ~memo ()
   in
   {
     title;
@@ -36,16 +36,16 @@ let measure ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
 
 let default = Vliw_isa.Machine.default
 
-let miss_penalty ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
-  measure ?scale ?seed ?jobs ?max_retries ?on_event ?mix
+let miss_penalty ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix () =
+  measure ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix
     "DCache/ICache miss penalty (paper: 20 cycles)"
     (List.map
        (fun p ->
          (Printf.sprintf "%d cycles" p, { default with miss_penalty = p }, None))
        [ 10; 20; 40; 80 ])
 
-let dcache_size ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
-  measure ?scale ?seed ?jobs ?max_retries ?on_event ?mix
+let dcache_size ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix () =
+  measure ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix
     "DCache size (paper: 64 KB)"
     (List.map
        (fun kb ->
@@ -54,23 +54,23 @@ let dcache_size ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
            None ))
        [ 16; 32; 64; 128 ])
 
-let branch_penalty ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
-  measure ?scale ?seed ?jobs ?max_retries ?on_event ?mix
+let branch_penalty ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix () =
+  measure ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix
     "Taken-branch penalty (paper: 2 cycles)"
     (List.map
        (fun p ->
          (Printf.sprintf "%d cycles" p, { default with branch_penalty = p }, None))
        [ 0; 2; 4; 8 ])
 
-let timeslice ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
-  measure ?scale ?seed ?jobs ?max_retries ?on_event ?mix
+let timeslice ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix () =
+  measure ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix
     "OS timeslice (paper: 1M cycles at full scale)"
     (List.map
        (fun ts -> (Printf.sprintf "%dk cycles" (ts / 1000), default, Some ts))
        [ 10_000; 50_000; 200_000 ])
 
-let predictor ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
-  measure ?scale ?seed ?jobs ?max_retries ?on_event ?mix
+let predictor ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix () =
+  measure ?scale ?seed ?jobs ?max_retries ?on_event ?memo ?mix
     "Branch predictor (paper: none, fall-through predicted)"
     (List.map
        (fun (label, p) -> (label, { default with predictor = p }, None))
@@ -80,9 +80,10 @@ let predictor ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
          ("bimodal 4096", Vliw_isa.Machine.Bimodal 4096);
        ])
 
-let all ?scale ?seed ?jobs ?max_retries ?on_event ?mix () =
+let all ?scale ?seed ?jobs ?max_retries ?on_event ?(memo = Sweep.memo ()) ?mix () =
   List.map
-    (fun sweep -> sweep ?scale ?seed ?jobs ?max_retries ?on_event ?mix ())
+    (fun (sweep : (?mix:string -> unit -> sweep) Sweep.study) ->
+      sweep ?scale ?seed ?jobs ?max_retries ?on_event ~memo ?mix ())
     [ miss_penalty; dcache_size; branch_penalty; timeslice; predictor ]
 
 let render sweep =

@@ -16,15 +16,16 @@ let thread_ipcs ~n (_, metrics) =
            float_of_int pt.ops /. float_of_int (max 1 m.cycles))
 
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event ?(mix = "LLHH") ?(schemes = [ "1S"; "3CCC"; "2SC3"; "3SSS" ]) () =
+    ?max_retries ?on_event ?(memo = Sweep.memo ()) ?(mix = "LLHH")
+    ?(schemes = [ "1S"; "3CCC"; "2SC3"; "3SSS" ]) () =
   let mixed =
-    Sweep.row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
+    Sweep.row ~memo ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
       ~seed mix (Vliw_workloads.Mixes.find_exn mix).members
   in
   let sweep ?scheme_names ?columns rows =
     let _, _, cells =
       Sweep.run_metrics ~scale ~seed ~rows ?scheme_names ?columns ?jobs
-        ?max_retries ?on_event ()
+        ?max_retries ?on_event ~memo ()
     in
     Array.to_list cells
   in

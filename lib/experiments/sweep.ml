@@ -5,9 +5,13 @@
    parent domain with a fixed RNG derivation before any cell runs, and
    a cell is a pure function of its row and its column's canonical
    configuration — which is also why retrying a failed cell, restoring
-   it from a checkpoint journal (raw IPC bits) or sharing one
-   simulation across the columns of a class cannot change a result.
-   sweep.mli documents seeding, sharing, fault tolerance and resume. *)
+   it from a checkpoint journal (raw IPC bits), sharing one simulation
+   across the columns of a class, or reusing one from an earlier sweep
+   through a [memo] cannot change a result. The memo keys a program on
+   its compile inputs and a cell on its row's programs by physical
+   identity (safe: one program value comes from one compile) plus
+   everything else [simulate] reads. sweep.mli documents seeding,
+   sharing, the memo, fault tolerance and resume. *)
 
 module Counters = Vliw_telemetry.Counters
 module Report = Vliw_telemetry.Report
@@ -69,14 +73,6 @@ type event =
       eta_s : float;  (* nan until one timed cell has completed *)
     }
   | Sweep_finished of { total : int; degraded : int; wall_s : float }
-
-type 'a study =
-  ?scale:Common.scale ->
-  ?seed:int64 ->
-  ?jobs:int ->
-  ?max_retries:int ->
-  ?on_event:(event -> unit) ->
-  'a
 
 let json_of_event ev =
   let module J = Vliw_util.Json in
@@ -223,18 +219,117 @@ type row = {
   perfect_mem : bool;
 }
 
-let row ?(machine = Vliw_isa.Machine.default) ?mode ?stream
+(* --- the memo: what a context has compiled and simulated ------------
+
+   A program is keyed on everything [Program.generate] reads, a cell on
+   everything [simulate] reads. [run_metrics] looks cells up in the
+   caller's domain before any task starts and inserts them from the
+   pool's serialized result callback, so the memo needs no lock. *)
+
+type program_key = {
+  pk_machine : Vliw_isa.Machine.t;
+  pk_mode : Vliw_compiler.Program.mode;
+  pk_seed : int64;
+  pk_profile : Vliw_compiler.Profile.t;
+}
+
+type cell_key = {
+  ck_seed : int64;
+  ck_schedule : Vliw_sim.Multitask.schedule;
+  ck_perfect_mem : bool;
+  ck_config : Vliw_sim.Config.t;  (* the column's share_key *)
+  ck_telemetry : bool;
+}
+
+(* Deep enough to reach the machine's last fields and the scheme tree. *)
+let deep_hash v = Hashtbl.hash_param 64 128 v
+
+module Programs = Hashtbl.Make (struct
+  type t = program_key
+
+  let equal = ( = )
+  let hash = deep_hash
+end)
+
+module Cells = Hashtbl.Make (struct
+  type t = Vliw_compiler.Program.t list * cell_key
+
+  let equal (ps, k) (ps', k') = List.equal ( == ) ps ps' && k = k'
+
+  let hash (ps, k) =
+    deep_hash (List.map (fun (p : Vliw_compiler.Program.t) -> p.total_ops) ps, k)
+end)
+
+(* A successful simulation: its metrics and, with counters attached,
+   their snapshot. *)
+type outcome = Vliw_sim.Metrics.t * Counters.snapshot option
+
+type memo = {
+  compiled : Vliw_compiler.Program.t Programs.t;
+  mutable machines : Vliw_isa.Machine.t list;  (* one value per equal machine *)
+  simulated : outcome Cells.t;
+}
+
+(* Bounded like [row_memo], flushed whole: 256 programs are about 75 MB,
+   well above the 140 distinct ones of a Quick `exp all`. *)
+let memo_capacity = 256
+
+let memo () =
+  { compiled = Programs.create 64; machines = []; simulated = Cells.create 64 }
+
+let flush memo =
+  Programs.reset memo.compiled;
+  memo.machines <- [];
+  Cells.reset memo.simulated
+
+let memo_stats memo = (Programs.length memo.compiled, Cells.length memo.simulated)
+
+type 'a study =
+  ?scale:Common.scale ->
+  ?seed:int64 ->
+  ?jobs:int ->
+  ?max_retries:int ->
+  ?on_event:(event -> unit) ->
+  ?memo:memo ->
+  'a
+
+(* [Multitask.compile] through the memo. The machine is interned first,
+   so rows on structurally equal machines share one value with their
+   programs' signature caches, which keeps [Instr.signature] on its [==]
+   fast path. A row that would overflow the memo flushes it first. *)
+let row ?(memo = memo ()) ?(machine = Vliw_isa.Machine.default) ?mode ?stream
     ?(perfect_mem = false) ~schedule ~compile_seed ~seed name profiles =
+  if Programs.length memo.compiled + List.length profiles > memo_capacity then
+    flush memo;
+  let machine =
+    match List.find_opt (( = ) machine) memo.machines with
+    | Some m -> m
+    | None ->
+      memo.machines <- machine :: memo.machines;
+      machine
+  in
+  let generate ~seed ?(mode = `Block) machine profile =
+    let key =
+      { pk_machine = machine; pk_mode = mode; pk_seed = seed; pk_profile = profile }
+    in
+    match Programs.find_opt memo.compiled key with
+    | Some program -> program
+    | None ->
+      let program = Vliw_compiler.Program.generate ~seed ~mode machine profile in
+      Programs.add memo.compiled key program;
+      program
+  in
   let programs =
-    Vliw_sim.Multitask.compile ?mode ?stream ~seed:compile_seed machine profiles
+    Vliw_sim.Multitask.compile ?mode ?stream ~generate ~seed:compile_seed machine
+      profiles
   in
   { name; programs; seed; schedule; machine; perfect_mem }
 
 (* The grid row: a Table 2 mix compiled from the master seed and
    simulated on its own derived row seed. *)
-let prepare_row ?(scale = Common.Default) ?(seed = Common.default_seed)
+let prepare_row ?memo ?(scale = Common.Default) ?(seed = Common.default_seed)
     mix_name =
-  row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
+  row ?memo ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
     ~seed:(row_seed ~seed mix_name) mix_name
     (Vliw_workloads.Mixes.find_exn mix_name).members
 
@@ -441,25 +536,40 @@ let share_key (row : row) column =
       Some { config with scheme = Vliw_merge.Scheme.canonical config.scheme }
     | exception _ -> None)
 
-(* Column indices grouped into sharing classes: each class in column
-   order, the classes ordered by their first member (the representative). *)
-let classes row cols =
+(* Column indices grouped into sharing classes, each with its key: each
+   class in column order, the classes ordered by their first member (the
+   representative). *)
+let keyed_classes row cols =
   let keys = Array.map (share_key row) cols in
   let rec group = function
     | [] -> []
-    | j :: rest when keys.(j) = None -> [ j ] :: group rest
+    | j :: rest when keys.(j) = None -> (None, [ j ]) :: group rest
     | j :: rest ->
       let same, others = List.partition (fun k -> keys.(k) = keys.(j)) rest in
-      (j :: same) :: group others
+      (keys.(j), j :: same) :: group others
   in
   group (List.init (Array.length cols) Fun.id)
 
+let classes row cols = List.map snd (keyed_classes row cols)
+
+(* The memo key of a class of [row] whose share key is [config]. *)
+let cell_key ~telemetry (row : row) config =
+  ( row.programs,
+    {
+      ck_seed = row.seed;
+      ck_schedule = row.schedule;
+      ck_perfect_mem = row.perfect_mem;
+      ck_config = config;
+      ck_telemetry = telemetry;
+    } )
+
 (* The one runner of a sharing class, whichever executor drives it: the
-   first member not restored simulates; every later one reuses its
-   outcome, unless it degraded, in which case the next one simulates
-   itself. *)
-let run_class ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
-    ?on_event ?epoch ?(restore = fun _ -> None) ?(fault = fun _ -> ())
+   first member not restored simulates, or takes [shared] (a memo hit);
+   every later one reuses its outcome, unless it degraded, in which case
+   the next one simulates itself. Returns the cells and the class's
+   successful outcome, if any. *)
+let run_class_sharing ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
+    ?on_event ?epoch ?(restore = fun _ -> None) ?(fault = fun _ -> ()) ?shared
     ~worker (row : row) cols members =
   let emit ev = match on_event with Some f -> f ev | None -> () in
   let epoch = match epoch with Some t -> t | None -> Unix.gettimeofday () in
@@ -542,27 +652,36 @@ let run_class ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
     in
     go ~attempt:1 ~timeouts:0
   in
-  let shared = ref None in
-  List.map
-    (fun j ->
-      match restore j with
-      | Some cell ->
-        ({ cell with worker; started_s = Unix.gettimeofday () -. epoch }, None)
-      | None ->
-        let run =
-          match !shared with
-          | Some outcome -> fun () -> outcome
-          | None -> simulation cols.(j)
-        in
-        let cell, outcome = run_cell j run in
-        if Option.is_none !shared then shared := outcome;
-        (cell, Option.map fst outcome))
-    members
+  let shared = ref shared in
+  let cells =
+    List.map
+      (fun j ->
+        match restore j with
+        | Some cell ->
+          ({ cell with worker; started_s = Unix.gettimeofday () -. epoch }, None)
+        | None ->
+          let run =
+            match !shared with
+            | Some outcome -> fun () -> outcome
+            | None -> simulation cols.(j)
+          in
+          let cell, outcome = run_cell j run in
+          if Option.is_none !shared then shared := outcome;
+          (cell, Option.map fst outcome))
+      members
+  in
+  (cells, !shared)
+
+let run_class ?telemetry ?max_retries ?cell_timeout_s ?on_event ?epoch ?restore
+    ?fault ~worker row cols members =
+  fst
+    (run_class_sharing ?telemetry ?max_retries ?cell_timeout_s ?on_event ?epoch
+       ?restore ?fault ~worker row cols members)
 
 let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     ?scheme_names ?columns ?mix_names ?rows ?(jobs = 1)
     ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s
-    ?checkpoint ?resume ?log ?on_event ()
+    ?checkpoint ?resume ?log ?on_event ?(memo = memo ()) ()
     =
   let exclusive what = invalid_arg ("Sweep.run_cells: " ^ what ^ " are exclusive") in
   let columns =
@@ -581,7 +700,7 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
     | Some _, Some _ -> exclusive "~rows and ~mix_names"
     | Some rows, None -> rows
     | None, names ->
-      List.map (prepare_row ~scale ~seed)
+      List.map (prepare_row ~memo ~scale ~seed)
         (Option.value names ~default:Vliw_workloads.Mixes.names)
   in
   let scheme_names = List.map (fun c -> c.col_name) columns in
@@ -594,17 +713,27 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
       checkpoint
   in
   let epoch = Unix.gettimeofday () in
-  (* One pool task per sharing class of a row, mix-major. *)
+  (* One pool task per sharing class of a row, mix-major, with its memo
+     key. *)
   let n_schemes = Array.length cols in
   let units =
     Array.of_list
       (List.concat
          (List.mapi
             (fun i row ->
-              List.map (fun members -> (i, row, members)) (classes row cols))
+              List.map
+                (fun (key, members) ->
+                  (i, row, members, Option.map (cell_key ~telemetry row) key))
+                (keyed_classes row cols))
             rows))
   in
-  let class_task (i, (row : row), members) =
+  (* Memo lookups, here in the caller's domain before any task starts. *)
+  let hits =
+    Array.map
+      (fun (_, _, _, key) -> Option.bind key (Cells.find_opt memo.simulated))
+      units
+  in
+  let class_task t (i, (row : row), members, _) =
     let restore j =
       Option.bind journal (restored ~mix:row.name ~scheme:cols.(j).col_name)
     and fault j =
@@ -613,10 +742,10 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
         failwith (Printf.sprintf "injected fault in cell (%d, %d)" i j)
       | _ -> ()
     in
-    run_class ~telemetry ~max_retries ?cell_timeout_s ?on_event ~epoch ~restore
-      ~fault row cols members
+    run_class_sharing ~telemetry ~max_retries ?cell_timeout_s ?on_event ~epoch
+      ~restore ~fault ?shared:hits.(t) row cols members
   in
-  let tasks = Array.map class_task units in
+  let tasks = Array.mapi class_task units in
   let total_cells = List.length rows * n_schemes in
   let metrics = Array.make total_cells None in
   (* Worker count the pool actually uses (capped at the task count), for
@@ -633,8 +762,11 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
   let on_result t res =
     match res with
     | Error _ -> () (* degraded below, once the pool has returned *)
-    | Ok class_cells ->
-      let i, _, members = units.(t) in
+    | Ok (class_cells, outcome) ->
+      let i, _, members, key = units.(t) in
+      (match (key, hits.(t), outcome) with
+      | Some key, None, Some outcome -> Cells.replace memo.simulated key outcome
+      | _ -> ());
       List.iter2
         (fun j (cell, m) ->
           let k = (i * n_schemes) + j in
@@ -652,7 +784,7 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
       match res with
       | Ok _ -> ()
       | Error e ->
-        let i, (row : row), members = units.(t) in
+        let i, (row : row), members, _ = units.(t) in
         let error = Printexc.to_string e in
         List.iter
           (fun j ->
@@ -674,11 +806,11 @@ let run_metrics ?(scale = Common.Default) ?(seed = Common.default_seed)
 
 let run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
     ?telemetry ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event
-    () =
+    ?memo () =
   let scheme_names, mix_names, cells =
     run_metrics ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
       ?telemetry ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log
-      ?on_event ()
+      ?on_event ?memo ()
   in
   (scheme_names, mix_names, Array.map fst cells)
 
@@ -693,10 +825,10 @@ let grid_of_cells ~scheme_names ~mix_names cells =
   Common.make_grid ~scheme_names ~mix_names ~ipc
 
 let run ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
-    ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event () =
+    ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ?memo () =
   let scheme_names, mix_names, cells =
     run_cells ?scale ?seed ?scheme_names ?columns ?mix_names ?rows ?jobs
-      ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ()
+      ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ?memo ()
   in
   grid_of_cells ~scheme_names ~mix_names cells
 

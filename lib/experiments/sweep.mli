@@ -78,9 +78,36 @@ type row = {
 }
 (** Compiled programs plus everything a simulation needs except the
     column. Immutable, so worker domains read it concurrently. A record
-    update may rename it or narrow [programs] (e.g. one thread alone). *)
+    update may rename it or narrow [programs] (e.g. one thread alone):
+    the {!memo} keys a cell on the row's programs by physical identity,
+    plus its seed, schedule and [perfect_mem], never on its name. One
+    program value comes from one compile, so identity implies equal
+    programs, and a narrowed row keys on exactly the programs it runs. *)
+
+type memo
+(** What one context has compiled and simulated. Programs are keyed on
+    a plain record of {!Vliw_compiler.Program.generate}'s whole input:
+    machine, mode, per-program seed (as {!Vliw_sim.Multitask.compile}
+    derives it) and profile. Cells are keyed on what {!simulate} reads:
+    the row's programs (by physical identity), seed, schedule and
+    [perfect_mem], the column's {!share_key} and whether the sweep
+    attaches counters; the value is a successful simulation's metrics
+    and counter snapshot, never a degraded outcome. Lookups happen in
+    the calling domain before a sweep's tasks start, and inserts in the
+    pool's serialized result callback, so results are the same for any
+    [jobs]. Bounded like {!row_memo}: a row that would take it past 256
+    programs (about 75 MB) flushes both tables whole; a cell pins its
+    row's programs, so the cells go with them. Not domain-safe: use a
+    memo from one domain at a time. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
+val memo_stats : memo -> int * int
+(** The programs and the cells a memo holds. *)
 
 val row :
+  ?memo:memo ->
   ?machine:Vliw_isa.Machine.t ->
   ?mode:Vliw_compiler.Program.mode ->
   ?stream:[ `Mix | `Doubled ] ->
@@ -96,7 +123,10 @@ val row :
     seeding [vliwsim run] uses too) for [machine] (default
     {!Vliw_isa.Machine.default}) in [mode] (default block scheduling),
     on [stream]: [`Mix] (default) for the 4-thread workloads,
-    [`Doubled] for the 8-thread mixes. *)
+    [`Doubled] for the 8-thread mixes. Programs come from [memo]
+    (default: a fresh one) when it holds them, and the row's [machine]
+    is the memo's value of any structurally equal machine, which its
+    programs' signature caches were computed against. *)
 
 type cell = {
   mix : string;
@@ -174,10 +204,13 @@ type 'a study =
   ?jobs:int ->
   ?max_retries:int ->
   ?on_event:(event -> unit) ->
+  ?memo:memo ->
   'a
 (** A simulating experiment's entry point: scale, master seed and the
     engine knobs it passes to {!run} / {!run_metrics}, then its own
-    arguments. *)
+    arguments. [memo] (default: a fresh one per call) is shared by the
+    study's rows and sweeps; a [Registry.ctx] passes its own, so a
+    program or cell that several studies need is computed once. *)
 
 val json_of_event : event -> Vliw_util.Json.t
 (** One JSON object per event: an ["ev"] tag, a ["ts"] wall-clock stamp,
@@ -220,7 +253,7 @@ val row_seed : seed:int64 -> string -> int64
 (** The simulation seed of a mix row, a pure function of the master
     seed and the mix name. *)
 
-val prepare_row : ?scale:Common.scale -> ?seed:int64 -> string -> row
+val prepare_row : ?memo:memo -> ?scale:Common.scale -> ?seed:int64 -> string -> row
 (** [prepare_row ~scale ~seed mix_name]: the classic grid row, as
     {!run_cells} builds it for [mix_names] — compiled from [seed] on the
     default machine, simulated on {!row_seed}. The sweep service and
@@ -406,6 +439,7 @@ val run :
   ?resume:bool ->
   ?log:(string -> unit) ->
   ?on_event:(event -> unit) ->
+  ?memo:memo ->
   unit ->
   Common.grid
 (** IPC of every (row, column) cell as a grid. Defaults: all 4-thread
@@ -428,6 +462,7 @@ val run_cells :
   ?resume:bool ->
   ?log:(string -> unit) ->
   ?on_event:(event -> unit) ->
+  ?memo:memo ->
   unit ->
   string list * string list * cell array
 (** Like {!run} but returns the raw cells (mix-major order) with their
@@ -467,6 +502,9 @@ val run_cells :
       match this sweep (scale, seed, schemes, mixes, telemetry) is
       ignored with a [log] warning and the sweep starts fresh.
     - [log] (default silent): diagnostic sink for journal warnings.
+    - [memo] (default: a fresh one): compiles the [mix_names] rows, and
+      a class it already holds reuses that outcome instead of
+      simulating; every class simulated successfully is added to it.
 
     Restored cells have [attempts = 0], [elapsed_s = 0.], and — when
     telemetry is on — their journaled counters plus
@@ -487,6 +525,7 @@ val run_metrics :
   ?resume:bool ->
   ?log:(string -> unit) ->
   ?on_event:(event -> unit) ->
+  ?memo:memo ->
   unit ->
   string list * string list * (cell * Vliw_sim.Metrics.t option) array
 (** The engine itself, {!run_cells} being its projection: each cell

@@ -7,18 +7,18 @@ type row = {
 (* Two rows per benchmark, real then perfect memory, sharing one
    compiled program; one single-thread column. *)
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event () =
+    ?max_retries ?on_event ?(memo = Sweep.memo ()) () =
   let schedule = Common.schedule_of_scale scale in
   let rows =
     List.concat_map
       (fun (p : Vliw_compiler.Profile.t) ->
-        let real = Sweep.row ~schedule ~compile_seed:seed ~seed p.name [ p ] in
+        let real = Sweep.row ~memo ~schedule ~compile_seed:seed ~seed p.name [ p ] in
         [ real; { real with name = p.name ^ "/perfect"; perfect_mem = true } ])
       Vliw_workloads.Benchmarks.all
   in
   let grid =
     Sweep.run ~scale ~seed ~rows ~scheme_names:[ "ST" ] ?jobs
-      ?max_retries ?on_event ()
+      ?max_retries ?on_event ~memo ()
   in
   List.mapi
     (fun i profile ->

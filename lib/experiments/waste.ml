@@ -7,10 +7,11 @@ type row = {
 }
 
 let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
-    ?max_retries ?on_event ?(mix = "LLHH") ?(schemes = [ "ST"; "1S"; "3CCC"; "2SC3"; "3SSS" ])
+    ?max_retries ?on_event ?(memo = Sweep.memo ()) ?(mix = "LLHH")
+    ?(schemes = [ "ST"; "1S"; "3CCC"; "2SC3"; "3SSS" ])
     () =
   let row =
-    Sweep.row ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
+    Sweep.row ~memo ~schedule:(Common.schedule_of_scale scale) ~compile_seed:seed
       ~seed mix (Vliw_workloads.Mixes.find_exn mix).members
   in
   let _, _, cells =
@@ -19,7 +20,7 @@ let run ?(scale = Common.Default) ?(seed = Common.default_seed) ?jobs
         (List.map
            (fun name -> Sweep.column name (Vliw_merge.Scheme_name.parse_exn name))
            schemes)
-      ?jobs ?max_retries ?on_event ()
+      ?jobs ?max_retries ?on_event ~memo ()
   in
   List.mapi
     (fun j scheme ->

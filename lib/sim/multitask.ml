@@ -137,13 +137,11 @@ let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
 (* Program seeds are drawn from one stream on [seed] plus a salt: every
    4-thread workload uses one salt, the doubled 8-thread mixes have
    always used their own. *)
-let compile ?mode ?(stream = `Mix) ~seed machine profiles =
+let compile ?mode ?(stream = `Mix) ?(generate = Vliw_compiler.Program.generate)
+    ~seed machine profiles =
   let salt = match stream with `Mix -> 0x9E37L | `Doubled -> 0x8E37L in
   let rng = Rng.create (Int64.add seed salt) in
-  List.map
-    (fun p ->
-      Vliw_compiler.Program.generate ~seed:(Rng.next_int64 rng) ?mode machine p)
-    profiles
+  List.map (fun p -> generate ~seed:(Rng.next_int64 rng) ?mode machine p) profiles
 
 let run config ?perfect_mem ?(seed = 0x5EEDL) ?schedule ?mode ?telemetry
     ?counters ?controller profiles =

@@ -20,13 +20,21 @@ val quick_schedule : schedule
 val compile :
   ?mode:Vliw_compiler.Program.mode ->
   ?stream:[ `Mix | `Doubled ] ->
+  ?generate:
+    (seed:int64 ->
+    ?mode:Vliw_compiler.Program.mode ->
+    Vliw_isa.Machine.t ->
+    Vliw_compiler.Profile.t ->
+    Vliw_compiler.Program.t) ->
   seed:int64 ->
   Vliw_isa.Machine.t ->
   Vliw_compiler.Profile.t list ->
   Vliw_compiler.Program.t list
 (** One program per profile for [machine] in [mode] (default block
     scheduling), seeded in order from [seed] on the 4-thread workloads'
-    stream ([`Mix], default) or the doubled 8-thread mixes' ([`Doubled]). *)
+    stream ([`Mix], default) or the doubled 8-thread mixes' ([`Doubled]).
+    [generate] (default {!Vliw_compiler.Program.generate}) compiles each
+    program from its derived seed; a memo plugs in here. *)
 
 val run :
   Config.t ->

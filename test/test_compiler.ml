@@ -351,6 +351,74 @@ let test_block_of_addr () =
   Alcotest.(check (option int)) "past the end" None
     (C.Program.block_of_addr prog end_addr)
 
+(* The compiler oracle: one digest per benchmark profile x scheduling
+   mode on the default machine at a fixed seed, over what the simulator
+   reads of a program (every instruction's address and per-cluster ops,
+   every region's exits and fall-through, the entry), never the
+   signature cache. Any change to [Program.generate]'s output moves one. *)
+let program_digest (p : C.Program.t) =
+  let b = Buffer.create 65536 in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ' '
+  in
+  int p.entry;
+  int p.instr_bytes;
+  Array.iter
+    (fun (blk : C.Program.block) ->
+      Buffer.add_char b 'B';
+      Array.iter
+        (fun (ins : Isa.Instr.t) ->
+          int ins.addr;
+          Array.iter
+            (fun ops ->
+              Buffer.add_char b '|';
+              List.iter
+                (fun (op : Isa.Op.t) ->
+                  Buffer.add_string b (Isa.Op.class_name op.klass);
+                  int op.id)
+                ops)
+            ins.ops)
+        blk.instrs;
+      Buffer.add_char b 'X';
+      Array.iter
+        (fun (i, t) ->
+          int i;
+          int t)
+        blk.exits;
+      int blk.fall_through)
+    p.blocks;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+let compiled_digests =
+  [
+    ("mcf", "615bd4b33278665b", "559022beb9366be3");
+    ("bzip2", "f5f49d57dca16d3a", "fa18af05c9bb6226");
+    ("blowfish", "6b993a54bb407c84", "218f285c2575722c");
+    ("gsmencode", "62c001d7d53e5986", "8846e29cd308d171");
+    ("g721encode", "5497497adc7f5381", "4ac9686ba8017f5a");
+    ("g721decode", "4b0b756e77e87f4c", "b26fa90906893b51");
+    ("cjpeg", "bbc3da825f7916af", "9ee3c003ae782fef");
+    ("djpeg", "3a3211f4d6dfa418", "7a4364de5a5e1d37");
+    ("imgpipe", "c41f8d2eaddf8730", "49c6516ca77f1781");
+    ("x264", "a43950170995d365", "fafeadcc4d512482");
+    ("idct", "1621fb90aa6854f3", "6b69cbc7d99b077c");
+    ("colorspace", "21b28326be77b31f", "5d64b04e574d9a5e");
+  ]
+
+let test_program_oracle () =
+  List.iter
+    (fun (name, block, trace) ->
+      let profile = Vliw_workloads.Benchmarks.find_exn name in
+      List.iter
+        (fun (mode, label, want) ->
+          let got =
+            program_digest (C.Program.generate ~seed:0x5EEDL ~mode m profile)
+          in
+          Alcotest.(check string) (name ^ " " ^ label) want got)
+        [ (`Block, "block", block); (`Trace 4, "trace 4", trace) ])
+    compiled_digests
+
 let suite =
   ( "compiler",
     [
@@ -385,6 +453,7 @@ let suite =
       Alcotest.test_case "program deterministic" `Quick test_program_deterministic;
       Alcotest.test_case "static IPC ordering" `Quick test_program_static_ipc_ordering;
       Alcotest.test_case "block_of_addr" `Quick test_block_of_addr;
+      Alcotest.test_case "compiled programs pinned" `Quick test_program_oracle;
     ] )
 
 (* --- live-in / live-out chaining and region concatenation --- *)

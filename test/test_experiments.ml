@@ -127,6 +127,85 @@ let test_golden_renders () =
         (Digest.to_hex (Digest.string text)))
     golden_renders
 
+(* --- the memo ----------------------------------------------------- *)
+
+let llhh = (Vliw_workloads.Mixes.find_exn "LLHH").members
+let quick = E.Common.schedule_of_scale E.Common.Quick
+
+let test_memo_interns_machine () =
+  (* A structurally equal machine is the memo's one value, so rows share
+     programs and Instr.signature stays on its physical fast path. *)
+  let memo = E.Sweep.memo () in
+  let row machine =
+    E.Sweep.row ~memo ~machine ~schedule:quick ~compile_seed:1L ~seed:1L "r" llhh
+  in
+  let default = Vliw_isa.Machine.default in
+  let a = row default in
+  let b = row { default with miss_penalty = 20 } in
+  Alcotest.(check bool) "one machine value" true (a.machine == b.machine);
+  Alcotest.(check bool) "shared programs" true (List.for_all2 ( == ) a.programs b.programs);
+  let c = row { default with miss_penalty = 40 } in
+  Alcotest.(check bool) "another machine compiles its own" true
+    (c.machine != a.machine && List.for_all2 ( != ) a.programs c.programs);
+  Alcotest.(check (pair int int)) "programs, cells" (8, 0) (E.Sweep.memo_stats memo)
+
+let test_memo_narrowed_row () =
+  (* Speedup's solo rows: the mixed row narrowed to one program by record
+     update, with the same seed, schedule and column. Each must simulate
+     its own program, never take the mixed row's or a sibling's cell. *)
+  let memo = E.Sweep.memo () in
+  let mixed =
+    E.Sweep.row ~memo ~schedule:quick ~compile_seed:3L ~seed:3L "LLHH" llhh
+  in
+  let solos =
+    List.mapi
+      (fun i p -> { mixed with name = Printf.sprintf "LLHH/%d" i; programs = [ p ] })
+      mixed.programs
+  in
+  let sweep ?memo rows =
+    let _, _, cells =
+      E.Sweep.run_metrics ~scale:E.Common.Quick ~rows ~scheme_names:[ "ST" ] ?memo ()
+    in
+    cells
+  in
+  let ipc cells = Array.map (fun ((c : E.Sweep.cell), _) -> c.ipc) cells in
+  let whole = (ipc (sweep ~memo [ mixed ])).(0) in
+  let shared = sweep ~memo solos in
+  Alcotest.(check (array (float 0.0)))
+    "solo cells as simulated alone" (ipc (sweep solos)) (ipc shared);
+  Array.iter
+    (fun v -> Alcotest.(check bool) "not the mixed row's cell" true (v <> whole))
+    (ipc shared);
+  Alcotest.(check (pair int int)) "programs, cells" (4, 5) (E.Sweep.memo_stats memo);
+  (* A rerun simulates nothing: every cell is the stored outcome itself. *)
+  let again = sweep ~memo solos in
+  Array.iter2
+    (fun (_, a) (_, b) ->
+      Alcotest.(check bool) "reused metrics" true (Option.get a == Option.get b))
+    shared again;
+  Alcotest.(check (pair int int)) "a rerun adds nothing" (4, 5) (E.Sweep.memo_stats memo)
+
+let test_memo_bounded () =
+  (* A row that would take the memo past 256 programs flushes it whole. *)
+  let memo = E.Sweep.memo () in
+  let tiny =
+    List.map
+      (fun name ->
+        { (Vliw_workloads.Benchmarks.find_exn name) with static_blocks = 2 })
+      [ "mcf"; "bzip2"; "idct"; "x264" ]
+  in
+  let row i =
+    ignore
+      (E.Sweep.row ~memo ~schedule:quick ~compile_seed:(Int64.of_int i) ~seed:0L "r"
+         tiny)
+  in
+  for i = 1 to 64 do
+    row i
+  done;
+  Alcotest.(check (pair int int)) "full" (256, 0) (E.Sweep.memo_stats memo);
+  row 65;
+  Alcotest.(check (pair int int)) "flushed" (4, 0) (E.Sweep.memo_stats memo)
+
 let suite =
   ( "experiments",
     [
@@ -142,4 +221,9 @@ let suite =
       Alcotest.test_case "claims from fig10" `Quick test_claims_from_fig10;
       Alcotest.test_case "table1 quick" `Quick test_table1_quick;
       Alcotest.test_case "golden renders" `Slow test_golden_renders;
+      Alcotest.test_case "memo: equal machines are one value" `Quick
+        test_memo_interns_machine;
+      Alcotest.test_case "memo: a narrowed row keeps its own cell" `Quick
+        test_memo_narrowed_row;
+      Alcotest.test_case "memo: bounded" `Quick test_memo_bounded;
     ] )

@@ -159,22 +159,36 @@ let parse_csv text =
   in
   List.map parse_line lines
 
+(* The entries that only read the ctx's fig10 grid. *)
+let fig10_derived = [ "fig6"; "fig10"; "fig11"; "fig12"; "claims" ]
+
 let test_registry_runs_and_csv_roundtrip () =
   (* Every registered experiment renders non-empty output at Quick
      scale, and when it exports CSV the data survives a render/parse
      round-trip. The ctx is shared so the fig10 grid runs once. Every
      standard entry also renders identical text and CSV serially: jobs
-     1 ≡ N holds for the whole registry, not only the fig10 grid. *)
+     1 ≡ N holds for the whole registry, not only the fig10 grid. And
+     the ctx's memo changes nothing: every standard entry not derived
+     from fig10 renders the same alone, in a fresh ctx (jobs 1 for the
+     even entries, 2 for the odd), as after the entries before it. *)
   let ctx = E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:2 () in
   let serial = E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:1 () in
-  List.iter
-    (fun entry ->
+  List.iteri
+    (fun k entry ->
       let id = E.Registry.id entry in
       let text, csv = E.Registry.run_entry ctx entry in
       if not (E.Registry.expensive entry) then begin
         let text1, csv1 = E.Registry.run_entry serial entry in
         Alcotest.(check string) (id ^ " text: jobs 1 = jobs 2") text1 text;
-        Alcotest.(check bool) (id ^ " csv: jobs 1 = jobs 2") true (csv1 = csv)
+        Alcotest.(check bool) (id ^ " csv: jobs 1 = jobs 2") true (csv1 = csv);
+        if not (List.mem id fig10_derived) then begin
+          let fresh =
+            E.Registry.make_ctx ~scale:E.Common.Quick ~jobs:(1 + (k mod 2)) ()
+          in
+          let text', csv' = E.Registry.run_entry fresh entry in
+          Alcotest.(check string) (id ^ " text: fresh ctx = shared") text' text;
+          Alcotest.(check bool) (id ^ " csv: fresh ctx = shared") true (csv' = csv)
+        end
       end;
       Alcotest.(check bool) (id ^ " renders non-empty") true
         (String.length (String.trim text) > 0);
@@ -194,7 +208,13 @@ let test_registry_runs_and_csv_roundtrip () =
           (id ^ " csv round-trips")
           true
           (parsed = header :: rows))
-    E.Registry.all
+    E.Registry.all;
+  (* One `exp all` fold makes 316 program compiles and 400 class
+     simulations; the memo holds the 140 distinct programs and the 337
+     distinct cells among them, so each ran once. *)
+  Alcotest.(check (pair int int))
+    "memo after the standard fold: (programs, cells)" (140, 337)
+    (E.Sweep.memo_stats serial.memo)
 
 let test_registry_fig10_shared () =
   (* fig6/fig11/fig12/claims must all reuse the ctx's lazy fig10 grid:
